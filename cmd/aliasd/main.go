@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	batch := fs.Int("batch", 400, "loadtest: observations per ingest request")
 	scale := fs.Float64("scale", 0.15, "loadtest: corpus world scale")
 	seed := fs.Uint64("seed", 1, "loadtest: corpus world seed")
-	backend := fs.String("backend", "", "loadtest: session resolver backend (default streaming)")
+	backend := fs.String("backend", "", "loadtest: session resolver backend (default batch)")
 	jsonPath := fs.String("json", "", "loadtest: write the latency report to this path ('-' for stdout)")
 	maxP99 := fs.Duration("maxp99", 0, "loadtest: fail if any aliasd_*_p99 entry exceeds this (0 = no gate)")
 

@@ -314,13 +314,12 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 		}),
 	)
 
-	// Per-backend resolution cost on identical inputs: the scorecard behind
-	// the README's backend comparison and the bench-regression gate's
-	// per-backend entries. Each iteration is one full session lifecycle —
-	// open, feed the SSH union, pull the grouped sets (or merge the
-	// per-protocol sets), close — matching how the analysis layer drives a
-	// backend. The distributed backend is priced by the dedicated distres_*
-	// entries below, where the worker processes it spawns are amortised.
+	// In-process resolution cost: the bench-regression gate's resolve_batch
+	// entries. Each iteration is one full session lifecycle — open, feed the
+	// SSH union, pull the grouped sets (or merge the per-protocol sets),
+	// close — matching how the analysis layer drives a backend. The
+	// distributed backend is priced by the dedicated distres_* entries
+	// below, where the worker processes it spawns are amortised.
 	groupObs := env.Both.Obs[ident.SSH]
 	mergeGroups := [][]alias.Set{
 		env.Both.NonSingletonFamilySets(ident.SSH, true),
@@ -341,26 +340,18 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 			}
 		}
 	}
-	for _, name := range aliaslimit.BackendNames() {
-		if name == "distributed" {
-			continue
-		}
-		be, err := resolver.New(name, 0)
-		if err != nil {
-			return err
-		}
-		rep.Results = append(rep.Results,
-			measure("resolve_"+name+"_group", sessionBench(be, func(ses resolver.Session) {
-				for _, o := range groupObs {
-					ses.Observe(o)
-				}
-				ses.Sets(ident.SSH)
-			})),
-			measure("resolve_"+name+"_merge", sessionBench(be, func(ses resolver.Session) {
-				ses.Merged(mergeGroups[:3]...)
-			})),
-		)
-	}
+	be := resolver.NewBatch()
+	rep.Results = append(rep.Results,
+		measure("resolve_batch_group", sessionBench(be, func(ses resolver.Session) {
+			for _, o := range groupObs {
+				ses.Observe(o)
+			}
+			ses.Sets(ident.SSH)
+		})),
+		measure("resolve_batch_merge", sessionBench(be, func(ses resolver.Session) {
+			ses.Merged(mergeGroups[:3]...)
+		})),
+	)
 
 	// Distributed wire-path entries: distres_stream is one coordinator→worker
 	// round trip (stream the SSH union through two worker processes, pull the

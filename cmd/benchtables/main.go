@@ -109,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "world seed")
 	workers := fs.Int("workers", 256, "scan concurrency")
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
-	backend := fs.String("backend", "", "resolver backend: batch|streaming|sharded|distributed (default batch)")
-	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: goroutines for -backend sharded, worker processes for -backend distributed (0 = each backend's default)")
+	backend := fs.String("backend", "", "resolver backend: batch|distributed (default batch)")
+	shardWorkers := fs.Int("shard-workers", 0, "worker processes for -backend distributed (0 = its default, 2)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them in bounded batches — identical tables, peak memory O(alias-set output) instead of O(observations)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	table := fs.String("table", "", "regenerate a single table (1-6)")

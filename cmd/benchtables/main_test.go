@@ -66,8 +66,6 @@ func TestRunBenchJSON(t *testing.T) {
 		"stream_collect": false, "stream_replay_group": false,
 		"table3_render": false, "figure6_render": false,
 		"resolve_batch_group": false, "resolve_batch_merge": false,
-		"resolve_streaming_group": false, "resolve_streaming_merge": false,
-		"resolve_sharded_group": false, "resolve_sharded_merge": false,
 		"distres_stream": false, "distres_merge": false,
 	}
 	for _, r := range rep.Results {
@@ -100,17 +98,17 @@ func TestRunUnknownTable(t *testing.T) {
 // TestRunBackendFlag renders a table through a non-default resolver backend
 // and rejects unknown backend names.
 func TestRunBackendFlag(t *testing.T) {
-	var batch, streaming, stderr bytes.Buffer
+	var batch, distributed, stderr bytes.Buffer
 	if err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16",
 		"-table", "4"}, &batch, &stderr); err != nil {
 		t.Fatalf("batch run: %v (stderr: %s)", err, stderr.String())
 	}
 	if err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16",
-		"-backend", "streaming", "-table", "4"}, &streaming, &stderr); err != nil {
-		t.Fatalf("streaming run: %v (stderr: %s)", err, stderr.String())
+		"-backend", "distributed", "-shard-workers", "2", "-table", "4"}, &distributed, &stderr); err != nil {
+		t.Fatalf("distributed run: %v (stderr: %s)", err, stderr.String())
 	}
-	if batch.String() != streaming.String() {
-		t.Fatalf("table 4 differs across backends:\n%s\n---\n%s", batch.String(), streaming.String())
+	if batch.String() != distributed.String() {
+		t.Fatalf("table 4 differs across backends:\n%s\n---\n%s", batch.String(), distributed.String())
 	}
 	var stdout bytes.Buffer
 	if err := run([]string{"-scale", "0.05", "-backend", "quantum"}, &stdout, &stderr); err == nil {

@@ -15,11 +15,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"aliaslimit/internal/alias"
-	"aliaslimit/internal/core"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obsfile"
+	"aliaslimit/internal/resolver"
+	"aliaslimit/internal/scenario"
 )
 
 // errBadFlags marks argument errors the flag package (or run itself) has
@@ -56,42 +58,49 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	r := core.NewResolver()
+	s, err := resolver.NewBatch().Open(resolver.Options{})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	observed := make([]int, len(ident.Protocols))
 	for _, path := range fs.Args() {
-		if err := load(r, path); err != nil {
+		if err := load(s, observed, path); err != nil {
 			return err
 		}
 	}
 
-	sum := r.Summarize()
+	parts := make(map[string][]alias.Set)
+	for _, p := range scenario.SessionPartitions(s) {
+		parts[p.Name] = p.Sets
+	}
 	fmt.Fprintf(stdout, "observations: SSH=%d BGP=%d SNMPv3=%d\n",
-		sum.ObsPerProtocol["SSH"], sum.ObsPerProtocol["BGP"], sum.ObsPerProtocol["SNMPv3"])
+		observed[ident.SSH], observed[ident.BGP], observed[ident.SNMP])
 	for _, p := range ident.Protocols {
-		v4 := r.NonSingletonAliasSets(p, true)
-		v6 := r.NonSingletonAliasSets(p, false)
+		sets := parts[strings.ToLower(p.String())]
+		v4 := alias.NonSingleton(alias.FilterFamily(sets, true))
+		v6 := alias.NonSingleton(alias.FilterFamily(sets, false))
 		fmt.Fprintf(stdout, "%-7s alias sets: IPv4 %d (covering %d addrs), IPv6 %d (covering %d addrs)\n",
 			p, len(v4), alias.CoveredAddrs(v4), len(v6), alias.CoveredAddrs(v6))
 	}
-	unionV4 := r.UnionAliasSets(true)
-	unionV6 := r.UnionAliasSets(false)
-	ds := r.DualStackSets()
+	unionV4, unionV6 := parts["union-v4"], parts["union-v6"]
 	fmt.Fprintf(stdout, "union   alias sets: IPv4 %d (covering %d addrs), IPv6 %d (covering %d addrs)\n",
 		len(unionV4), alias.CoveredAddrs(unionV4), len(unionV6), alias.CoveredAddrs(unionV6))
-	fmt.Fprintf(stdout, "dual-stack sets: %d\n", len(ds))
+	fmt.Fprintf(stdout, "dual-stack sets: %d\n", len(parts["dualstack"]))
 
 	if *dumpSets {
-		for _, s := range unionV4 {
-			fmt.Fprintf(stdout, "set %s\n", s.Signature())
-		}
-		for _, s := range unionV6 {
-			fmt.Fprintf(stdout, "set %s\n", s.Signature())
+		for _, union := range [][]alias.Set{unionV4, unionV6} {
+			for _, set := range union {
+				fmt.Fprintf(stdout, "set %s\n", set.Signature())
+			}
 		}
 	}
 	return nil
 }
 
-// load streams one JSONL file into the resolver.
-func load(r *core.Resolver, path string) error {
+// load streams one JSONL file into the session, counting the observations
+// of each protocol (duplicates included).
+func load(s resolver.Session, observed []int, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -102,7 +111,8 @@ func load(r *core.Resolver, path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	for _, o := range obs {
-		r.AddObservation(o)
+		s.Observe(o)
+		observed[o.ID.Proto]++
 	}
 	return nil
 }

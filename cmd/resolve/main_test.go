@@ -52,6 +52,45 @@ func TestRunResolve(t *testing.T) {
 	}
 }
 
+// update rewrites the golden files from the current output:
+//
+//	go test ./cmd/resolve -run TestRunResolveGolden -update
+var update = flag.Bool("update", false, "rewrite the cmd/resolve golden files")
+
+// TestRunResolveGolden pins the command's exact output, with and without
+// -sets, over a fixture that covers all three protocols, both address
+// families, a cross-protocol union in each family, a duplicate observation,
+// and one dual-stack set.
+func TestRunResolveGolden(t *testing.T) {
+	fixture := filepath.Join("testdata", "fixture.jsonl")
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"fixture.golden", []string{fixture}},
+		{"fixture-sets.golden", []string{"-sets", fixture}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(tc.args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v (stderr: %s)", tc.args, err, stderr.String())
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stdout.String(); got != string(want) {
+			t.Errorf("%v: output differs from %s:\ngot:\n%s\nwant:\n%s", tc.args, path, got, want)
+		}
+	}
+}
+
 // TestRunResolveErrors covers the no-arguments and missing-file error paths:
 // the former is a usage error (exit 2 via errBadFlags), the latter a runtime
 // failure.

@@ -7,7 +7,7 @@
 //	scenarios -run baseline                  # one scenario, text scorecard
 //	scenarios -run all -quick -json SCENARIOS.json
 //	scenarios -run churn-storm -epochs 5     # longitudinal: N snapshot rounds
-//	scenarios -run baseline -backend streaming
+//	scenarios -run baseline -backend distributed -shard-workers 2
 //	scenarios -run all -quick -backend all   # every preset on every resolver
 //	                                         # backend; byte-identical alias
 //	                                         # sets enforced
@@ -23,8 +23,8 @@
 //
 // The CI scenario-matrix job runs every preset with -quick -json, the
 // longitudinal job runs the pinned presets with -epochs 5, the
-// backend-compare job runs the catalog with -backend all, and the per-run
-// files merge into the SCENARIOS.json artifact with -merge. The nightly
+// backend-compare job runs the catalog on the distributed backend, and the
+// per-run files merge into the SCENARIOS.json artifact with -merge. The nightly
 // sweep job emits per-axis degradation curves with -sweep.
 package main
 
@@ -81,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once)")
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")
-	backend := fs.String("backend", "", "resolver backend: batch|streaming|sharded|distributed (default batch), or 'all' to run every backend and require byte-identical alias sets")
-	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: goroutines for the sharded backend, worker processes for the distributed backend (0 = each backend's default)")
+	backend := fs.String("backend", "", "resolver backend: batch|distributed (default batch), or 'all' to run every backend and require byte-identical alias sets")
+	shardWorkers := fs.Int("shard-workers", 0, "worker processes for the distributed backend (0 = its default, 2)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them through the resolver in bounded batches — identical alias sets, peak memory O(alias-set output) instead of O(observations); required by stream-only worlds (megascale-x100)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	logDir := fs.String("log", "", "write a durable observation log + epoch checkpoints under this directory (single preset, single backend); a killed run continues with -resume")

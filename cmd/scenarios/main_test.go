@@ -207,16 +207,22 @@ func TestSweepCLI(t *testing.T) {
 }
 
 // TestBackendFlag runs one preset on a named backend and on all of them,
-// checking the scorecards and the byte-identity enforcement path.
+// checking the scorecards and the byte-identity enforcement path, and
+// rejects the retired in-process backend names.
 func TestBackendFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "baseline", "-scale", "0.05", "-workers", "32",
-		"-backend", "streaming"}, &stdout, &stderr)
+		"-backend", "distributed", "-shard-workers", "2"}, &stdout, &stderr)
 	if err != nil {
-		t.Fatalf("run -backend streaming: %v (stderr: %s)", err, stderr.String())
+		t.Fatalf("run -backend distributed: %v (stderr: %s)", err, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "backend=streaming") {
+	if !strings.Contains(stdout.String(), "backend=distributed") {
 		t.Errorf("scorecard does not name the backend:\n%s", stdout.String())
+	}
+	for _, retired := range []string{"streaming", "sharded"} {
+		if err := run([]string{"-run", "baseline", "-backend", retired}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Errorf("-backend %s: want errBadFlags, got %v", retired, err)
+		}
 	}
 
 	stdout.Reset()
@@ -361,8 +367,9 @@ func TestCISweepJobPresent(t *testing.T) {
 }
 
 // TestCIBackendCoversCatalog pins the CI backend jobs to the resolver
-// registry: every backend must appear in the backend-compare matrix, and the
-// byte-identity gate must run the full cross-backend comparison.
+// registry: every backend but the default batch must appear in the
+// backend-compare matrix, and the workflow must run the full cross-backend
+// comparison, single-epoch and longitudinal.
 func TestCIBackendCoversCatalog(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -373,13 +380,13 @@ func TestCIBackendCoversCatalog(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("ci.yml has no backend-compare job")
 	}
-	end := strings.Index(text[idx:], "\n  backend-equivalence:")
+	end := strings.Index(text[idx:], "\n  distributed-compare:")
 	if end < 0 {
-		t.Fatal("ci.yml has no backend-equivalence job")
+		t.Fatal("ci.yml has no distributed-compare job after backend-compare")
 	}
 	job := text[idx : idx+end]
 	names := scenario.BackendNames()
-	if len(names) < 3 {
+	if len(names) < 2 {
 		t.Fatalf("backend registry too small: %v", names)
 	}
 	for _, name := range names {
@@ -403,8 +410,10 @@ func TestCIBackendCoversCatalog(t *testing.T) {
 	if !strings.Contains(job, "-backend ${{ matrix.backend }}") {
 		t.Error("backend-compare job does not thread the matrix backend into cmd/scenarios")
 	}
-	if !strings.Contains(text, "-backend all") {
-		t.Error("ci.yml never runs the cross-backend byte-identity comparison (-backend all)")
+	for _, want := range []string{"-run all -quick -backend all", "-run churn-storm -quick -epochs 3 -backend all"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("ci.yml never runs the cross-backend byte-identity comparison %q", want)
+		}
 	}
 }
 
@@ -458,14 +467,14 @@ func TestDivergenceMessage(t *testing.T) {
 		},
 	}
 	res := &scenario.Result{
-		Backend: "sharded", SetsDigest: "bbb222",
+		Backend: "distributed", SetsDigest: "bbb222",
 		PartitionDigests: []scenario.PartitionDigest{
 			{Partition: "ssh", Digest: "s1"},
 			{Partition: "union-v6", Digest: "u2"},
 		},
 	}
 	msg := divergence(ref, res)
-	for _, want := range []string{"batch", "sharded", "aaa111", "bbb222",
+	for _, want := range []string{"batch", "distributed", "aaa111", "bbb222",
 		"first differing partition: union-v6"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("divergence message missing %q:\n%s", want, msg)
@@ -680,12 +689,17 @@ func TestCIBoundedMemoryJob(t *testing.T) {
 	}
 	for _, want := range []string{
 		"go build -o", "GOMEMLIMIT", "-run megascale-x10 -quick -stream-collect",
-		"-backend streaming", "-run megascale-x100 -quick -stream-collect",
+		"-run megascale-x100 -quick -stream-collect",
 		"sets_digest", "diff",
 	} {
 		if !strings.Contains(string(script), want) {
 			t.Errorf("bounded-memory.sh missing %q", want)
 		}
+	}
+	// The streamed legs run the default backend, which groups each replayed
+	// observation as it arrives; no backend override belongs in the gate.
+	if strings.Contains(string(script), "-backend") {
+		t.Error("bounded-memory.sh overrides the resolver backend; the gate must run the default")
 	}
 	// The scenario matrix's stream-only leg must carry its flag, and the run
 	// step must thread it through.

@@ -77,7 +77,7 @@ func ExampleServeAliasd() {
 	var sess struct {
 		ID string `json:"id"`
 	}
-	post("/v1/sessions", `{"backend":"streaming"}`, &sess)
+	post("/v1/sessions", `{"backend":"batch"}`, &sess)
 
 	var ingest struct {
 		Accepted int `json:"accepted"`
@@ -109,9 +109,9 @@ func ExampleServeAliasd() {
 	// Output: session s1 ingested 3 observations; ssh alias sets: [[192.0.2.1 192.0.2.2]]
 }
 
-// ExampleBackendNames lists the pluggable resolver backends: four
-// strategies, byte-identical alias sets.
+// ExampleBackendNames lists the pluggable resolver backends: the in-process
+// session and the multi-process one, byte-identical alias sets.
 func ExampleBackendNames() {
 	fmt.Println(strings.Join(aliaslimit.BackendNames(), ", "))
-	// Output: batch, streaming, sharded, distributed
+	// Output: batch, distributed
 }

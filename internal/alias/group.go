@@ -7,8 +7,8 @@ import (
 	"aliaslimit/internal/ident"
 )
 
-// Grouper is the merge-as-you-go grouping core shared by every resolver
-// backend: observations are folded into per-identifier buckets one at a time,
+// Grouper is the merge-as-you-go grouping core every resolver session folds
+// through: observations are folded into per-identifier buckets one at a time,
 // each bucket kept sorted and de-duplicated by insertion, so producing the
 // final alias sets never materialises or sorts the full observation slice.
 // The only remaining sort is the canonical ordering of the (far fewer) output
@@ -19,8 +19,8 @@ import (
 // Reset→Observe×N→AppendSets cycle over a stable identifier population
 // performs no allocations (the alloc gate in BENCH_baseline.json enforces
 // ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not safe for
-// concurrent use; callers that share one must serialise access (resolver's
-// Stream guards its grouper with a mutex, Batch pools them).
+// concurrent use; callers that share one must serialise access (a resolver
+// session guards each protocol's grouper with a mutex).
 type Grouper struct {
 	ids     map[ident.Identifier]int32
 	buckets [][]netip.Addr
@@ -82,9 +82,6 @@ func (g *Grouper) Observe(o Observation) {
 	g.buckets[gi] = b
 }
 
-// Len returns the number of distinct identifiers observed.
-func (g *Grouper) Len() int { return len(g.buckets) }
-
 // addrCount returns the total addresses across all buckets.
 func (g *Grouper) addrCount() int {
 	n := 0
@@ -121,7 +118,7 @@ func (g *Grouper) AppendSets(dst []Set, backing []netip.Addr) ([]Set, []netip.Ad
 }
 
 // Sets snapshots the current alias sets into freshly allocated canonical
-// slices — the finalisation every backend's Group path shares.
+// slices — the finalisation Group and every resolver session share.
 func (g *Grouper) Sets() []Set {
 	sets, _ := g.AppendSets(make([]Set, 0, len(g.buckets)), make([]netip.Addr, 0, g.addrCount()))
 	return sets

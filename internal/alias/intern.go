@@ -9,8 +9,8 @@ import "net/netip"
 // address universe) reuse one hash table instead of rebuilding it per call.
 //
 // A table is not safe for concurrent use; callers that share one across
-// goroutines must serialise access (the experiments layer guards its
-// per-dataset table with a mutex).
+// goroutines must serialise access (a resolver session guards its table
+// with a mutex).
 type AddrTable struct {
 	index map[netip.Addr]int32
 	addrs []netip.Addr
@@ -41,9 +41,6 @@ func (t *AddrTable) Intern(a netip.Addr) int32 {
 	t.pos = append(t.pos, 0)
 	return i
 }
-
-// Addr returns the address with dense id i.
-func (t *AddrTable) Addr(i int32) netip.Addr { return t.addrs[i] }
 
 // Len returns the number of interned addresses.
 func (t *AddrTable) Len() int { return len(t.addrs) }

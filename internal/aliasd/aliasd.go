@@ -12,12 +12,12 @@
 //
 //   - Ingest sessions accept NDJSON observation streams (POST /v1/ingest,
 //     one obsfile.Record per line) into a bounded queue drained by a
-//     dedicated worker into the streaming resolver backend's live
-//     structures (resolver.Sink). Alias sets are therefore grouped online:
-//     a query arriving mid-ingest sees the canonical partition of every
-//     observation applied so far, and the final partitions are
-//     byte-identical to the batch backend over the same observations —
-//     the same sets_digest, computed through scenario.DigestPartitions.
+//     dedicated worker into an open resolver session, which groups each
+//     observation as it is applied. A query arriving mid-ingest sees the
+//     canonical partition of every observation applied so far, and the
+//     final partitions are byte-identical to a sealed run over the same
+//     observations — the same sets_digest, computed through
+//     scenario.DigestPartitions.
 //   - World-backed sessions ({"world": true}) build a sealed, fully
 //     measured environment at the requested seed and scale and serve its
 //     memoized analysis views (sets, stats, per-AS aggregation) without

@@ -86,7 +86,7 @@ func TestHealthzAndBackends(t *testing.T) {
 		Default  string   `json:"default"`
 	}
 	get(t, ts.URL+"/v1/backends", &backends)
-	if len(backends.Backends) != 4 || backends.Default != "streaming" {
+	if len(backends.Backends) != 2 || backends.Default != "batch" {
 		t.Fatalf("backends = %+v", backends)
 	}
 }
@@ -109,7 +109,7 @@ func TestIngestQueryFlow(t *testing.T) {
 		{"10.0.0.9", "SNMPv3", "e1"},
 	}
 
-	a := createTestSession(t, ts.URL, `{"backend":"streaming"}`)
+	a := createTestSession(t, ts.URL, `{}`)
 	b := createTestSession(t, ts.URL, `{"backend":"batch"}`)
 
 	// Session a gets everything in one request; session b gets the reversed
@@ -243,8 +243,12 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Fatalf("saturated ingest accepted %d, want 2", shed.Accepted)
 	}
 
-	// Back off (release the worker), resend the shed remainder, flush.
+	// Back off (release the worker and wait for it to drain the queue),
+	// resend the shed remainder, flush.
 	close(release)
+	if code := post(t, ts.URL+"/v1/flush?session="+id, "", nil); code != http.StatusOK {
+		t.Fatal("drain flush failed")
+	}
 	if code := post(t, ts.URL+"/v1/ingest?session="+id, obsLines(corpus[1+shed.Accepted:]...), nil); code != http.StatusOK {
 		t.Fatalf("retry ingest: status %d", code)
 	}

@@ -81,7 +81,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"backends": resolver.Names(),
-		"default":  "streaming",
+		"default":  "batch",
 	})
 }
 
@@ -106,7 +106,7 @@ func (sess *Session) info() sessionInfo {
 }
 
 // handleCreateSession registers a tenant. An empty body picks the default
-// ingest session (streaming backend).
+// ingest session (batch backend).
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var cfg SessionConfig
 	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil && err != io.EOF {

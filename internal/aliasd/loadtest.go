@@ -46,7 +46,7 @@ type LoadOptions struct {
 	Workers     int
 	Parallelism int
 	// Backend names the session backend every tenant requests; empty picks
-	// the daemon default (streaming).
+	// the daemon default (batch).
 	Backend string
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
@@ -315,8 +315,8 @@ func driveClient(base string, c int, lines [][]byte, wantDigest string, opts Loa
 		return 0, err
 	}
 
-	// Ingest the corpus in a tenant-specific order — the streaming
-	// structures are order-insensitive, and equal final digests prove it.
+	// Ingest the corpus in a tenant-specific order — sessions are
+	// order-insensitive, and equal final digests prove it.
 	order := xrand.NewSplitMix64(opts.Seed ^ uint64(c+1)).Perm(len(lines))
 	retries := 0
 	for lo := 0; lo < len(order); lo += opts.Batch {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,9 +32,9 @@ var (
 // /v1/sessions body).
 type SessionConfig struct {
 	// Backend names the resolver strategy (any resolver.Names() entry —
-	// "batch", "streaming", "sharded", and "distributed" when linked; empty
-	// picks streaming — the online backend is the natural default for a live
-	// service). Every backend yields byte-identical alias sets.
+	// "batch", and "distributed" when linked; empty picks batch, whose
+	// sessions group each observation as it is applied). Every backend
+	// yields byte-identical alias sets.
 	Backend string `json:"backend,omitempty"`
 	// World, when true, builds a sealed measured environment instead of an
 	// empty ingest session: the daemon generates a synthetic Internet at
@@ -109,7 +108,7 @@ func sortSessions(ss []*Session) {
 // builds don't block other tenants.
 func (s *Server) createSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Backend == "" {
-		cfg.Backend = "streaming"
+		cfg.Backend = "batch"
 	}
 	backend, err := resolver.New(cfg.Backend, 0)
 	if err != nil {
@@ -318,7 +317,7 @@ func (sess *Session) snapshot() *sessionView {
 	if sess.env != nil {
 		parts = scenario.ScoredPartitions(sess.env)
 	} else {
-		parts = sess.livePartitions()
+		parts = scenario.SessionPartitions(sess.rsess)
 	}
 	v := &sessionView{at: at, parts: parts, byName: make(map[string][]alias.Set, len(parts))}
 	v.digest, v.breakdown = scenario.DigestPartitions(parts)
@@ -327,40 +326,4 @@ func (sess *Session) snapshot() *sessionView {
 	}
 	sess.view = v
 	return v
-}
-
-// livePartitions derives the scored partitions from the live resolver
-// session, mirroring scenario.ScoredPartitions partition for partition so an
-// ingest session's sets_digest is directly comparable with a scorecard's: the
-// per-protocol non-singleton groups, the per-family union merges of the
-// non-singleton family subsets, and the dual-stack sets of the all-family
-// merge.
-func (sess *Session) livePartitions() []scenario.Partition {
-	order := []ident.Protocol{ident.SSH, ident.BGP, ident.SNMP}
-	sets := make(map[ident.Protocol][]alias.Set, len(order))
-	for _, p := range order {
-		sets[p] = sess.rsess.Sets(p)
-	}
-	var parts []scenario.Partition
-	for _, p := range order {
-		parts = append(parts, scenario.Partition{
-			Name: strings.ToLower(p.String()),
-			Sets: alias.NonSingleton(sets[p]),
-		})
-	}
-	for _, v4 := range []bool{true, false} {
-		name := "union-v4"
-		if !v4 {
-			name = "union-v6"
-		}
-		merged := sess.rsess.Merged(
-			alias.NonSingleton(alias.FilterFamily(sets[ident.SSH], v4)),
-			alias.NonSingleton(alias.FilterFamily(sets[ident.BGP], v4)),
-			alias.NonSingleton(alias.FilterFamily(sets[ident.SNMP], v4)),
-		)
-		parts = append(parts, scenario.Partition{Name: name, Sets: alias.NonSingleton(merged)})
-	}
-	dual := sess.rsess.Merged(sets[ident.SSH], sets[ident.BGP], sets[ident.SNMP])
-	parts = append(parts, scenario.Partition{Name: "dualstack", Sets: alias.DualStack(dual)})
-	return parts
 }

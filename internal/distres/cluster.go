@@ -46,9 +46,9 @@ type worker struct {
 
 // Cluster is a fixed-size set of shard workers plus the HTTP client the
 // coordinator multiplexes over them. The identifier space is partitioned
-// across the workers by resolver.ShardRoute, so the cluster size is part of
-// the wire contract for any session opened on it — all sessions of one
-// cluster share one worker count.
+// across the workers by ShardRoute, so the cluster size is part of the wire
+// contract for any session opened on it — all sessions of one cluster share
+// one worker count.
 type Cluster struct {
 	workers []worker
 	client  *http.Client

@@ -1,7 +1,6 @@
-// Package distres is the distributed incarnation of the sharded resolver
-// backend: the identifier space is partitioned across worker *processes*
-// instead of goroutines, with one deterministic cross-shard merge at the
-// coordinator. It registers itself with internal/resolver as the
+// Package distres is the distributed resolver backend: the identifier space
+// is partitioned across worker processes, with one deterministic cross-shard
+// merge at the coordinator. It registers itself with internal/resolver as the
 // "distributed" backend — linking this package is enabling it.
 //
 // # Topology
@@ -18,18 +17,17 @@
 //
 // Each coordinator session creates one remote aliasd session per worker
 // (the ordinary JSON POST /v1/sessions, backend "batch" — the shard state
-// is the same pooled Grouper arena every in-process backend folds through)
+// is the in-process batch session, run remotely)
 // and then speaks the binary wire protocol (wire.go) against POST
 // /v1/sessions/{id}/resolve, the fast path that bypasses the NDJSON ingest
 // queue. HTTP /v1 NDJSON stays for humans; the frames are for the fleet.
 //
 // # Determinism
 //
-// Observations route to workers by resolver.ShardRoute — the same
-// identifier-hash map the in-process sharded backend uses — so a group
-// never straddles workers, and concatenating the workers' canonical alias
-// sets and sorting (alias.SortSets) is byte-identical to the single-arena
-// batch grouping. Merged flattens its partitions, deals them round-robin to
+// Observations route to workers by ShardRoute, a hash of the identifier, so
+// a group never straddles workers, and concatenating the workers' canonical
+// alias sets and sorting (alias.SortSets) is byte-identical to the batch
+// grouping. Merged flattens its partitions, deals them round-robin to
 // the workers for shard-local union-find collapse, and merges the partial
 // partitions in one final pass at the coordinator — union-find closure is
 // associative, so the result equals the single-pass merge. The scenario
@@ -66,8 +64,7 @@ var ErrWorkerFailed = errors.New("distres: shard worker failed")
 // DefaultWorkers is the worker-process count when none is configured.
 const DefaultWorkers = 2
 
-// maxWorkers caps the process fan-out; resolver.ShardRoute's byte-wide
-// route shares the same bound.
+// maxWorkers caps the process fan-out.
 const maxWorkers = 256
 
 func init() {

@@ -10,6 +10,7 @@ import (
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/resolver"
+	"aliaslimit/internal/xrand"
 )
 
 // numProto is the number of identifier protocols the buffers index by.
@@ -33,10 +34,9 @@ type session struct {
 	closed  bool
 }
 
-// openSession creates one remote batch session per worker. The remote
-// backend is "batch": each shard's state is the pooled Grouper arena plus
-// the persistent interning table, exactly the structures the in-process
-// backends fold through — run remotely.
+// openSession creates one remote batch session per worker: each shard's
+// state is the in-process backend's per-protocol groupers and interning
+// table, run remotely.
 func openSession(c *Cluster) (resolver.Session, error) {
 	s := &session{
 		cluster: c,
@@ -86,11 +86,17 @@ func (s *session) Err() error {
 	return s.err
 }
 
+// ShardRoute returns the worker index in [0, workers) an observation's
+// identifier routes to. A group never straddles workers, so concatenating
+// per-worker canonical sets and sorting equals the single-session grouping.
+func ShardRoute(id ident.Identifier, workers int) int {
+	return int(xrand.Hash64(id.Digest) % uint64(workers))
+}
+
 // Observe implements resolver.Session by routing the observation to its
-// identifier's shard worker — resolver.ShardRoute, the same map the
-// in-process sharded backend uses, so a group never straddles workers.
+// identifier's shard worker.
 func (s *session) Observe(o alias.Observation) {
-	w := resolver.ShardRoute(o.ID, len(s.ids))
+	w := ShardRoute(o.ID, len(s.ids))
 	s.mu.Lock()
 	s.pending[w][o.ID.Proto] = append(s.pending[w][o.ID.Proto], o)
 	s.mu.Unlock()
@@ -242,10 +248,10 @@ func (s *session) fetchSets(w int, req []byte, wantOp byte) ([]alias.Set, error)
 
 // Merged implements resolver.Session: flatten the partitions, deal the sets
 // round-robin to the workers for shard-local union-find collapse, and merge
-// the partial partitions in one final pass — the sharded backend's merge
-// shape across processes. Small inputs collapse locally: shipping them
-// would spend more wire than the fan-out saves. A failed session returns
-// nil.
+// the partial partitions in one final pass — union-find closure is
+// associative, so the result equals the single-pass merge. Small inputs
+// collapse locally: shipping them would spend more wire than the fan-out
+// saves. A failed session returns nil.
 func (s *session) Merged(groups ...[]alias.Set) []alias.Set {
 	if s.Err() != nil {
 		return nil

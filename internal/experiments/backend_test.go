@@ -9,6 +9,20 @@ import (
 	"aliaslimit/internal/topo"
 )
 
+// liveBatch is the batch backend marked live-feeding, registered as "live"
+// for this package's tests: collection feeds its sessions during the scans,
+// as it does the distributed backend's, so the tests cover
+// EnvSeries.Advance's live-session branch and sealStreamed's no-feed branch
+// without worker processes.
+type liveBatch struct{ resolver.Backend }
+
+func (liveBatch) Name() string   { return "live" }
+func (liveBatch) FeedLive() bool { return true }
+
+func init() {
+	resolver.Register("live", func(int) resolver.Backend { return liveBatch{resolver.NewBatch()} })
+}
+
 // backendEnv builds a small measured environment on the named resolver
 // backend.
 func backendEnv(t *testing.T, name string) *Env {
@@ -77,12 +91,12 @@ func TestBackendViewsIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamingSinkFedLive asserts the streaming backend's architectural
-// payoff: every dataset's identifier groups — Active, Censys, and the union
-// — were resolved online by the collection-time sessions, not re-fed after
-// sealing, and still match a batch regroup of the sealed observations.
+// TestStreamingSinkFedLive asserts the live-feeding path: every dataset's
+// identifier groups — Active, Censys, and the union — were resolved online
+// by the collection-time sessions, not re-fed after sealing, and still match
+// a batch regroup of the sealed observations.
 func TestStreamingSinkFedLive(t *testing.T) {
-	env := backendEnv(t, "streaming")
+	env := backendEnv(t, "live")
 	for _, ds := range []*Dataset{env.Both, env.Active, env.Censys} {
 		if !ds.views.live {
 			t.Fatalf("%s: dataset sealed without a live-fed session", ds.Name)

@@ -20,7 +20,7 @@ import (
 
 // ObservationSink receives identifier observations the moment the scan
 // pipeline extracts them — while the SYN sweep and later grabs are still in
-// flight — so a streaming resolver backend can maintain alias sets online.
+// flight — so a live-feeding resolver backend can maintain alias sets online.
 // Worker pools call Observe concurrently with no ordering guarantee, so
 // implementations must be concurrency-safe and order-insensitive.
 type ObservationSink interface {
@@ -60,8 +60,8 @@ type ScanOptions struct {
 	Parallelism int
 	// Sink, when non-nil, is fed every extracted observation live from the
 	// scan worker goroutines. The Dataset contents are unaffected: the sink
-	// is a tap, not a detour. EnvSeries installs the streaming backend's
-	// sink here.
+	// is a tap, not a detour. EnvSeries installs a live-feeding backend's
+	// sessions and the observation log here.
 	Sink ObservationSink
 	// DiscardObs turns the tap into the only output: scan workers deliver
 	// every observation to Sink and accumulate nothing, so the returned

@@ -57,7 +57,7 @@ type Options struct {
 	// Backend is the alias-resolution strategy every analysis view routes
 	// through; nil selects a fresh batch backend per environment. The choice
 	// never changes any view's bytes — only the execution strategy. A
-	// live-feeding backend (streaming, distributed — see resolver.FeedsLive)
+	// live-feeding backend (distributed — see resolver.FeedsLive)
 	// additionally has per-dataset sessions fed during collection, so every
 	// dataset's alias sets are already resolved when the scans return.
 	Backend resolver.Backend

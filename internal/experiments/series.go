@@ -13,8 +13,8 @@ import (
 )
 
 // sessionSink adapts an open resolver session to the ObservationSink shape
-// collection feeds — the seam that lets any live-feeding backend (streaming
-// goroutines, distributed worker processes) consume a campaign online.
+// collection feeds — the seam that lets a live-feeding backend (the
+// distributed worker processes) consume a campaign online.
 type sessionSink struct{ s resolver.Session }
 
 // Observe implements ObservationSink. The protocol tag is redundant with the

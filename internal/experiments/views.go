@@ -72,7 +72,7 @@ type datasetViews struct {
 	// extra serialisation is needed here.
 	session resolver.Session
 	// live records that session was fed observation-by-observation during
-	// collection (a live-feeding backend — streaming or distributed), so its
+	// collection (a live-feeding backend such as distributed), so its
 	// resolution state already covers the dataset and Sets never replays the
 	// sealed observations into it.
 	live bool

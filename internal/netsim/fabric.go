@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ProbeStatus classifies a TCP SYN probe outcome.
@@ -304,8 +305,9 @@ func (v *Vantage) DialContext(ctx context.Context, network, address string) (net
 	clientSide, serverSide := net.Pipe()
 	local := &net.TCPAddr{IP: net.ParseIP("198.51.100.7"), Port: 54321}
 	remote := &net.TCPAddr{IP: addr.AsSlice(), Port: int(port)}
-	client := &simConn{Conn: clientSide, local: local, remote: remote}
-	server := &simConn{Conn: serverSide, local: remote, remote: local}
+	release := new(sync.Once)
+	client := &simConn{Conn: clientSide, local: local, remote: remote, peer: serverSide, release: release}
+	server := &simConn{Conn: serverSide, local: remote, remote: local, peer: clientSide, release: release}
 
 	go func() {
 		defer server.Close()
@@ -335,6 +337,22 @@ func (a strAddr) String() string  { return string(a) }
 type simConn struct {
 	net.Conn
 	local, remote net.Addr
+	// peer is the pipe's other end; release is shared by both ends.
+	peer    net.Conn
+	release *sync.Once
+}
+
+// Close clears both ends' deadlines on the first Close of either end, then
+// closes. net.Pipe arms a timer per deadline that Close never stops, and
+// once either end is closed SetDeadline refuses to clear it, so without this
+// every dialed pair would stay reachable until its timers fire — minutes
+// later for a grab timeout.
+func (c *simConn) Close() error {
+	c.release.Do(func() {
+		c.Conn.SetDeadline(time.Time{})
+		c.peer.SetDeadline(time.Time{})
+	})
+	return c.Conn.Close()
 }
 
 // LocalAddr returns the simulated local address.

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
 	"time"
 )
@@ -458,4 +462,62 @@ func TestProbeStatusAndKindStrings(t *testing.T) {
 			t.Errorf("%T(%v).String() = %q, want %q", v, v, got, want)
 		}
 	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestClosedConnsReleaseMemory: a closed simulated connection must not stay
+// reachable. net.Pipe arms one timer per deadline, Close does not stop them,
+// and after either end closes SetDeadline can no longer clear them — so
+// without simConn's Close every dialed pair would be held until its
+// deadlines fire, minutes later for a grab timeout.
+func TestClosedConnsReleaseMemory(t *testing.T) {
+	f := New(NewSimClock(time.Unix(0, 0)))
+	a := netip.MustParseAddr("192.0.2.1")
+	d, err := NewDevice(DeviceConfig{ID: "r1", Addrs: []netip.Addr{a}}, time.Unix(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served sync.WaitGroup
+	d.SetService(22, HandlerFunc(func(conn net.Conn, _ ServeContext) {
+		defer served.Done()
+		conn.SetDeadline(time.Now().Add(2 * time.Minute))
+		io.Copy(io.Discard, conn)
+	}))
+	if err := f.AddDevice(d); err != nil {
+		t.Fatal(err)
+	}
+	v := f.Vantage("t")
+
+	const conns = 4000
+	before := liveHeap()
+	for i := 0; i < conns; i++ {
+		served.Add(1)
+		c, err := v.DialContext(context.Background(), "tcp", "192.0.2.1:22")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(2 * time.Minute))
+		c.Close()
+	}
+	served.Wait()
+
+	// The servers' own Close runs after their handlers return; give the
+	// goroutines a moment to exit before judging the heap.
+	const slack = 1 << 20
+	var after uint64
+	for try := 0; try < 50; try++ {
+		if after = liveHeap(); after < before+slack {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("live heap grew %d KiB over %d closed connections (before %d KiB, after %d KiB)",
+		(after-before)>>10, conns, before>>10, after>>10)
 }

@@ -10,69 +10,62 @@ import (
 // numProto is the number of identifier protocols sessions index by.
 const numProto = 3
 
-// batchBackend is the one-shot analysis strategy's factory.
+// batchBackend is the in-process backend's factory.
 type batchBackend struct{}
 
-// NewBatch returns the batch backend: sessions buffer observations locally,
-// Sets folds them through a pooled merge-as-you-go grouping arena
-// (alias.Grouper — no global (identifier, address) sort is ever
-// materialised), and Merged is alias.MergeWith's union-find over a
-// persistent address-interning table. One session serves a whole analysis
-// run, so repeated merges over overlapping address populations (per-family,
-// per-source, dual-stack unions) reuse one hash index, and repeated
-// groupings reuse the pooled arenas instead of rebuilding bucket structures
-// per call.
+// NewBatch returns the in-process backend. Its sessions group every
+// observation as it arrives — one alias.Grouper per protocol, each behind its
+// own mutex, so the protocols feed independently and Sets is a snapshot of
+// the observations applied so far. Merged is alias.MergeWith's union-find
+// over an address-interning table the session owns, so the repeated merges
+// of one analysis run (per-family, per-source, dual-stack unions) reuse one
+// hash index.
 func NewBatch() Backend { return batchBackend{} }
 
-// Name implements Backend.
-func (batchBackend) Name() string { return "batch" }
+// NewStreaming returns the in-process backend.
+//
+// Deprecated: the streaming backend was folded into the batch session, which
+// now groups each observation as it arrives. Use NewBatch.
+func NewStreaming() Backend { return NewBatch() }
 
-// Open implements Backend with a fresh interning table and arena pool.
+// Name implements Backend.
+func (batchBackend) Name() string { return builtinName }
+
+// Open implements Backend with empty groupers and a fresh interning table.
 func (batchBackend) Open(Options) (Session, error) {
-	s := &batchSession{table: alias.NewAddrTable()}
-	s.groupers.New = func() any { return alias.NewGrouper() }
-	return s, nil
+	return &batchSession{table: alias.NewAddrTable()}, nil
 }
 
-// batchSession is one batch resolution state.
+// batchSession is one in-process resolution state.
 type batchSession struct {
-	// mu guards the per-protocol observation buffers.
-	mu  sync.Mutex
-	obs [numProto][]alias.Observation
+	// groups is indexed by ident.Protocol (SSH, BGP, SNMP).
+	groups [numProto]struct {
+		mu sync.Mutex
+		g  alias.Grouper
+	}
 
-	// tableMu serialises merges over the shared interning table, exactly as
-	// the sealed views' per-dataset table used to.
+	// tableMu serialises merges over the shared interning table.
 	tableMu sync.Mutex
 	table   *alias.AddrTable
-
-	// groupers recycles grouping arenas across Sets calls; concurrent
-	// snapshots each take their own, so Sets never serialises on grouping.
-	groupers sync.Pool
 }
 
-// Observe implements Session by buffering the observation under its
-// protocol; grouping is deferred to Sets.
+// Observe implements Session by landing the observation in its identifier's
+// bucket.
 func (s *batchSession) Observe(o alias.Observation) {
-	s.mu.Lock()
-	s.obs[o.ID.Proto] = append(s.obs[o.ID.Proto], o)
-	s.mu.Unlock()
+	pg := &s.groups[o.ID.Proto]
+	pg.mu.Lock()
+	pg.g.Observe(o)
+	pg.mu.Unlock()
 }
 
-// Sets implements Session by streaming the buffered observations through a
-// pooled grouping arena — byte-identical to alias.Group, allocation-free in
-// steady state apart from the returned sets.
+// Sets implements Session by snapshotting one protocol's grouper. It may run
+// concurrently with Observe; observations landing after the snapshot begins
+// appear in the next call.
 func (s *batchSession) Sets(p ident.Protocol) []alias.Set {
-	s.mu.Lock()
-	obs := s.obs[p]
-	s.mu.Unlock()
-	g := s.groupers.Get().(*alias.Grouper)
-	g.Reset()
-	for _, o := range obs {
-		g.Observe(o)
-	}
-	sets := g.Sets()
-	s.groupers.Put(g)
-	return sets
+	pg := &s.groups[p]
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	return pg.g.Sets()
 }
 
 // Merged implements Session via alias.MergeWith over the shared table.

@@ -3,6 +3,9 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"aliaslimit/internal/alias"
@@ -44,78 +47,61 @@ func protoObs(obs []alias.Observation, p ident.Protocol) []alias.Observation {
 	return out
 }
 
-// setsEqual asserts byte-identical canonical alias sets.
-func setsEqual(t *testing.T, want, got []alias.Set, label string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d sets, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Key() != got[i].Key() {
-			t.Fatalf("%s: set %d = %q, want %q", label, i, got[i].Signature(), want[i].Signature())
-		}
-	}
-}
-
-// TestGroupBackendsMatchSortReference is the cross-layer determinism gate
-// for the merge-as-you-go rewrite: on the same corpus, the retired
-// global-sort implementation (alias.GroupSorted) and every session's Sets —
-// batch's pooled arena, streaming's online buckets, sharded at worker counts
-// 1, 2, and 7 — must produce byte-identical alias sets per protocol, across
-// two seeds. Run under -race this also exercises the sharded fold's
-// concurrency.
+// TestGroupBackendsMatchSortReference is the determinism gate for the
+// merge-as-you-go grouping: on the same corpus, the retired global-sort
+// implementation (alias.GroupSorted) and the session's Sets must produce
+// byte-identical alias sets per protocol, across two seeds, whether the
+// session is fed in corpus order or in reverse.
 func TestGroupBackendsMatchSortReference(t *testing.T) {
 	for _, seed := range []uint64{5, 91} {
 		obs := determinismCorpus(seed, 5000)
-		for _, ls := range sessionsUnderTest(t) {
-			for _, o := range obs {
-				ls.sess.Observe(o)
+		reversed := slices.Clone(obs)
+		slices.Reverse(reversed)
+		for order, feed := range map[string][]alias.Observation{"forward": obs, "reverse": reversed} {
+			s := openBatch(t)
+			for _, o := range feed {
+				s.Observe(o)
 			}
 			for _, p := range ident.Protocols {
 				want := alias.GroupSorted(protoObs(obs, p))
-				got := ls.sess.Sets(p)
-				setsEqual(t, want, got, fmt.Sprintf("seed %d: %s proto %s", seed, ls.label, p))
+				requireSameSets(t, fmt.Sprintf("seed %d %s proto %s", seed, order, p), want, s.Sets(p))
 			}
 		}
 	}
 }
 
 // TestMergeBackendsAgreeOnGroupedCorpus closes the loop: the partitions the
-// group core emits must merge identically through every backend's session.
+// group core emits must merge through the session exactly as alias.Merge
+// merges them.
 func TestMergeBackendsAgreeOnGroupedCorpus(t *testing.T) {
 	obs := determinismCorpus(13, 3000)
 	half := len(obs) / 2
 	a, b := alias.Group(obs[:half]), alias.Group(obs[half:])
-	want := alias.Merge(a, b)
-	for _, ls := range sessionsUnderTest(t) {
-		setsEqual(t, want, ls.sess.Merged(a, b), ls.label+" merge")
-	}
+	requireSameSets(t, "merge", alias.Merge(a, b), openBatch(t).Merged(a, b))
 }
 
-// TestBatchSetsPoolReuse hammers one batch session from concurrent
-// goroutines: pooled arenas must never leak state between calls (run under
-// -race this is also the pool's concurrency proof).
+// TestBatchSetsPoolReuse hammers one session's Sets from concurrent
+// goroutines: snapshots must never leak state between calls (run under
+// -race this is also the per-protocol lock's concurrency proof).
 func TestBatchSetsPoolReuse(t *testing.T) {
-	s, err := NewBatch().Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openBatch(t)
 	obs := determinismCorpus(29, 2000)
 	for _, o := range obs {
 		s.Observe(o)
 	}
-	want := alias.GroupSorted(protoObs(obs, ident.SSH))
-	done := make(chan struct{})
+	want := strings.Join(keysOf(alias.GroupSorted(protoObs(obs, ident.SSH))), "|")
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				setsEqual(t, want, s.Sets(ident.SSH), "concurrent pooled sets")
+				if got := strings.Join(keysOf(s.Sets(ident.SSH)), "|"); got != want {
+					t.Errorf("concurrent snapshot %d differs from the reference grouping", i)
+					return
+				}
 			}
 		}()
 	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
+	wg.Wait()
 }

@@ -1,14 +1,12 @@
-// Package resolver turns alias resolution into a pluggable backend
-// subsystem: the step that converts protocol identifier observations into
-// alias sets — the paper's contribution — is expressed behind one two-level
-// interface with interchangeable, byte-identical implementations.
+// Package resolver is the alias-resolution subsystem: the step that converts
+// protocol identifier observations into alias sets — the paper's
+// contribution — behind one two-level interface.
 //
 // # Architecture
 //
 // A Backend is a factory for one resolution strategy; Open yields a Session,
-// the stateful handle every consumer talks to. The Session contract unifies
-// what used to be two APIs — the live collection Sink and the blocking
-// Group/Merge pair — behind four methods:
+// the stateful handle every consumer talks to. The Session contract is four
+// methods:
 //
 //   - Observe: consume one identifier observation, online, in any order,
 //     from any number of goroutines. Observations route to their protocol by
@@ -21,41 +19,22 @@
 //     Merged is a pure function of its arguments, independent of the
 //     session's observed state.
 //   - Close: release the session's resources and surface any deferred
-//     failure (remote backends accumulate a sticky error; in-process ones
-//     never fail).
+//     failure (remote backends accumulate a sticky error; the in-process
+//     one never fails).
 //
-// One contract means one wiring: the scan worker pools feed a Session while
-// sweeps are in flight, the daemon holds a Session per tenant, the sealed
-// analysis views group and merge through a Session — and a backend whose
-// state lives in other processes (internal/distres) plugs into all of them
-// without special cases, which the old blocking interface could not express.
+// One contract means one wiring: the sealed analysis views group and merge
+// through a Session, the daemon holds a Session per tenant, cmd/resolve feeds
+// one from a file — and a backend whose state lives in other processes
+// (internal/distres) plugs into all of them without special cases.
 //
-// The in-process backends differ only in execution strategy, never output:
-//
-//   - batch: the memoized single-pass strategy the repository grew up with —
-//     observations buffer locally, Sets folds them through a pooled
-//     merge-as-you-go grouping arena, Merged is a union-find over a
-//     persistent address-interning table. The right default for one-shot
-//     analysis over a sealed dataset.
-//   - streaming: fully online — every Observe lands in its identifier's
-//     sorted bucket immediately (one Stream per protocol), so alias sets
-//     exist the moment the scan ends; Merged feeds an incremental union-find
-//     (MergeStream). The same machinery gives the longitudinal layer its
-//     "incremental" (latest-observation-wins) merge strategy.
-//   - sharded: identifier-space partitioning across worker goroutines with a
-//     deterministic cross-shard merge — the in-process scale-out strategy.
-//     A group never straddles shards because observations route by
-//     identifier hash.
-//
+// The in-process backend is "batch" (NewBatch): every Observe lands in its
+// identifier's sorted bucket immediately, so Sets is a snapshot, and Merged
+// is a union-find over an address-interning table the session owns.
 // Out-of-process backends register themselves by name (Register); linking
-// internal/distres adds "distributed", the multi-process incarnation of
-// sharded (worker processes instead of goroutines, the same hash route and
-// merge shape over a binary wire protocol).
-//
-// Every session finishes by canonicalising through alias.SortSets, so for
-// identical inputs all backends produce byte-identical alias sets at any
-// worker count — the property the scenario matrix asserts on every preset
-// and the per-backend benchmarks price.
+// internal/distres adds "distributed", which partitions the identifier space
+// across worker processes. Both canonicalise through alias.SortSets, so for
+// identical inputs they produce byte-identical alias sets at any worker
+// count — the property the scenario matrix asserts on every preset.
 package resolver
 
 import (
@@ -72,22 +51,16 @@ import (
 // must be safe for concurrent use; the sessions they open are independent.
 type Backend interface {
 	// Name is the stable identifier used by CLI flags, reports, and
-	// benchmarks ("batch", "streaming", "sharded", "distributed").
+	// benchmarks ("batch", "distributed").
 	Name() string
-	// Open starts one resolution session. In-process backends never fail;
-	// remote backends may (worker spawn, connection refused).
+	// Open starts one resolution session. The in-process backend never
+	// fails; remote backends may (worker spawn, connection refused).
 	Open(opts Options) (Session, error)
 }
 
-// Options tune one session at Open time. The zero value is always valid and
-// selects the backend's defaults.
-type Options struct {
-	// Workers overrides the backend's fan-out for this session — shard
-	// goroutines for sharded, worker processes for distributed; 0 keeps the
-	// count the factory was constructed with. Ignored by backends that do
-	// not fan out.
-	Workers int
-}
+// Options tune one session at Open time. No backend reads an option today;
+// the type keeps Open's signature stable for callers that pass Options{}.
+type Options struct{}
 
 // Session is one live resolution state: observations in, canonical alias
 // sets out. Implementations must be safe for concurrent use by multiple
@@ -108,15 +81,15 @@ type Session interface {
 	// session's observed state. A failed remote session returns nil.
 	Merged(groups ...[]alias.Set) []alias.Set
 	// Close releases the session and reports the first error the session
-	// absorbed (nil for the in-process backends). Idempotent.
+	// absorbed (nil for the in-process backend). Idempotent.
 	Close() error
 }
 
 // LiveFeeder is implemented by backends whose sessions should be fed
 // observations online during collection: Observe is cheap (constant-time
-// local work), so the scan worker pools stream into the session directly and
-// alias sets exist the moment the sweep ends. Backends without the marker
-// are fed lazily from the sealed dataset at first Sets call.
+// local work), so the scan worker pools stream into the session directly.
+// Backends without the marker are fed lazily from the sealed dataset at
+// first Sets call.
 type LiveFeeder interface {
 	FeedLive() bool
 }
@@ -127,22 +100,20 @@ func FeedsLive(b Backend) bool {
 	return ok && f.FeedLive()
 }
 
-// registry holds the backends registered beyond the three built-ins.
+// registry holds the backends registered beyond the built-in one.
 var registry struct {
 	mu        sync.Mutex
 	factories map[string]func(workers int) Backend
 }
 
 // Register installs an out-of-process backend constructor under its flag
-// name; workers is the fan-out bound the caller passed New. Registering a
+// name; workers is the fan-out bound the caller passed New. Registering the
 // built-in name or registering twice panics — both are wiring bugs.
 func Register(name string, factory func(workers int) Backend) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	for _, b := range builtinNames {
-		if name == b {
-			panic("resolver: Register of built-in backend " + name)
-		}
+	if name == builtinName {
+		panic("resolver: Register of built-in backend " + name)
 	}
 	if _, dup := registry.factories[name]; dup {
 		panic("resolver: duplicate Register of backend " + name)
@@ -153,14 +124,13 @@ func Register(name string, factory func(workers int) Backend) {
 	registry.factories[name] = factory
 }
 
-// builtinNames is the canonical (report) order of the in-process backends.
-var builtinNames = []string{"batch", "streaming", "sharded"}
+// builtinName is the in-process backend, first in report order.
+const builtinName = "batch"
 
-// Names lists the available backends: the built-ins in canonical order, then
-// any registered backends sorted by name. The list depends on what the
-// binary links — "distributed" appears wherever internal/distres does.
+// Names lists the available backends: the built-in one first, then any
+// registered backends sorted by name. The list depends on what the binary
+// links — "distributed" appears wherever internal/distres does.
 func Names() []string {
-	out := append([]string(nil), builtinNames...)
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	extra := make([]string, 0, len(registry.factories))
@@ -168,21 +138,16 @@ func Names() []string {
 		extra = append(extra, name)
 	}
 	sort.Strings(extra)
-	return append(out, extra...)
+	return append([]string{builtinName}, extra...)
 }
 
 // New resolves a backend factory by name. The empty name selects the batch
-// default; workers bounds the fan-out of backends that shard (goroutines for
-// sharded, processes for distributed; 0 picks each backend's default) and is
-// ignored by the others.
+// default; workers bounds the fan-out of registered backends that shard
+// (worker processes for distributed; 0 picks the backend's default) and is
+// ignored by batch.
 func New(name string, workers int) (Backend, error) {
-	switch name {
-	case "", "batch":
+	if name == "" || name == builtinName {
 		return NewBatch(), nil
-	case "streaming":
-		return NewStreaming(), nil
-	case "sharded":
-		return NewSharded(workers), nil
 	}
 	registry.mu.Lock()
 	factory, ok := registry.factories[name]

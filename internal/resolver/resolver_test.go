@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,219 +60,165 @@ func requireSameSets(t *testing.T, label string, want, got []alias.Set) {
 	}
 }
 
-// labelledSession pairs one open session with a test label.
-type labelledSession struct {
-	label string
-	sess  Session
-}
-
-// sessionsUnderTest opens one session per in-process backend, including
-// several sharded worker counts.
-func sessionsUnderTest(t *testing.T) []labelledSession {
+// openBatch opens a batch session that the test closes on cleanup.
+func openBatch(t *testing.T) Session {
 	t.Helper()
-	var out []labelledSession
-	add := func(label string, b Backend, opts Options) {
-		s, err := b.Open(opts)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", label, err)
+	s, err := NewBatch().Open(Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
 		}
-		t.Cleanup(func() {
-			if err := s.Close(); err != nil {
-				t.Errorf("%s: Close: %v", label, err)
-			}
-		})
-		out = append(out, labelledSession{label, s})
-	}
-	add("batch", NewBatch(), Options{})
-	add("streaming", NewStreaming(), Options{})
-	for _, w := range []int{1, 2, 7} {
-		add(fmt.Sprintf("sharded-%d", w), NewSharded(w), Options{})
-	}
-	return out
+	})
+	return s
 }
 
-// TestSessionGroupEquivalence: every backend's session groups the same
-// observations into byte-identical alias sets, at two seeds.
+// TestSessionGroupEquivalence: the session groups observations into alias
+// sets byte-identical to alias.Group, at two seeds.
 func TestSessionGroupEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 9} {
 		obs := corpus(seed, 3000)
-		want := alias.Group(obs)
-		for _, ls := range sessionsUnderTest(t) {
-			for _, o := range obs {
-				ls.sess.Observe(o)
-			}
-			got := ls.sess.Sets(ident.SSH)
-			requireSameSets(t, fmt.Sprintf("seed %d backend %s", seed, ls.label), want, got)
+		s := openBatch(t)
+		for _, o := range obs {
+			s.Observe(o)
 		}
+		requireSameSets(t, fmt.Sprintf("seed %d", seed), alias.Group(obs), s.Sets(ident.SSH))
 	}
 }
 
-// TestSessionMergeEquivalence: every backend's session merges the same
-// partitions into byte-identical components, at two seeds.
+// TestSessionMergeEquivalence: the session merges partitions into components
+// byte-identical to alias.Merge, at two seeds, reusing one interning table.
 func TestSessionMergeEquivalence(t *testing.T) {
+	s := openBatch(t)
 	for _, seed := range []uint64{1, 9} {
 		a := alias.Group(corpus(seed, 2000))
-		b2 := alias.Group(corpus(seed+100, 2000))
+		b := alias.Group(corpus(seed+100, 2000))
 		c := alias.Group(corpus(seed+200, 500))
-		want := alias.Merge(a, b2, c)
-		for _, ls := range sessionsUnderTest(t) {
-			got := ls.sess.Merged(a, b2, c)
-			requireSameSets(t, fmt.Sprintf("seed %d backend %s", seed, ls.label), want, got)
-		}
+		requireSameSets(t, fmt.Sprintf("seed %d", seed), alias.Merge(a, b, c), s.Merged(a, b, c))
 	}
+}
+
+// TestMergedOrderInsensitive: merging the same partitions in any order or
+// granularity yields identical components.
+func TestMergedOrderInsensitive(t *testing.T) {
+	a := alias.Group(corpus(5, 1500))
+	b := alias.Group(corpus(6, 1500))
+	s := openBatch(t)
+	want := s.Merged(a, b)
+	requireSameSets(t, "reverse", want, s.Merged(b, a))
+	oneByOne := make([][]alias.Set, 0, len(a)+1)
+	for _, set := range a {
+		oneByOne = append(oneByOne, []alias.Set{set})
+	}
+	requireSameSets(t, "one-by-one", want, s.Merged(append(oneByOne, b)...))
 }
 
 // TestSessionConcurrentFeed: observations fed from many goroutines in racing
-// order still finalise into the batch partition — the live-collection
+// order still finalise into the alias.Group partition — the live-collection
 // contract every session implementation must honor.
 func TestSessionConcurrentFeed(t *testing.T) {
 	obs := corpus(3, 4000)
-	want := alias.Group(obs)
-	for _, ls := range sessionsUnderTest(t) {
-		var wg sync.WaitGroup
-		const feeders = 8
-		for f := 0; f < feeders; f++ {
-			wg.Add(1)
-			go func(f int) {
-				defer wg.Done()
-				for i := f; i < len(obs); i += feeders {
-					ls.sess.Observe(obs[i])
-				}
-			}(f)
-		}
-		wg.Wait()
-		requireSameSets(t, ls.label+" concurrent feed", want, ls.sess.Sets(ident.SSH))
+	s := openBatch(t)
+	feedConcurrently(s, obs, 8)
+	requireSameSets(t, "concurrent feed", alias.Group(obs), s.Sets(ident.SSH))
+}
+
+// feedConcurrently splits obs across feeders goroutines that Observe into s
+// at once, and returns when all have finished.
+func feedConcurrently(s Session, obs []alias.Observation, feeders int) {
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := f; i < len(obs); i += feeders {
+				s.Observe(obs[i])
+			}
+		}(f)
 	}
+	wg.Wait()
 }
 
 // TestSessionRoutesPerProtocol: observations land in their identifier's
 // protocol, and Sets of an unfed protocol is empty.
 func TestSessionRoutesPerProtocol(t *testing.T) {
 	a := netip.MustParseAddr("10.0.0.1")
-	for _, ls := range sessionsUnderTest(t) {
-		ls.sess.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.SSH, Digest: "x"}})
-		ls.sess.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.BGP, Digest: "y"}})
-		if n := len(ls.sess.Sets(ident.SSH)); n != 1 {
-			t.Fatalf("%s: SSH has %d sets, want 1", ls.label, n)
-		}
-		if n := len(ls.sess.Sets(ident.SNMP)); n != 0 {
-			t.Fatalf("%s: SNMP has %d sets, want 0", ls.label, n)
-		}
+	s := openBatch(t)
+	s.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.SSH, Digest: "x"}})
+	s.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.BGP, Digest: "y"}})
+	if n := len(s.Sets(ident.SSH)); n != 1 {
+		t.Fatalf("SSH has %d sets, want 1", n)
+	}
+	if n := len(s.Sets(ident.SNMP)); n != 0 {
+		t.Fatalf("SNMP has %d sets, want 0", n)
 	}
 }
 
-// TestStreamConcurrentFeed: observations fed from many goroutines in racing
-// order still finalise into the batch partition — the live-collection
-// contract of the low-level stream handle.
+// TestStreamConcurrentFeed: a stream mixing all three protocols, fed from
+// many goroutines in racing order, finalises every protocol into its
+// reference partition — the per-protocol groupers are independent.
 func TestStreamConcurrentFeed(t *testing.T) {
-	obs := corpus(3, 4000)
-	want := alias.Group(obs)
-	st := NewStream()
-	var wg sync.WaitGroup
-	const feeders = 8
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for i := f; i < len(obs); i += feeders {
-				st.Observe(obs[i])
-			}
-		}(f)
-	}
-	wg.Wait()
-	requireSameSets(t, "concurrent stream", want, st.Sets())
-	if st.Len() != len(want) {
-		t.Fatalf("stream tracked %d identifiers, want %d", st.Len(), len(want))
-	}
-}
-
-// TestMergeStreamOrderInsensitive: absorbing partitions in any order or
-// granularity yields identical components.
-func TestMergeStreamOrderInsensitive(t *testing.T) {
-	a := alias.Group(corpus(5, 1500))
-	b := alias.Group(corpus(6, 1500))
-	want := alias.Merge(a, b)
-
-	fwd := NewMergeStream()
-	fwd.Absorb(a)
-	fwd.Absorb(b)
-	requireSameSets(t, "forward", want, fwd.Sets())
-
-	rev := NewMergeStream()
-	rev.Absorb(b)
-	rev.Absorb(a)
-	requireSameSets(t, "reverse", want, rev.Sets())
-
-	oneByOne := NewMergeStream()
-	for _, s := range a {
-		oneByOne.Absorb([]alias.Set{s})
-	}
-	oneByOne.Absorb(b)
-	requireSameSets(t, "one-by-one", want, oneByOne.Sets())
-}
-
-// TestLatestStreamReplaces: a fresh observation of an address with a new
-// identifier moves the address — the stale claim is gone from the output.
-func TestLatestStreamReplaces(t *testing.T) {
-	a1 := netip.MustParseAddr("10.0.0.1")
-	a2 := netip.MustParseAddr("10.0.0.2")
-	idA := ident.Identifier{Proto: ident.SSH, Digest: "aaa"}
-	idB := ident.Identifier{Proto: ident.SSH, Digest: "bbb"}
-	l := NewLatestStream()
-	l.Observe(alias.Observation{Addr: a1, ID: idA})
-	l.Observe(alias.Observation{Addr: a2, ID: idA})
-	l.Observe(alias.Observation{Addr: a1, ID: idB}) // a1 renumbered
-	sets := l.Sets()
-	if len(sets) != 2 {
-		t.Fatalf("got %d sets, want 2: %v", len(sets), sets)
-	}
-	for _, s := range sets {
-		if s.Contains(a1) && s.Contains(a2) {
-			t.Fatalf("stale claim survived: %s", s.Signature())
-		}
+	obs := determinismCorpus(17, 4000)
+	s := openBatch(t)
+	feedConcurrently(s, obs, 8)
+	for _, p := range ident.Protocols {
+		requireSameSets(t, "concurrent stream "+p.String(), alias.GroupSorted(protoObs(obs, p)), s.Sets(p))
 	}
 }
 
 // TestStreamSnapshotDuringFeed: Sets may interleave with Observe — the
 // session-safe contract the resolution daemon relies on. Every snapshot is a
 // well-formed partition, and the final snapshot matches the batch grouping.
+// Run under -race this is also the session's locking proof.
 func TestStreamSnapshotDuringFeed(t *testing.T) {
 	obs := corpus(7, 4000)
 	want := alias.Group(obs)
-	st := NewStream()
+	s := openBatch(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for _, o := range obs {
-			st.Observe(o)
+			s.Observe(o)
 		}
 	}()
 	// Query mid-ingest: each snapshot must be internally consistent (sorted,
 	// canonical) even while observations keep landing.
 	for i := 0; i < 50; i++ {
-		sets := st.Sets()
-		for j := 1; j < len(sets); j++ {
-			if string(sets[j-1].Key()) > string(sets[j].Key()) {
-				t.Fatalf("snapshot %d not in canonical order at set %d", i, j)
+		sets := s.Sets(ident.SSH)
+		sorted := slices.Clone(sets)
+		alias.SortSets(sorted)
+		requireSameSets(t, fmt.Sprintf("snapshot %d order", i), sorted, sets)
+		for _, set := range sets {
+			if !slices.IsSortedFunc(set.Addrs, netip.Addr.Compare) || len(slices.Compact(slices.Clone(set.Addrs))) != len(set.Addrs) {
+				t.Fatalf("snapshot %d: set %s not sorted and duplicate-free", i, set.Signature())
 			}
 		}
 	}
 	<-done
-	requireSameSets(t, "final snapshot", want, st.Sets())
+	requireSameSets(t, "final snapshot", want, s.Sets(ident.SSH))
 }
 
-// TestLiveFeeder: the streaming backend volunteers for live collection
-// feeds, the buffering backends do not.
+// liveBatch marks the batch backend live-feeding, the shape the distributed
+// backend has.
+type liveBatch struct{ Backend }
+
+func (liveBatch) FeedLive() bool { return true }
+
+// TestLiveFeeder: the batch backend is fed lazily from sealed datasets;
+// FeedsLive honours a backend that volunteers for live feeds.
 func TestLiveFeeder(t *testing.T) {
-	if !FeedsLive(NewStreaming()) {
-		t.Fatal("streaming backend must feed live")
+	if FeedsLive(NewBatch()) {
+		t.Fatal("the batch backend must not feed live")
 	}
-	if FeedsLive(NewBatch()) || FeedsLive(NewSharded(2)) {
-		t.Fatal("buffering backends must not feed live")
+	if !FeedsLive(liveBatch{NewBatch()}) {
+		t.Fatal("FeedsLive ignored a LiveFeeder")
 	}
 }
 
-// TestNewRegistry covers name resolution of the built-in backends.
+// TestNewRegistry covers name resolution of the built-in backend and the
+// rejection of the retired in-process names.
 func TestNewRegistry(t *testing.T) {
 	for _, name := range append([]string{""}, Names()...) {
 		b, err := New(name, 0)
@@ -285,14 +232,16 @@ func TestNewRegistry(t *testing.T) {
 	if b, _ := New("", 0); b.Name() != "batch" {
 		t.Fatalf("default backend is %q, want batch", b.Name())
 	}
-	if _, err := New("quantum", 0); err == nil {
-		t.Fatal("unknown backend accepted")
+	if b := NewStreaming(); b.Name() != "batch" {
+		t.Fatalf("NewStreaming().Name() = %q, want batch", b.Name())
 	}
-	names := Names()
-	for i, want := range []string{"batch", "streaming", "sharded"} {
-		if i >= len(names) || names[i] != want {
-			t.Fatalf("Names() = %v, want the built-ins %v as prefix", names, builtinNames)
+	for _, name := range []string{"quantum", "streaming", "sharded"} {
+		if _, err := New(name, 0); err == nil {
+			t.Fatalf("unknown backend %q accepted", name)
 		}
+	}
+	if names := Names(); names[0] != "batch" {
+		t.Fatalf("Names() = %v, want the built-in batch first", names)
 	}
 }
 
@@ -301,12 +250,11 @@ type fakeBackend struct{ workers int }
 
 func (fakeBackend) Name() string { return "testfake" }
 func (f fakeBackend) Open(Options) (Session, error) {
-	s, _ := batchBackend{}.Open(Options{})
-	return s, nil
+	return NewBatch().Open(Options{})
 }
 
 // TestRegisterExtendsRegistry: a registered backend resolves by name, lists
-// after the built-ins, and receives the worker bound New was given.
+// after the built-in, and receives the worker bound New was given.
 func TestRegisterExtendsRegistry(t *testing.T) {
 	var gotWorkers int
 	Register("testfake", func(workers int) Backend {
@@ -322,7 +270,7 @@ func TestRegisterExtendsRegistry(t *testing.T) {
 	}
 	names := Names()
 	if names[len(names)-1] != "testfake" {
-		t.Fatalf("Names() = %v, want registered backend after built-ins", names)
+		t.Fatalf("Names() = %v, want registered backend after the built-in", names)
 	}
 	defer func() {
 		if recover() == nil {
@@ -332,37 +280,35 @@ func TestRegisterExtendsRegistry(t *testing.T) {
 	Register("testfake", func(int) Backend { return fakeBackend{} })
 }
 
-// BenchmarkBackendGroup prices each backend's session grouping on one
-// synthetic corpus.
+// BenchmarkBackendGroup prices the session's grouping on one synthetic
+// corpus.
 func BenchmarkBackendGroup(b *testing.B) {
 	obs := corpus(1, 20000)
-	for _, be := range []Backend{NewBatch(), NewStreaming(), NewSharded(0)} {
-		b.Run(be.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, _ := be.Open(Options{})
-				for _, o := range obs {
-					s.Observe(o)
-				}
-				s.Sets(ident.SSH)
-				s.Close()
+	be := NewBatch()
+	b.Run(be.Name(), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, _ := be.Open(Options{})
+			for _, o := range obs {
+				s.Observe(o)
 			}
-		})
-	}
+			s.Sets(ident.SSH)
+			s.Close()
+		}
+	})
 }
 
-// BenchmarkBackendMerge prices each backend's cross-partition merge.
+// BenchmarkBackendMerge prices the session's cross-partition merge.
 func BenchmarkBackendMerge(b *testing.B) {
 	g1 := alias.Group(corpus(1, 10000))
 	g2 := alias.Group(corpus(2, 10000))
 	g3 := alias.Group(corpus(3, 4000))
-	for _, be := range []Backend{NewBatch(), NewStreaming(), NewSharded(0)} {
-		s, _ := be.Open(Options{})
-		b.Run(be.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Merged(g1, g2, g3)
-			}
-		})
-	}
+	be := NewBatch()
+	s, _ := be.Open(Options{})
+	b.Run(be.Name(), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Merged(g1, g2, g3)
+		}
+	})
 }

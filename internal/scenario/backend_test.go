@@ -3,14 +3,30 @@ package scenario
 import (
 	"fmt"
 	"testing"
+
+	"aliaslimit/internal/resolver"
 )
+
+// liveBatch is the batch backend marked live-feeding, registered as "live"
+// for this package's tests so every backend-equivalence test also drives the
+// live collection feed (EnvSeries.Advance's live sessions, sealStreamed's
+// no-feed branch) without worker processes.
+type liveBatch struct{ resolver.Backend }
+
+func (liveBatch) Name() string   { return "live" }
+func (liveBatch) FeedLive() bool { return true }
+
+func init() {
+	resolver.Register("live", func(int) resolver.Backend { return liveBatch{resolver.NewBatch()} })
+}
 
 // TestBackendEquivalenceOnPresets is the backend-equivalence property test:
 // on the calm baseline and the adversarial churn-storm worlds, at two seeds
-// and with both sequential and fully pipelined collection, the batch,
-// streaming, and sharded backends must produce byte-identical alias sets —
-// asserted through the SetsDigest each scorecard carries. CI runs this under
-// -race, which also exercises the streaming sink's concurrent feed.
+// and with both sequential and fully pipelined collection, every backend —
+// batch, distributed, and the live-feeding batch — must produce
+// byte-identical alias sets, asserted through the SetsDigest each scorecard
+// carries. CI runs this under -race, which also exercises the live sink's
+// concurrent feed.
 func TestBackendEquivalenceOnPresets(t *testing.T) {
 	type key struct {
 		preset string
@@ -120,8 +136,7 @@ func TestLongitudinalBackendEquivalence(t *testing.T) {
 // TestMegascaleBackendEquivalence pins the zero-alloc rewrite's byte-identity
 // guarantee on the throughput presets: megascale and megascale-x10 (scaled
 // down to CI-sized worlds — the preset's knobs, not its full scale) must
-// produce identical alias-set digests across the batch, streaming, and
-// sharded backends.
+// produce identical alias-set digests across every backend.
 func TestMegascaleBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		preset string

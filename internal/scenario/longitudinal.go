@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"sort"
 	"strings"
@@ -86,11 +87,11 @@ type MergeScore struct {
 	// Strategy is "naive-union" (merge every epoch's alias sets, stale
 	// identifiers and all), "decay-weighted" (per-address identifier
 	// history with recency-decayed weights; stale claims lose to fresh
-	// observations), or "incremental" (the streaming backend's online
-	// last-write-wins stream — O(addresses) state, single pass, no history
-	// retained; coincides with decay-weighted outcomes at decay factors
-	// where the freshest observation always outweighs the accumulated
-	// past, and diverges as decay approaches 1).
+	// observations), or "incremental" (an online last-write-wins map per
+	// protocol — O(addresses) state, single pass, no history retained;
+	// coincides with decay-weighted outcomes at decay factors where the
+	// freshest observation always outweighs the accumulated past, and
+	// diverges as decay approaches 1).
 	Strategy string `json:"strategy"`
 	// Precision / Recall / F1 are pairwise scores of the merged cross-
 	// protocol partition against the final epoch's ground truth.
@@ -523,8 +524,8 @@ type digestHist struct {
 // their last-known identifier — retaining coverage without the false merges.
 func decayWeighted(views []*epochView, decay float64) []alias.Set {
 	last := len(views) - 1
-	var perProto [3][]alias.Set
-	for i, proto := range scoreProtos {
+	var winners [3]map[netip.Addr]string
+	for i := range scoreProtos {
 		hist := make(map[netip.Addr]map[string]*digestHist)
 		for e, v := range views {
 			w := 1.0
@@ -546,7 +547,7 @@ func decayWeighted(views []*epochView, decay float64) []alias.Set {
 				h.last = e
 			}
 		}
-		var obs []alias.Observation
+		winners[i] = make(map[netip.Addr]string, len(hist))
 		for addr, byDigest := range hist {
 			var best string
 			var bestH *digestHist
@@ -557,9 +558,44 @@ func decayWeighted(views []*epochView, decay float64) []alias.Set {
 					best, bestH = d, h
 				}
 			}
+			winners[i][addr] = best
+		}
+	}
+	return mergeAssignments(winners)
+}
+
+// incremental is the online strategy: one last-write-wins map from address
+// to identifier per protocol consumes the epochs in chronological order, so
+// an address renumbered in a later epoch sheds its stale identifier the
+// moment the fresh observation arrives. Unlike decay-weighted it keeps no
+// per-epoch history — O(addresses) state, single pass — which is what makes
+// it viable as an always-on resolver between measurement rounds rather than a
+// batch job over the archive. At decay factors at or below 0.5 the two agree:
+// for any finite history the older sightings' geometric weights sum to
+// strictly less than the freshest observation's (the scenario tests pin the
+// coincidence at 0.5; toward 1 the strategies diverge).
+func incremental(views []*epochView) []alias.Set {
+	var latest [3]map[netip.Addr]string
+	for i := range scoreProtos {
+		latest[i] = make(map[netip.Addr]string)
+		for _, v := range views {
+			maps.Copy(latest[i], v.ids[i])
+		}
+	}
+	return mergeAssignments(latest)
+}
+
+// mergeAssignments regroups per-protocol (address → identifier digest)
+// assignments into alias sets and merges each family's non-singleton sets
+// across protocols, exactly like a single snapshot's union.
+func mergeAssignments(assign [3]map[netip.Addr]string) []alias.Set {
+	var perProto [3][]alias.Set
+	for i, proto := range scoreProtos {
+		obs := make([]alias.Observation, 0, len(assign[i]))
+		for addr, d := range assign[i] {
 			obs = append(obs, alias.Observation{
 				Addr: addr,
-				ID:   ident.Identifier{Proto: proto, Digest: best},
+				ID:   ident.Identifier{Proto: proto, Digest: d},
 			})
 		}
 		perProto[i] = alias.Group(obs)
@@ -571,40 +607,6 @@ func decayWeighted(views []*epochView, decay float64) []alias.Set {
 			inputs = append(inputs, alias.NonSingleton(alias.FilterFamily(sets, v4)))
 		}
 		merged = append(merged, alias.NonSingleton(alias.Merge(inputs...))...)
-	}
-	return merged
-}
-
-// incremental is the streaming resolver's longitudinal strategy: one online
-// last-write-wins stream per protocol consumes the epochs in chronological
-// order, so an address renumbered in a later epoch sheds its stale
-// identifier the moment the fresh observation arrives. Unlike
-// decay-weighted it keeps no per-epoch history — O(addresses) state, single
-// pass — which is what makes it viable as an always-on resolver between
-// measurement rounds rather than a batch job over the archive. The final
-// cross-protocol combination absorbs the per-family partitions through the
-// same streaming merge the backend uses.
-func incremental(views []*epochView) []alias.Set {
-	var perProto [3][]alias.Set
-	for i, proto := range scoreProtos {
-		ls := resolver.NewLatestStream()
-		for _, v := range views {
-			for addr, d := range v.ids[i] {
-				ls.Observe(alias.Observation{
-					Addr: addr,
-					ID:   ident.Identifier{Proto: proto, Digest: d},
-				})
-			}
-		}
-		perProto[i] = ls.Sets()
-	}
-	var merged []alias.Set
-	for _, v4 := range []bool{true, false} {
-		ms := resolver.NewMergeStream()
-		for _, sets := range perProto {
-			ms.Absorb(alias.NonSingleton(alias.FilterFamily(sets, v4)))
-		}
-		merged = append(merged, alias.NonSingleton(ms.Sets())...)
 	}
 	return merged
 }

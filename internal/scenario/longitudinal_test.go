@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"net/netip"
 	"reflect"
 	"testing"
 )
@@ -145,9 +146,9 @@ func TestDecayWeightedBeatsNaiveUnionOnChurnStorm(t *testing.T) {
 // TestIncrementalMatchesDecayAtHalf cross-validates the two stale-resistant
 // strategies: at the default decay factor 0.5, the freshest observation's
 // weight (1) strictly exceeds any older digest's accumulated history
-// (< 0.5^(k-1) summed), so the batch decay-weighted history and the
-// streaming last-write-wins stream must resolve every address identically —
-// identical partitions, identical scores.
+// (< 0.5^(k-1) summed), so the decay-weighted history and the incremental
+// last-write-wins map must resolve every address identically — identical
+// partitions, identical scores.
 func TestIncrementalMatchesDecayAtHalf(t *testing.T) {
 	r := longTiny(t, "churn-storm")
 	var decayed, incr *MergeScore
@@ -170,6 +171,26 @@ func TestIncrementalMatchesDecayAtHalf(t *testing.T) {
 	if incr.FalsePairs >= r.Merges[0].FalsePairs {
 		t.Fatalf("incremental false pairs %d not below naive union %d",
 			incr.FalsePairs, r.Merges[0].FalsePairs)
+	}
+}
+
+// TestIncrementalLatestWins: a fresh observation of an address with a new
+// identifier moves the address — the stale claim is gone from the
+// incremental strategy's output, while the address's old peers stay grouped.
+func TestIncrementalLatestWins(t *testing.T) {
+	a1 := netip.MustParseAddr("10.0.0.1")
+	a2 := netip.MustParseAddr("10.0.0.2")
+	a3 := netip.MustParseAddr("10.0.0.3")
+	epoch := func(ssh map[netip.Addr]string) *epochView {
+		return &epochView{ids: [3]map[netip.Addr]string{ssh, {}, {}}}
+	}
+	views := []*epochView{
+		epoch(map[netip.Addr]string{a1: "aaa", a2: "aaa", a3: "aaa"}),
+		epoch(map[netip.Addr]string{a1: "bbb"}), // a1 renumbered
+	}
+	sets := incremental(views)
+	if len(sets) != 1 || sets[0].Signature() != "10.0.0.2,10.0.0.3" {
+		t.Fatalf("incremental = %v, want the single set 10.0.0.2,10.0.0.3", sets)
 	}
 }
 

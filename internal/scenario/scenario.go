@@ -41,18 +41,18 @@ type Options struct {
 	Scale float64
 	// Quick selects the CI-sized scale (ignored when Scale is set).
 	Quick bool
-	// Workers / Parallelism tune collection exactly as aliaslimit.Options.
+	// Workers / Parallelism tune collection exactly as the facade's
+	// aliaslimit.Common fields of the same names.
 	Workers, Parallelism int
-	// Backend names the resolver strategy ("batch", "streaming", "sharded",
-	// "distributed"; empty picks batch). Every backend yields byte-identical
-	// alias sets — the Result's SetsDigest proves it — differing only in
-	// execution strategy, which is exactly what the backend dimension of the
-	// scenario matrix compares. The distributed backend runs real shard
-	// worker processes (see internal/distres), which this package links in.
+	// Backend names the resolver strategy ("batch" or "distributed"; empty
+	// picks batch). Both yield byte-identical alias sets — the Result's
+	// SetsDigest proves it — differing only in execution strategy, which is
+	// exactly what the backend dimension of the scenario matrix compares.
+	// The distributed backend runs real shard worker processes (see
+	// internal/distres), which this package links in.
 	Backend string
-	// ShardWorkers sizes the scaled-out backends: goroutines for "sharded"
-	// (0 tracks GOMAXPROCS), worker processes for "distributed" (0 picks
-	// distres.DefaultWorkers). Ignored by batch and streaming.
+	// ShardWorkers sizes the distributed backend's worker-process fan-out
+	// (0 picks distres.DefaultWorkers). Ignored by batch.
 	ShardWorkers int
 	// LogDir, when set, makes the run durable: every observation is teed
 	// into the append-only binary log under this directory during
@@ -421,6 +421,38 @@ func ScoredPartitions(env *experiments.Env) []Partition {
 	}
 	parts = append(parts, Partition{Name: "dualstack", Sets: env.DualStackSets()})
 	return parts
+}
+
+// SessionPartitions derives the scored partitions from an open resolver
+// session, mirroring ScoredPartitions partition for partition so a session's
+// sets digest is directly comparable with a scorecard's: the per-protocol
+// non-singleton groups, the per-family union merges of the non-singleton
+// family subsets, and the dual-stack sets of the all-family merge. The
+// resolution daemon's ingest sessions and cmd/resolve read their views here.
+func SessionPartitions(s resolver.Session) []Partition {
+	var sets [3][]alias.Set
+	var parts []Partition
+	for _, proto := range scoreProtos {
+		sets[proto] = s.Sets(proto)
+		parts = append(parts, Partition{
+			Name: strings.ToLower(proto.String()),
+			Sets: alias.NonSingleton(sets[proto]),
+		})
+	}
+	for _, v4 := range []bool{true, false} {
+		name := "union-v4"
+		if !v4 {
+			name = "union-v6"
+		}
+		merged := s.Merged(
+			alias.NonSingleton(alias.FilterFamily(sets[ident.SSH], v4)),
+			alias.NonSingleton(alias.FilterFamily(sets[ident.BGP], v4)),
+			alias.NonSingleton(alias.FilterFamily(sets[ident.SNMP], v4)),
+		)
+		parts = append(parts, Partition{Name: name, Sets: alias.NonSingleton(merged)})
+	}
+	dual := s.Merged(sets[ident.SSH], sets[ident.BGP], sets[ident.SNMP])
+	return append(parts, Partition{Name: "dualstack", Sets: alias.DualStack(dual)})
 }
 
 // DigestPartitions hashes named alias-set partitions in order and returns the

@@ -3,6 +3,10 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"aliaslimit/internal/experiments"
+	"aliaslimit/internal/ident"
+	"aliaslimit/internal/resolver"
 )
 
 // tinyOpts keeps test worlds small enough for the full catalog to run in a
@@ -85,6 +89,48 @@ func TestDigestPartitionsBreakdown(t *testing.T) {
 	mutated[3].Digest = "deadbeef"
 	if got := FirstDivergence(res.PartitionDigests, mutated); got != "union-v4" {
 		t.Fatalf("FirstDivergence = %q, want union-v4", got)
+	}
+}
+
+// TestSessionPartitionsMatchScored: an open session fed a sealed
+// environment's scored observations — SSH and BGP from both campaigns,
+// SNMPv3 from the active scan, each in reverse collection order — yields
+// the same partitions, partition for partition, as the sealed views.
+func TestSessionPartitionsMatchScored(t *testing.T) {
+	p, _ := Lookup("baseline")
+	cfg, _ := resolveConfig(p, tinyOpts)
+	eopts, err := envOptions(p, cfg, tinyOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := experiments.BuildEnv(eopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	s, err := resolver.NewBatch().Open(resolver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, proto := range scoreProtos {
+		ds := env.Both
+		if proto == ident.SNMP {
+			ds = env.Active
+		}
+		obs := ds.Obs[proto]
+		for i := len(obs) - 1; i >= 0; i-- {
+			s.Observe(obs[i])
+		}
+	}
+	want, wantParts := DigestPartitions(ScoredPartitions(env))
+	got, gotParts := DigestPartitions(SessionPartitions(s))
+	if got != want {
+		t.Fatalf("session digest %s != sealed %s (first divergence: %s)",
+			got, want, FirstDivergence(wantParts, gotParts))
+	}
+	if !reflect.DeepEqual(gotParts, wantParts) {
+		t.Fatalf("partition breakdowns differ:\n%v\n%v", gotParts, wantParts)
 	}
 }
 

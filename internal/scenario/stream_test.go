@@ -49,10 +49,10 @@ func TestStreamCollectMatchesInRAMOnPresets(t *testing.T) {
 	}
 }
 
-// TestStreamCollectBackendEquivalence proves the streamed path feeds all
-// four resolver backends identically: at two seeds, each backend's streamed
-// digest must equal the in-RAM batch reference. CI runs this under -race,
-// which also exercises the concurrent log sink and the live streaming feed.
+// TestStreamCollectBackendEquivalence proves the streamed path feeds every
+// resolver backend identically: at two seeds, each backend's streamed digest
+// must equal the in-RAM batch reference. CI runs this under -race, which also
+// exercises the concurrent log sink and the live feed.
 func TestStreamCollectBackendEquivalence(t *testing.T) {
 	for _, preset := range []string{"baseline", "churn-storm"} {
 		for _, seed := range []uint64{1, 7} {
