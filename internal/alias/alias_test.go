@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"aliaslimit/internal/ident"
+	"aliaslimit/internal/xrand"
 )
 
 func a4(t testing.TB, s string) netip.Addr {
@@ -338,5 +339,62 @@ func TestDSUInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomPartitions draws three partitions of random sets over a small shared
+// address pool — so sets overlap within and across partitions — with
+// singletons, both families, and an IPv4-mapped IPv6 twin of a pool address
+// (IPv6 by family, distinct from its IPv4 form).
+func randomPartitions(seed uint64) [][]Set {
+	rng := xrand.NewSplitMix64(seed)
+	pool := []netip.Addr{netip.MustParseAddr("::ffff:10.0.0.1")}
+	for i := 1; i <= 12; i++ {
+		pool = append(pool, netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}),
+			netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: byte(i)}))
+	}
+	parts := make([][]Set, 3)
+	for p := range parts {
+		for n := rng.Intn(8); n >= 0; n-- {
+			addrs := make([]netip.Addr, 1+rng.Intn(3))
+			for i := range addrs {
+				addrs[i] = pool[rng.Intn(len(pool))]
+			}
+			parts[p] = append(parts[p], NewSet(addrs...))
+		}
+		SortSets(parts[p])
+	}
+	return parts
+}
+
+// TestSingletonIdentities pins the two identities that let the scored
+// partitions be derived from non-singleton sets alone: dropping singletons
+// first changes neither "family filter, then NonSingleton" nor "merge, then
+// DualStack".
+func TestSingletonIdentities(t *testing.T) {
+	var withSingletons, withDual int
+	for seed := uint64(1); seed <= 500; seed++ {
+		parts := randomPartitions(seed)
+		ns := make([][]Set, len(parts))
+		for i, p := range parts {
+			ns[i] = NonSingleton(p)
+			if len(ns[i]) < len(p) {
+				withSingletons++
+			}
+			for _, v4 := range []bool{true, false} {
+				sameSets(t, NonSingleton(FilterFamily(p, v4)), NonSingleton(FilterFamily(ns[i], v4)),
+					fmt.Sprintf("seed %d partition %d v4=%v: FilterFamily", seed, i, v4))
+			}
+		}
+		dual := DualStack(Merge(parts...))
+		if len(dual) > 0 {
+			withDual++
+		}
+		sameSets(t, dual, DualStack(Merge(ns...)), fmt.Sprintf("seed %d: DualStack(Merge)", seed))
+	}
+	// The generator must exercise both sides of each identity.
+	if withSingletons < 1000 || withDual < 400 {
+		t.Fatalf("degenerate corpus: %d partitions with singletons, %d seeds with dual-stack sets",
+			withSingletons, withDual)
 	}
 }

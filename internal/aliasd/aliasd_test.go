@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"aliaslimit/internal/obsfile"
+	"aliaslimit/internal/resolver"
 )
 
 // post sends a request body and decodes the JSON reply into out (skipped
@@ -86,7 +89,9 @@ func TestHealthzAndBackends(t *testing.T) {
 		Default  string   `json:"default"`
 	}
 	get(t, ts.URL+"/v1/backends", &backends)
-	if len(backends.Backends) != 2 || backends.Default != "batch" {
+	// The registry also holds this package's test-only "counting" backend.
+	if !reflect.DeepEqual(backends.Backends, resolver.Names()) ||
+		!slices.Contains(backends.Backends, "distributed") || backends.Default != "batch" {
 		t.Fatalf("backends = %+v", backends)
 	}
 }
@@ -322,7 +327,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
-		p, o, err := parseRecord(obsfile.Record{
+		o, err := obsfile.Parse(obsfile.Record{
 			Addr:   fmt.Sprintf("10.1.%d.%d", i/250, i%250),
 			Proto:  "SSH",
 			Digest: fmt.Sprintf("k%d", i/2),
@@ -330,7 +335,7 @@ func TestShutdownDrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.offer(p, o); err != nil {
+		if err := sess.offer(o); err != nil {
 			t.Fatalf("offer %d: %v", i, err)
 		}
 	}

@@ -7,14 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
 	"strconv"
 	"sync"
 
-	"aliaslimit/internal/alias"
 	"aliaslimit/internal/asview"
 	"aliaslimit/internal/distres"
-	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obsfile"
 	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/scenario"
@@ -164,26 +161,6 @@ func (s *Server) sessionFrom(w http.ResponseWriter, r *http.Request) *Session {
 	return sess
 }
 
-// parseRecord validates one ingest line into a typed observation.
-func parseRecord(rec obsfile.Record) (ident.Protocol, alias.Observation, error) {
-	addr, err := netip.ParseAddr(rec.Addr)
-	if err != nil {
-		return 0, alias.Observation{}, err
-	}
-	if rec.Digest == "" {
-		return 0, alias.Observation{}, errors.New("empty digest")
-	}
-	for _, p := range ident.Protocols {
-		if p.String() == rec.Proto {
-			return p, alias.Observation{
-				Addr: addr,
-				ID:   ident.Identifier{Proto: p, Digest: rec.Digest},
-			}, nil
-		}
-	}
-	return 0, alias.Observation{}, fmt.Errorf("unknown protocol %q", rec.Proto)
-}
-
 // ingestReply is the ingest endpoint's success payload.
 type ingestReply struct {
 	// Accepted counts this request's lines landed in the queue; Received and
@@ -221,7 +198,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		line++
-		p, o, err := parseRecord(rec)
+		o, err := obsfile.Parse(rec)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{
 				Error:    fmt.Sprintf("line %d: %v", line, err),
@@ -229,7 +206,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		switch err := sess.offer(p, o); err {
+		switch err := sess.offer(o); err {
 		case nil:
 			accepted++
 		case errQueueFull:
@@ -307,23 +284,19 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int64{"applied": sess.applied.Load()})
 }
 
-// handleSets serves one named alias-set partition ("ssh", "bgp", "snmpv3",
-// "union-v4", "union-v6", "dualstack") as sorted address lists.
+// handleSets serves one named alias-set partition (one of
+// scenario.PartitionNames) as sorted address lists. It derives only that
+// partition, once per applied count.
 func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFrom(w, r)
 	if sess == nil {
 		return
 	}
-	view := sess.snapshot()
 	name := r.URL.Query().Get("view")
-	sets, ok := view.byName[name]
+	sets, ok := sess.snapshot().partition(name)
 	if !ok {
-		names := make([]string, 0, len(view.parts))
-		for _, p := range view.parts {
-			names = append(names, p.Name)
-		}
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown view %q (have: %v)", name, names))
+			fmt.Errorf("unknown view %q (have: %v)", name, scenario.PartitionNames))
 		return
 	}
 	out := make([][]string, len(sets))
@@ -356,11 +329,12 @@ type statsReply struct {
 	Partitions []scenario.PartitionDigest `json:"partitions"`
 }
 
-// stats assembles the session's scorecard from the memoized snapshot.
+// stats assembles the session's scorecard from the memoized snapshot,
+// deriving the partitions no sets read has derived yet and the digests.
 func (sess *Session) stats() statsReply {
-	view := sess.snapshot()
-	counts := make(map[string]int, len(view.parts))
-	for _, p := range view.parts {
+	parts, digest, breakdown := sess.snapshot().all()
+	counts := make(map[string]int, len(parts))
+	for _, p := range parts {
 		counts[p.Name] = len(p.Sets)
 	}
 	queued := 0
@@ -375,8 +349,8 @@ func (sess *Session) stats() statsReply {
 		Applied:    sess.applied.Load(),
 		Queued:     queued,
 		Sets:       counts,
-		SetsDigest: view.digest,
-		Partitions: view.breakdown,
+		SetsDigest: digest,
+		Partitions: breakdown,
 	}
 }
 
@@ -414,12 +388,11 @@ func (s *Server) handleASView(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("session %s has no AS mapping (asview needs a world-backed session)", sess.ID))
 		return
 	}
-	view := sess.snapshot()
 	name := r.URL.Query().Get("view")
 	if name == "" {
 		name = "union-v4"
 	}
-	sets, ok := view.byName[name]
+	sets, ok := sess.snapshot().partition(name)
 	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown view %q", name))
 		return

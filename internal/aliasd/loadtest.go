@@ -272,9 +272,6 @@ func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 	return rep, nil
 }
 
-// queryViews is the per-tenant query rotation.
-var queryViews = []string{"ssh", "bgp", "snmpv3", "union-v4", "union-v6", "dualstack"}
-
 // driveClient runs one tenant's full lifecycle: create session, ingest the
 // shuffled corpus with 429 retries, flush, query, verify the digest, delete.
 // It returns the number of backpressure retries it absorbed.
@@ -384,10 +381,11 @@ func driveClient(base string, c int, lines [][]byte, wantDigest string, opts Loa
 	}
 
 	// Query rotation: the six views plus stats.
+	views := scenario.PartitionNames
 	for i := 0; i < opts.Requests; i++ {
 		url := base + "/v1/stats?session=" + sessID
-		if i%(len(queryViews)+1) != len(queryViews) {
-			url = base + "/v1/sets?session=" + sessID + "&view=" + queryViews[i%(len(queryViews)+1)]
+		if v := i % (len(views) + 1); v != len(views) {
+			url = base + "/v1/sets?session=" + sessID + "&view=" + views[v]
 		}
 		err := timed("query", func() error {
 			resp, err := client.Get(url)

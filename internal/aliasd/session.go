@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/experiments"
-	"aliaslimit/internal/ident"
 	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/scenario"
 	"aliaslimit/internal/topo"
@@ -53,7 +53,6 @@ type SessionConfig struct {
 // ingestItem is one queued unit of work: an observation, or a flush marker
 // that the worker acknowledges by closing the channel.
 type ingestItem struct {
-	proto ident.Protocol
 	obs   alias.Observation
 	flush chan struct{}
 }
@@ -92,7 +91,7 @@ type Session struct {
 	received atomic.Int64
 	applied  atomic.Int64
 
-	// viewMu guards the memoized snapshot; view caches the partitions as of
+	// viewMu guards the memoized snapshot; view is the analysis view as of
 	// view.at applied observations.
 	viewMu sync.Mutex
 	view   *sessionView
@@ -220,14 +219,14 @@ func (sess *Session) loop() {
 
 // offer enqueues one observation without blocking. errQueueFull asks the
 // client to back off; errClosed means the session is gone.
-func (sess *Session) offer(p ident.Protocol, o alias.Observation) error {
+func (sess *Session) offer(o alias.Observation) error {
 	sess.sendMu.RLock()
 	defer sess.sendMu.RUnlock()
 	if sess.closed {
 		return errClosed
 	}
 	select {
-	case sess.queue <- ingestItem{proto: p, obs: o}:
+	case sess.queue <- ingestItem{obs: o}:
 		sess.received.Add(1)
 		return nil
 	default:
@@ -292,20 +291,50 @@ func (sess *Session) drain(cancel <-chan struct{}) error {
 	}
 }
 
-// sessionView is one memoized point-in-time analysis snapshot: the scored
-// partitions, their digests, and a by-name index for the sets endpoint.
+// sessionView is one memoized point-in-time analysis snapshot. An ingest
+// session's view derives each partition lazily from its resolver session, so
+// a sets read pays only for the partition it names; a world session's view
+// holds the sealed env's partitions. The digests, and with them every
+// partition, are derived at most once per view, on the first stats read.
 type sessionView struct {
-	at        int64
+	at   int64
+	live *scenario.SessionView // ingest sessions
+	// parts holds every partition in scenario.PartitionNames order: from the
+	// start for world sessions, after the first summary for ingest sessions.
 	parts     []scenario.Partition
+	summary   sync.Once
 	digest    string
 	breakdown []scenario.PartitionDigest
-	byName    map[string][]alias.Set
 }
 
-// snapshot returns the session's current analysis view, recomputing only
-// when observations have been applied since the cached one. World-backed
-// sessions compute once (their applied count never moves) and additionally
-// share the underlying env memoization.
+// partition returns one named partition, deriving only it (and its inputs)
+// on an ingest session's first read.
+func (v *sessionView) partition(name string) ([]alias.Set, bool) {
+	if v.live != nil {
+		return v.live.Partition(name)
+	}
+	i := slices.Index(scenario.PartitionNames, name)
+	if i < 0 {
+		return nil, false
+	}
+	return v.parts[i].Sets, true
+}
+
+// all returns every partition and their digests, deriving them once.
+func (v *sessionView) all() ([]scenario.Partition, string, []scenario.PartitionDigest) {
+	v.summary.Do(func() {
+		if v.live != nil {
+			v.parts = v.live.Partitions()
+		}
+		v.digest, v.breakdown = scenario.DigestPartitions(v.parts)
+	})
+	return v.parts, v.digest, v.breakdown
+}
+
+// snapshot returns the session's current analysis view, opening a new one
+// only when observations have been applied since the cached one. World-backed
+// sessions build one view (their applied count never moves) over the
+// underlying env memoization. Derivation happens on read, outside viewMu.
 func (sess *Session) snapshot() *sessionView {
 	sess.viewMu.Lock()
 	defer sess.viewMu.Unlock()
@@ -313,16 +342,11 @@ func (sess *Session) snapshot() *sessionView {
 	if sess.view != nil && sess.view.at == at {
 		return sess.view
 	}
-	var parts []scenario.Partition
+	v := &sessionView{at: at}
 	if sess.env != nil {
-		parts = scenario.ScoredPartitions(sess.env)
+		v.parts = scenario.ScoredPartitions(sess.env)
 	} else {
-		parts = scenario.SessionPartitions(sess.rsess)
-	}
-	v := &sessionView{at: at, parts: parts, byName: make(map[string][]alias.Set, len(parts))}
-	v.digest, v.breakdown = scenario.DigestPartitions(parts)
-	for _, p := range parts {
-		v.byName[p.Name] = p.Sets
+		v.live = scenario.NewSessionView(sess.rsess)
 	}
 	sess.view = v
 	return v

@@ -298,11 +298,13 @@ func (e *Env) UnionFamilyNonSingleton(v4 bool) []alias.Set {
 }
 
 // DualStackMerged returns the all-family merge of every protocol's union
-// identifier groups — the partition dual-stack analysis reads.
+// non-singleton identifier groups — the partition dual-stack analysis reads.
+// Singletons stay out: one adds no union edge, only a one-address component
+// DualStack would drop, so DualStackSets is the same as merging every group.
 func (e *Env) DualStackMerged() []alias.Set {
 	return e.views.dualMerged.get(func() []alias.Set {
-		return e.session.Merged(
-			e.Both.Sets(ident.SSH), e.Both.Sets(ident.BGP), e.Both.Sets(ident.SNMP))
+		return e.session.Merged(e.Both.NonSingletonSets(ident.SSH),
+			e.Both.NonSingletonSets(ident.BGP), e.Both.NonSingletonSets(ident.SNMP))
 	})
 }
 

@@ -10,6 +10,7 @@ package obsfile
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -29,6 +30,29 @@ type Record struct {
 	Digest string `json:"digest"`
 }
 
+// Parse checks one decoded record — a valid address, a known protocol name,
+// a non-empty digest, in that order — and returns its observation. Every
+// reader of the wire format (Read, the resolution daemon's ingest endpoint)
+// validates through it, so they accept and reject the same lines; callers
+// prefix the error with the line number.
+func Parse(rec Record) (alias.Observation, error) {
+	addr, err := netip.ParseAddr(rec.Addr)
+	if err != nil {
+		return alias.Observation{}, err
+	}
+	proto, err := protoByName(rec.Proto)
+	if err != nil {
+		return alias.Observation{}, err
+	}
+	if rec.Digest == "" {
+		return alias.Observation{}, errors.New("empty digest")
+	}
+	return alias.Observation{
+		Addr: addr,
+		ID:   ident.Identifier{Proto: proto, Digest: rec.Digest},
+	}, nil
+}
+
 // protoByName maps wire names back to protocols.
 func protoByName(name string) (ident.Protocol, error) {
 	for _, p := range ident.Protocols {
@@ -36,7 +60,7 @@ func protoByName(name string) (ident.Protocol, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("obsfile: unknown protocol %q", name)
+	return 0, fmt.Errorf("unknown protocol %q", name)
 }
 
 // Write streams observations as JSONL.
@@ -66,20 +90,10 @@ func Read(r io.Reader) ([]alias.Observation, error) {
 			return nil, fmt.Errorf("obsfile: line %d: %w", line+1, err)
 		}
 		line++
-		addr, err := netip.ParseAddr(rec.Addr)
+		o, err := Parse(rec)
 		if err != nil {
 			return nil, fmt.Errorf("obsfile: line %d: %w", line, err)
 		}
-		proto, err := protoByName(rec.Proto)
-		if err != nil {
-			return nil, fmt.Errorf("obsfile: line %d: %w", line, err)
-		}
-		if rec.Digest == "" {
-			return nil, fmt.Errorf("obsfile: line %d: empty digest", line)
-		}
-		out = append(out, alias.Observation{
-			Addr: addr,
-			ID:   ident.Identifier{Proto: proto, Digest: rec.Digest},
-		})
+		out = append(out, o)
 	}
 }

@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strings"
+	"sync"
 
 	"aliaslimit/internal/alias"
 	_ "aliaslimit/internal/distres" // registers the "distributed" backend
@@ -396,63 +398,109 @@ type PartitionDigest struct {
 	Digest    string `json:"digest"`
 }
 
+// PartitionNames lists the scored partitions in canonical order: the
+// per-protocol non-singleton groups, the per-family union partitions, and
+// the dual-stack sets. Every partition list (ScoredPartitions,
+// SessionPartitions) and digest breakdown follows this order.
+var PartitionNames = []string{"ssh", "bgp", "snmpv3", "union-v4", "union-v6", "dualstack"}
+
 // ScoredPartitions lists every alias-set partition a scorecard reads, in
-// canonical order: the per-protocol non-singleton groups (SSH and BGP from
-// the union dataset, SNMPv3 from the active scan), the per-family union
+// PartitionNames order: the per-protocol non-singleton groups (SSH and BGP
+// from the union dataset, SNMPv3 from the active scan), the per-family union
 // partitions, and the dual-stack sets.
 func ScoredPartitions(env *experiments.Env) []Partition {
-	var parts []Partition
-	for _, proto := range []ident.Protocol{ident.SSH, ident.BGP, ident.SNMP} {
-		ds := env.Both
-		if proto == ident.SNMP {
-			ds = env.Active
+	parts := make([]Partition, len(PartitionNames))
+	for i, name := range PartitionNames {
+		var sets []alias.Set
+		switch {
+		case i < len(scoreProtos):
+			ds := env.Both
+			if scoreProtos[i] == ident.SNMP {
+				ds = env.Active
+			}
+			sets = ds.NonSingletonSets(scoreProtos[i])
+		case name == "dualstack":
+			sets = env.DualStackSets()
+		default:
+			sets = env.UnionFamilyNonSingleton(name == "union-v4")
 		}
-		parts = append(parts, Partition{
-			Name: strings.ToLower(proto.String()),
-			Sets: ds.NonSingletonSets(proto),
-		})
+		parts[i] = Partition{Name: name, Sets: sets}
 	}
-	for _, v4 := range []bool{true, false} {
-		name := "union-v4"
-		if !v4 {
-			name = "union-v6"
-		}
-		parts = append(parts, Partition{Name: name, Sets: env.UnionFamilyNonSingleton(v4)})
-	}
-	parts = append(parts, Partition{Name: "dualstack", Sets: env.DualStackSets()})
 	return parts
 }
 
-// SessionPartitions derives the scored partitions from an open resolver
-// session, mirroring ScoredPartitions partition for partition so a session's
-// sets digest is directly comparable with a scorecard's: the per-protocol
-// non-singleton groups, the per-family union merges of the non-singleton
-// family subsets, and the dual-stack sets of the all-family merge. The
-// resolution daemon's ingest sessions and cmd/resolve read their views here.
+// SessionPartitions derives every scored partition of an open resolver
+// session, in PartitionNames order, through one SessionView. It mirrors
+// ScoredPartitions partition for partition, so a session's sets digest is
+// directly comparable with a scorecard's. cmd/resolve reads its views here.
 func SessionPartitions(s resolver.Session) []Partition {
-	var sets [3][]alias.Set
-	var parts []Partition
-	for _, proto := range scoreProtos {
-		sets[proto] = s.Sets(proto)
-		parts = append(parts, Partition{
-			Name: strings.ToLower(proto.String()),
-			Sets: alias.NonSingleton(sets[proto]),
+	return NewSessionView(s).Partitions()
+}
+
+// SessionView derives the scored partitions of one open resolver session
+// lazily: each protocol's snapshot (Sets, then NonSingleton) is taken at most
+// once, on first use, and each named partition is derived at most once from
+// those snapshots, so every partition read through one view comes from the
+// same snapshots. A reader asking for one partition pays only for that
+// partition and its inputs: a protocol partition takes one snapshot; a union
+// or the dual-stack partition takes all three and merges once.
+//
+// Only non-singleton sets enter the filters and merges. A singleton carries
+// no alias information: family filtering leaves at most a singleton, which
+// NonSingleton drops, and it adds no union edge, so merging it only adds a
+// one-address component, which DualStack drops. The partitions are therefore
+// byte-identical to deriving them from the full snapshots.
+//
+// A SessionView is safe for concurrent use. Observations the session applies
+// after a snapshot was taken do not reach this view; open a new one to see
+// them.
+type SessionView struct {
+	// derive holds one memoized derivation per partition, in PartitionNames
+	// order.
+	derive [6]func() []alias.Set
+}
+
+// NewSessionView opens a lazy view over s; it derives nothing until read.
+func NewSessionView(s resolver.Session) *SessionView {
+	var protos [3]func() []alias.Set // by ident.Protocol
+	for _, p := range scoreProtos {
+		protos[p] = sync.OnceValue(func() []alias.Set { return alias.NonSingleton(s.Sets(p)) })
+	}
+	union := func(v4 bool) func() []alias.Set {
+		return sync.OnceValue(func() []alias.Set {
+			return alias.NonSingleton(s.Merged(
+				alias.NonSingleton(alias.FilterFamily(protos[ident.SSH](), v4)),
+				alias.NonSingleton(alias.FilterFamily(protos[ident.BGP](), v4)),
+				alias.NonSingleton(alias.FilterFamily(protos[ident.SNMP](), v4)),
+			))
 		})
 	}
-	for _, v4 := range []bool{true, false} {
-		name := "union-v4"
-		if !v4 {
-			name = "union-v6"
-		}
-		merged := s.Merged(
-			alias.NonSingleton(alias.FilterFamily(sets[ident.SSH], v4)),
-			alias.NonSingleton(alias.FilterFamily(sets[ident.BGP], v4)),
-			alias.NonSingleton(alias.FilterFamily(sets[ident.SNMP], v4)),
-		)
-		parts = append(parts, Partition{Name: name, Sets: alias.NonSingleton(merged)})
+	dual := sync.OnceValue(func() []alias.Set {
+		return alias.DualStack(s.Merged(protos[ident.SSH](), protos[ident.BGP](), protos[ident.SNMP]()))
+	})
+	return &SessionView{derive: [6]func() []alias.Set{
+		protos[ident.SSH], protos[ident.BGP], protos[ident.SNMP], union(true), union(false), dual,
+	}}
+}
+
+// Partition returns the named partition (one of PartitionNames), deriving it
+// and the snapshots it reads on first use. It reports false for an unknown
+// name.
+func (v *SessionView) Partition(name string) ([]alias.Set, bool) {
+	i := slices.Index(PartitionNames, name)
+	if i < 0 {
+		return nil, false
 	}
-	dual := s.Merged(sets[ident.SSH], sets[ident.BGP], sets[ident.SNMP])
-	return append(parts, Partition{Name: "dualstack", Sets: alias.DualStack(dual)})
+	return v.derive[i](), true
+}
+
+// Partitions derives every partition in PartitionNames order.
+func (v *SessionView) Partitions() []Partition {
+	parts := make([]Partition, len(PartitionNames))
+	for i, name := range PartitionNames {
+		parts[i] = Partition{Name: name, Sets: v.derive[i]()}
+	}
+	return parts
 }
 
 // DigestPartitions hashes named alias-set partitions in order and returns the

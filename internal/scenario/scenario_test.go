@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"aliaslimit/internal/experiments"
@@ -131,6 +132,19 @@ func TestSessionPartitionsMatchScored(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotParts, wantParts) {
 		t.Fatalf("partition breakdowns differ:\n%v\n%v", gotParts, wantParts)
+	}
+	for i, p := range wantParts {
+		if p.Partition != PartitionNames[i] {
+			t.Errorf("partition %d is %q, want %q", i, p.Partition, PartitionNames[i])
+		}
+	}
+	for i, proto := range scoreProtos {
+		if PartitionNames[i] != strings.ToLower(proto.String()) {
+			t.Errorf("PartitionNames[%d] = %q, want protocol %s", i, PartitionNames[i], proto)
+		}
+	}
+	if _, ok := NewSessionView(s).Partition("union"); ok {
+		t.Error("SessionView served an unknown partition name")
 	}
 }
 
