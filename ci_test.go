@@ -34,3 +34,42 @@ func TestCIPerfbenchJob(t *testing.T) {
 		t.Errorf("perfbench job runs only on some events:\n%s", job)
 	}
 }
+
+// TestCIFuzzJob pins the CI job that fuzzes the obsfile decoder against its
+// encoding/json reference: it must run FuzzRead for a bounded time on every
+// event, and keep the failing input as an artifact. Only the upload step may
+// carry an if:, so that it runs when the fuzz step fails.
+func TestCIFuzzJob(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Skipf("ci.yml not readable: %v", err)
+	}
+	text := string(data)
+	idx := strings.Index(text, "\n  fuzz:\n")
+	if idx < 0 {
+		t.Fatal("ci.yml has no fuzz job")
+	}
+	job := text[idx+1:]
+	if next := regexp.MustCompile(`\n  [a-z-]+:\n`).FindStringIndex(job); next != nil {
+		job = job[:next[0]]
+	}
+	for _, want := range []string{
+		"run: go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 30s ./internal/obsfile",
+		"uses: actions/upload-artifact@v4",
+		"path: internal/obsfile/testdata/fuzz",
+	} {
+		if !strings.Contains(job, want) {
+			t.Errorf("fuzz job missing %q:\n%s", want, job)
+		}
+	}
+	if strings.Contains(job, "\n    if:") {
+		t.Errorf("fuzz job runs only on some events:\n%s", job)
+	}
+	steps := strings.Split(job, "\n      - ")
+	for _, step := range steps[1:] {
+		conditional := strings.HasPrefix(step, "if:") || strings.Contains(step, "\n        if:")
+		if conditional && !strings.Contains(step, "upload-artifact") {
+			t.Errorf("a fuzz step other than the upload is conditional:\n%s", step)
+		}
+	}
+}

@@ -67,6 +67,22 @@ func compareReports(base, curr benchReport, maxRegress float64) []regression {
 	return regs
 }
 
+// sharedEntries counts the entries of curr that base also names: the ones
+// compareReports judges.
+func sharedEntries(base, curr benchReport) int {
+	names := make(map[string]bool, len(base.Results))
+	for _, e := range base.Results {
+		names[e.Name] = true
+	}
+	n := 0
+	for _, e := range curr.Results {
+		if names[e.Name] {
+			n++
+		}
+	}
+	return n
+}
+
 // readBenchReport loads one BENCH_*.json file.
 func readBenchReport(path string) (benchReport, error) {
 	var rep benchReport
@@ -84,7 +100,8 @@ func readBenchReport(path string) (benchReport, error) {
 }
 
 // runCompare is the gate's CLI body: load both reports, print the verdict,
-// and return an error (non-zero exit) when anything regressed.
+// and return an error (non-zero exit) when anything regressed or when the
+// reports share no entry.
 func runCompare(basePath, currPath string, maxRegress float64, stdout io.Writer) error {
 	if maxRegress <= 0 {
 		return fmt.Errorf("-maxregress must be positive, got %v", maxRegress)
@@ -103,10 +120,16 @@ func runCompare(basePath, currPath string, maxRegress float64, stdout io.Writer)
 		return fmt.Errorf("workload mismatch: %s is scale=%v seed=%d, %s is scale=%v seed=%d — regenerate the baseline at the gate's workload",
 			basePath, base.Scale, base.Seed, currPath, curr.Scale, curr.Seed)
 	}
+	// A gate over disjoint reports would pass having compared nothing.
+	shared := sharedEntries(base, curr)
+	if shared == 0 {
+		return fmt.Errorf("%s and %s share no entry name: the gate would compare nothing — add the entries to the baseline",
+			basePath, currPath)
+	}
 	regs := compareReports(base, curr, maxRegress)
 	if len(regs) == 0 {
-		fmt.Fprintf(stdout, "bench gate: OK — no entry of %s regressed >%.0f%% vs %s\n",
-			currPath, maxRegress*100, basePath)
+		fmt.Fprintf(stdout, "bench gate: OK — no entry of %s regressed >%.0f%% vs %s (%d entries compared)\n",
+			currPath, maxRegress*100, basePath, shared)
 		return nil
 	}
 	var sb strings.Builder

@@ -122,6 +122,34 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunCompareNoSharedEntries: two reports that name no entry in common
+// fail the gate instead of passing it vacuously, the way a baseline with no
+// aliasd_* entry once passed every daemon latency report.
+func TestRunCompareNoSharedEntries(t *testing.T) {
+	dir := t.TempDir()
+	base := writeTestReport(t, dir, "BENCH_baseline.json",
+		report(map[string]float64{"run_full": 200e6, "table3_render": 5e6}))
+	daemon := writeTestReport(t, dir, "BENCH_aliasd.json",
+		report(map[string]float64{"aliasd_ingest_p50": 1e6, "aliasd_query_p50": 1e6}))
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-compare", base, "-against", daemon}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "share no entry") {
+		t.Fatalf("disjoint reports: err = %v, want a no-shared-entry failure (stdout %q)", err, stdout.String())
+	}
+
+	// One shared entry is enough to judge, and the verdict says how many
+	// entries it compared.
+	mixed := writeTestReport(t, dir, "BENCH_mixed.json",
+		report(map[string]float64{"aliasd_ingest_p50": 1e6, "run_full": 210e6}))
+	stdout.Reset()
+	if err := run([]string{"-compare", base, "-against", mixed}, &stdout, &stderr); err != nil {
+		t.Fatalf("one shared entry within threshold failed the gate: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "(1 entries compared)") {
+		t.Fatalf("verdict does not count compared entries:\n%s", stdout.String())
+	}
+}
+
 // allocEntry builds one alloc-instrumented entry.
 func allocEntry(name string, ns, allocs, bytes float64) benchEntry {
 	return benchEntry{Name: name, NsPerOp: ns, Ops: 1, AllocsPerOp: &allocs, BytesPerOp: &bytes}

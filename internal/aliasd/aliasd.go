@@ -11,7 +11,8 @@
 // state. Two session flavours exist:
 //
 //   - Ingest sessions accept NDJSON observation streams (POST /v1/ingest,
-//     one obsfile.Record per line) into a bounded queue drained by a
+//     one obsfile.Record per line, read by obsfile.Decoder as
+//     obsfile.Read reads files) into a bounded queue drained by a
 //     dedicated worker into an open resolver session, which groups each
 //     observation as it is applied. A query arriving mid-ingest sees the
 //     canonical partition of every observation applied so far, and the

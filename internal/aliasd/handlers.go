@@ -1,7 +1,6 @@
 package aliasd
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -170,10 +169,12 @@ type ingestReply struct {
 	Applied  int64 `json:"applied"`
 }
 
-// handleIngest streams NDJSON observations (the obsfile wire format) into
-// the session's bounded queue. A full queue stops mid-stream and answers
-// 429 + Retry-After with the count of lines already accepted — explicit
-// backpressure, never silent drops.
+// handleIngest streams NDJSON observations (the obsfile wire format, read by
+// obsfile.Decoder as obsfile.Read reads it) into the session's bounded
+// queue. A malformed record answers 400 with the decoder's "line N: <cause>"
+// text. A full queue stops mid-stream and answers 429 + Retry-After with the
+// count of records already accepted — explicit backpressure, never silent
+// drops.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFrom(w, r)
 	if sess == nil {
@@ -184,26 +185,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("session %s is world-backed and refuses ingest", sess.ID))
 		return
 	}
-	dec := json.NewDecoder(bufio.NewReader(r.Body))
-	accepted, line := 0, 0
+	dec := obsfile.NewDecoder(r.Body)
+	accepted := 0
 	for {
-		var rec obsfile.Record
-		if err := dec.Decode(&rec); err == io.EOF {
+		o, err := dec.Decode()
+		if err == io.EOF {
 			break
-		} else if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error:    fmt.Sprintf("line %d: %v", line+1, err),
-				Accepted: accepted,
-			})
-			return
 		}
-		line++
-		o, err := obsfile.Parse(rec)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error:    fmt.Sprintf("line %d: %v", line, err),
-				Accepted: accepted,
-			})
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Accepted: accepted})
 			return
 		}
 		switch err := sess.offer(o); err {

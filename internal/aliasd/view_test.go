@@ -83,16 +83,26 @@ func viewCorpus(seed uint64, n int) [][3]string {
 // session: each view as the address lists /v1/sets returns, and the digest.
 func reference(t *testing.T, recs [][3]string) (map[string][][]string, string) {
 	t.Helper()
+	obs := make([]alias.Observation, len(recs))
+	for i, r := range recs {
+		o, err := obsfile.Parse(obsfile.Record{Addr: r[0], Proto: r[1], Digest: r[2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs[i] = o
+	}
+	return referenceObs(t, obs)
+}
+
+// referenceObs is reference over observations already parsed.
+func referenceObs(t *testing.T, obs []alias.Observation) (map[string][][]string, string) {
+	t.Helper()
 	s, err := resolver.NewBatch().Open(resolver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, r := range recs {
-		o, err := obsfile.Parse(obsfile.Record{Addr: r[0], Proto: r[1], Digest: r[2]})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, o := range obs {
 		s.Observe(o)
 	}
 	parts := scenario.SessionPartitions(s)
@@ -337,7 +347,10 @@ func TestConcurrentIngestAndViews(t *testing.T) {
 // TestMalformedLinesRejectedAlike: obsfile.Read and the ingest endpoint
 // reject the same malformed lines with the same message, each prefixed with
 // the line number (obsfile.Read adds its package name), and the endpoint
-// answers 400 having accepted the lines before it.
+// answers 400 having accepted the lines before it. They also accept the same
+// bodies, canonical or not: the endpoint accepts every record, and after a
+// flush each view equals SessionPartitions over the observations
+// obsfile.Read returns.
 func TestMalformedLinesRejectedAlike(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}).Handler())
 	defer ts.Close()
@@ -366,5 +379,41 @@ func TestMalformedLinesRejectedAlike(t *testing.T) {
 		if !strings.HasPrefix(reply.Error, "line 2: ") || reply.Accepted != 1 {
 			t.Errorf("%s: ingest reply %+v, want line 2 after 1 accepted", name, reply)
 		}
+	}
+
+	dual := `{"addr":"10.0.0.2","proto":"SSH","digest":"k1"}` + "\n" +
+		`{"addr":"2001:db8::2","proto":"SSH","digest":"k1"}` + "\n"
+	for name, body := range map[string]string{
+		"uppercase key":   `{"ADDR":"10.0.0.2","proto":"SSH","digest":"k1"}` + "\n" + good,
+		"unknown field":   `{"addr":"10.0.0.2","proto":"SSH","digest":"k1","port":22}` + "\n" + good,
+		"escaped address": `{"addr":"10.0.0.\u0032","proto":"SSH","digest":"k1"}` + "\n" + good,
+		"crlf":            strings.ReplaceAll(good+dual, "\n", "\r\n"),
+		"spanning record": good + `{"addr":"10.0.0.2",` + "\n" + `"proto":"SSH","digest":"k1"}` + "\n",
+		"non-canonical after canonical": good + dual +
+			`{"proto":"BGP","addr":"10.0.0.3","digest":"b1"}` + "\n" +
+			`{"addr":"2001:db8::3","proto":"BGP","digest":"b1","extra":true}` + "\n" + good,
+	} {
+		obs, err := obsfile.Read(strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: obsfile.Read: %v", name, err)
+			continue
+		}
+		id := createTestSession(t, ts.URL, `{}`)
+		var reply ingestReply
+		if code := post(t, ts.URL+"/v1/ingest?session="+id, body, &reply); code != http.StatusOK {
+			t.Errorf("%s: ingest status %d, want 200", name, code)
+			continue
+		}
+		if reply.Accepted != len(obs) {
+			t.Errorf("%s: ingest accepted %d, obsfile.Read returned %d records", name, reply.Accepted, len(obs))
+		}
+		if code := post(t, ts.URL+"/v1/flush?session="+id, "", nil); code != http.StatusOK {
+			t.Fatalf("%s: flush: status %d", name, code)
+		}
+		want, digest := referenceObs(t, obs)
+		for _, view := range scenario.PartitionNames {
+			checkView(t, ts.URL, id, view, want)
+		}
+		checkStats(t, ts.URL, id, digest)
 	}
 }
