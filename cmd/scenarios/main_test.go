@@ -114,6 +114,50 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("merge order not canonical: %s, %s",
 			rep.Scenarios[0].Scenario, rep.Scenarios[1].Scenario)
 	}
+	checkGolden(t, "merge-baseline-lossy.golden.json", data)
+}
+
+// update rewrites the golden reports from the current output:
+//
+//	go test ./cmd/scenarios -run 'TestMerge|TestLongitudinalJSONDeterministic' -update
+var update = flag.Bool("update", false, "rewrite the cmd/scenarios golden reports")
+
+// checkGolden compares report bytes with testdata/name, or rewrites that file
+// under -update. The goldens pin what a sets digest cannot see: scores, MIDAR
+// tallies, per-epoch digests and merge-strategy scores.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("report differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			return
+		}
+	}
 }
 
 // TestLongitudinalJSONDeterministic runs a multi-epoch scenario with
@@ -151,6 +195,7 @@ func TestLongitudinalJSONDeterministic(t *testing.T) {
 				t.Fatalf("seed %s epoch %d: %d protocol scores", seed, e.Epoch, len(e.Protocols))
 			}
 		}
+		checkGolden(t, "churn-storm-epochs3-seed"+seed+".golden.json", []byte(seq))
 		perSeed = append(perSeed, seq)
 	}
 	if perSeed[0] == perSeed[1] {
