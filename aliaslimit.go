@@ -29,16 +29,13 @@ package aliaslimit
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"strings"
-	"sync"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/midar"
-	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/scenario"
 	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/topo"
@@ -71,8 +68,7 @@ func (p Protocol) toIdent() (ident.Protocol, error) {
 // Unified options surface. Every run-shaped entry point — Run, RunScenario,
 // RunLongitudinal, RunScenarioSweep — shares one set of knobs, embedded as
 // Common in the entry point's options struct, so the same field means the
-// same thing everywhere and a new knob (a backend, a shard count) lands in
-// every entry point at once.
+// same thing everywhere and a new knob lands in every entry point at once.
 
 // Common holds the options shared by every facade entry point.
 type Common struct {
@@ -82,16 +78,6 @@ type Common struct {
 	// measurement (~60k addresses); 0 picks the entry point's default
 	// (0.25 for Run, the preset's own scale for scenarios).
 	Scale float64
-	// Backend names the alias-resolution strategy every analysis view
-	// routes through: "batch" (default; the in-process session) or
-	// "distributed" (identifier-space partitioning across worker processes;
-	// the invoking binary must be worker-capable — see
-	// RunShardWorkerIfRequested). Both produce byte-identical alias sets;
-	// see BackendNames.
-	Backend string
-	// ShardWorkers sizes the "distributed" backend's worker processes (0
-	// picks 2). The batch backend ignores it.
-	ShardWorkers int
 	// Workers bounds scan concurrency; 0 picks 256.
 	Workers int
 	// Parallelism bounds how many per-protocol sweeps run concurrently
@@ -127,14 +113,12 @@ type StudyOptions struct {
 
 // Study is a completed measurement: world, datasets, and analyses.
 type Study struct {
-	env     *experiments.Env
-	backend resolver.Backend
-	closed  sync.Once
+	env *experiments.Env
 }
 
 // Run builds the world, performs both measurement campaigns, and returns
-// the study. Callers that select the "distributed" backend (or any future
-// backend holding external resources) should Close the study when done.
+// the study. Close it when done: a StreamCollect study removes its
+// temporary observation spill there.
 func Run(opts StudyOptions) (*Study, error) {
 	if opts.LogDir != "" {
 		return nil, fmt.Errorf("aliaslimit: Run does not support durable logs; use RunScenario or RunLongitudinal with LogDir")
@@ -148,10 +132,6 @@ func Run(opts StudyOptions) (*Study, error) {
 	} else {
 		cfg.Scale = 0.25
 	}
-	backend, err := resolver.New(opts.Backend, opts.ShardWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("aliaslimit: %w", err)
-	}
 	env, err := experiments.BuildEnv(experiments.Options{
 		Topo: cfg,
 		Scan: experiments.ScanOptions{
@@ -160,47 +140,24 @@ func Run(opts StudyOptions) (*Study, error) {
 			Parallelism: opts.Parallelism,
 		},
 		ChurnFraction: opts.ChurnFraction,
-		Backend:       backend,
 		StreamCollect: opts.StreamCollect,
 		MemBudget:     opts.MemBudget,
 	})
 	if err != nil {
-		closeBackend(backend)
 		return nil, err
 	}
-	return &Study{env: env, backend: backend}, nil
+	return &Study{env: env}, nil
 }
 
-// Close releases the study's resolver resources: its open sessions and,
-// for backends that hold external resources (the "distributed" worker
-// processes), the backend itself. The in-process backends make it a no-op.
-// Safe to call more than once; the analysis views stay readable because
-// every view is memoized on first use.
+// Close removes a StreamCollect study's temporary observation spill; for an
+// in-RAM study it does nothing. Safe to call more than once; the analysis
+// views stay readable because every view is memoized on first use.
 func (s *Study) Close() error {
-	var first error
-	s.closed.Do(func() {
-		if s.env != nil {
-			first = s.env.Close()
-		}
-		if err := closeBackend(s.backend); err != nil && first == nil {
-			first = err
-		}
-	})
-	return first
-}
-
-// closeBackend releases a backend's external resources when it holds any.
-func closeBackend(b resolver.Backend) error {
-	if c, ok := b.(io.Closer); ok {
-		return c.Close()
+	if s.env == nil {
+		return nil
 	}
-	return nil
+	return s.env.Close()
 }
-
-// BackendNames lists the pluggable resolver backends in canonical order.
-// Every backend produces byte-identical alias sets on identical inputs —
-// they differ in execution strategy only (see internal/resolver).
-func BackendNames() []string { return resolver.Names() }
 
 // Env exposes the measured environment for the repository's own
 // benchmarking and diagnostic tools (cmd/benchtables). It returns an
@@ -400,8 +357,6 @@ func (o ScenarioOptions) internal() scenario.Options {
 		Quick:         o.Quick,
 		Workers:       o.Workers,
 		Parallelism:   o.Parallelism,
-		Backend:       o.Backend,
-		ShardWorkers:  o.ShardWorkers,
 		LogDir:        o.LogDir,
 		StreamCollect: o.StreamCollect,
 		MemBudget:     o.MemBudget,

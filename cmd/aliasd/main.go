@@ -42,9 +42,6 @@ import (
 var errBadFlags = errors.New("bad flags")
 
 func main() {
-	// When a distributed-backend coordinator re-executes this binary as a
-	// shard worker, serve that role instead of parsing flags.
-	aliaslimit.RunShardWorkerIfRequested()
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case err == nil:
@@ -75,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	batch := fs.Int("batch", 400, "loadtest: observations per ingest request")
 	scale := fs.Float64("scale", 0.15, "loadtest: corpus world scale")
 	seed := fs.Uint64("seed", 1, "loadtest: corpus world seed")
-	backend := fs.String("backend", "", "loadtest: session resolver backend (default batch)")
 	jsonPath := fs.String("json", "", "loadtest: write the latency report to this path ('-' for stdout)")
 	maxP99 := fs.Duration("maxp99", 0, "loadtest: fail if any aliasd_*_p99 entry exceeds this (0 = no gate)")
 
@@ -104,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Batch:    *batch,
 			Scale:    *scale,
 			Seed:     *seed,
-			Backend:  *backend,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(stderr, format+"\n", args...)
 			},

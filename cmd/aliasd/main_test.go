@@ -83,9 +83,13 @@ func TestBadArguments(t *testing.T) {
 	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: want flag.ErrHelp, got %v", err)
 	}
-	if err := run([]string{"-loadtest", "-backend", "quantum", "-scale", "0.05"},
-		&stdout, &stderr); err == nil {
-		t.Fatal("unknown backend accepted")
+	// There is one resolver, so -backend is an unknown flag whatever its
+	// value.
+	for _, name := range []string{"batch", "distributed"} {
+		if err := run([]string{"-loadtest", "-backend", name, "-scale", "0.05"},
+			&stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Fatalf("-backend %s: want errBadFlags, got %v", name, err)
+		}
 	}
 }
 

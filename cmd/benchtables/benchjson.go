@@ -271,16 +271,9 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 	rep.Results = append(rep.Results, benchEntry{
 		Name: "stream_collect", Ops: 1, NsPerOp: float64(time.Since(start).Nanoseconds()),
 	})
-	streamBE, err := resolver.New("batch", 0)
-	if err != nil {
-		return err
-	}
 	rep.Results = append(rep.Results,
 		measure("stream_replay_group", func() {
-			ses, err := streamBE.Open(resolver.Options{})
-			if err != nil {
-				panic(err)
-			}
+			ses := resolver.NewSession()
 			r, err := obslog.OpenEpoch(logDir, ident.SSH, 0, obslog.ReadOptions{})
 			if err != nil {
 				panic(err)
@@ -297,9 +290,6 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 			}
 			r.Close()
 			ses.Sets(ident.SSH)
-			if err := ses.Close(); err != nil {
-				panic(err)
-			}
 		}),
 	)
 
@@ -314,71 +304,28 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 		}),
 	)
 
-	// In-process resolution cost: the bench-regression gate's resolve_batch
-	// entries. Each iteration is one full session lifecycle — open, feed the
-	// SSH union, pull the grouped sets (or merge the per-protocol sets),
-	// close — matching how the analysis layer drives a backend. The
-	// distributed backend is priced by the dedicated distres_* entries
-	// below, where the worker processes it spawns are amortised.
+	// Resolution cost: the bench-regression gate's resolve_batch entries.
+	// Each iteration is one full session lifecycle — open, feed the SSH
+	// union and pull the grouped sets (or merge the per-protocol sets) —
+	// matching how the analysis layer drives a session.
 	groupObs := env.Both.Obs[ident.SSH]
 	mergeGroups := [][]alias.Set{
 		env.Both.NonSingletonFamilySets(ident.SSH, true),
 		env.Both.NonSingletonFamilySets(ident.BGP, true),
 		env.Active.NonSingletonFamilySets(ident.SNMP, true),
-		env.Both.NonSingletonFamilySets(ident.SSH, false),
-		env.Both.NonSingletonFamilySets(ident.BGP, false),
 	}
-	sessionBench := func(be resolver.Backend, f func(resolver.Session)) func() {
-		return func() {
-			ses, err := be.Open(resolver.Options{})
-			if err != nil {
-				panic(err)
-			}
-			f(ses)
-			if err := ses.Close(); err != nil {
-				panic(err)
-			}
-		}
-	}
-	be := resolver.NewBatch()
 	rep.Results = append(rep.Results,
-		measure("resolve_batch_group", sessionBench(be, func(ses resolver.Session) {
+		measure("resolve_batch_group", func() {
+			ses := resolver.NewSession()
 			for _, o := range groupObs {
 				ses.Observe(o)
 			}
 			ses.Sets(ident.SSH)
-		})),
-		measure("resolve_batch_merge", sessionBench(be, func(ses resolver.Session) {
-			ses.Merged(mergeGroups[:3]...)
-		})),
+		}),
+		measure("resolve_batch_merge", func() {
+			resolver.NewSession().Merged(mergeGroups...)
+		}),
 	)
-
-	// Distributed wire-path entries: distres_stream is one coordinator→worker
-	// round trip (stream the SSH union through two worker processes, pull the
-	// grouped sets back), distres_merge one remote cross-shard merge (five
-	// groups ≥ 2×workers, so the round-robin remote path runs, not the local
-	// fallback). Worker spawn cost is excluded — the cluster is reused across
-	// iterations, as the scenario pipeline reuses it across partitions.
-	dbe, err := resolver.New("distributed", 2)
-	if err != nil {
-		return err
-	}
-	rep.Results = append(rep.Results,
-		measure("distres_stream", sessionBench(dbe, func(ses resolver.Session) {
-			for _, o := range groupObs {
-				ses.Observe(o)
-			}
-			ses.Sets(ident.SSH)
-		})),
-		measure("distres_merge", sessionBench(dbe, func(ses resolver.Session) {
-			ses.Merged(mergeGroups...)
-		})),
-	)
-	if c, ok := dbe.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return err
-		}
-	}
 	for _, id := range study.TableIDs() {
 		id := id
 		name := fmt.Sprintf("table%c_render", id[len(id)-1])

@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"aliaslimit"
@@ -33,9 +32,6 @@ import (
 var errBadFlags = errors.New("bad arguments")
 
 func main() {
-	// When the distributed backend re-executes this binary as a shard
-	// worker, serve that role instead of running a study.
-	aliaslimit.RunShardWorkerIfRequested()
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case err == nil:
@@ -47,21 +43,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// validateBackend rejects an unknown -backend value before anything runs,
-// naming the valid choices (the empty value selects the batch default).
-func validateBackend(name string) error {
-	if name == "" {
-		return nil
-	}
-	names := aliaslimit.BackendNames()
-	for _, b := range names {
-		if name == b {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // startProfiles turns on CPU profiling and/or arranges a heap profile dump,
@@ -109,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "world seed")
 	workers := fs.Int("workers", 256, "scan concurrency")
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
-	backend := fs.String("backend", "", "resolver backend: batch|distributed (default batch)")
-	shardWorkers := fs.Int("shard-workers", 0, "worker processes for -backend distributed (0 = its default, 2)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them in bounded batches — identical tables, peak memory O(alias-set output) instead of O(observations)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	table := fs.String("table", "", "regenerate a single table (1-6)")
@@ -129,12 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	// Reject an unknown backend before any world is built or measured: a
-	// typo must fail in milliseconds, not after the collection phase.
-	if err := validateBackend(*backend); err != nil {
-		fmt.Fprintf(stderr, "benchtables: %v\n", err)
-		return errBadFlags
-	}
 	if *memBudget != 0 && !*streamCollect {
 		fmt.Fprintln(stderr, "benchtables: -mem-budget tunes the out-of-core replay; pass -stream-collect too")
 		return errBadFlags
@@ -169,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	study, err := aliaslimit.Run(aliaslimit.StudyOptions{
 		Common: aliaslimit.Common{
 			Seed: *seed, Scale: *scale, Workers: *workers, Parallelism: *parallelism,
-			Backend: *backend, ShardWorkers: *shardWorkers,
 			StreamCollect: *streamCollect, MemBudget: *memBudget,
 		},
 	})

@@ -5,21 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
-	"os"
 	"strings"
 	"testing"
-
-	"aliaslimit"
 )
-
-// TestMain makes the test binary worker-capable: the benchjson report now
-// measures the distributed backend, whose coordinator re-executes the
-// running binary as its shard worker processes.
-func TestMain(m *testing.M) {
-	aliaslimit.RunShardWorkerIfRequested()
-	os.Exit(m.Run())
-}
 
 // TestRunSingleTable regenerates one table at tiny scale and sanity-checks
 // the rendering.
@@ -66,7 +54,6 @@ func TestRunBenchJSON(t *testing.T) {
 		"stream_collect": false, "stream_replay_group": false,
 		"table3_render": false, "figure6_render": false,
 		"resolve_batch_group": false, "resolve_batch_merge": false,
-		"distres_stream": false, "distres_merge": false,
 	}
 	for _, r := range rep.Results {
 		if _, tracked := want[r.Name]; tracked {
@@ -95,40 +82,32 @@ func TestRunUnknownTable(t *testing.T) {
 	}
 }
 
-// TestRunBackendFlag renders a table through a non-default resolver backend
-// and rejects unknown backend names.
+// TestRunBackendFlag: with one resolver there is no backend to pick, so
+// -backend and -shard-workers are unknown flags and exit with the usage
+// error.
 func TestRunBackendFlag(t *testing.T) {
-	var batch, distributed, stderr bytes.Buffer
-	if err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16",
-		"-table", "4"}, &batch, &stderr); err != nil {
-		t.Fatalf("batch run: %v (stderr: %s)", err, stderr.String())
-	}
-	if err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16",
-		"-backend", "distributed", "-shard-workers", "2", "-table", "4"}, &distributed, &stderr); err != nil {
-		t.Fatalf("distributed run: %v (stderr: %s)", err, stderr.String())
-	}
-	if batch.String() != distributed.String() {
-		t.Fatalf("table 4 differs across backends:\n%s\n---\n%s", batch.String(), distributed.String())
-	}
-	var stdout bytes.Buffer
-	if err := run([]string{"-scale", "0.05", "-backend", "quantum"}, &stdout, &stderr); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, args := range [][]string{
+		{"-scale", "0.05", "-backend", "batch", "-table", "4"},
+		{"-scale", "0.05", "-backend", "distributed", "-table", "4"},
+		{"-scale", "0.05", "-shard-workers", "2", "-table", "4"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Errorf("%v: want errBadFlags, got %v", args, err)
+		}
 	}
 }
 
-// TestBackendValidationMessage pins the early-rejection contract: an unknown
-// -backend fails with errBadFlags before any world is built, naming every
-// valid backend.
+// TestBackendValidationMessage pins how a retired -backend fails: with the
+// flag package's message naming the flag, before any world is built.
 func TestBackendValidationMessage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-backend", "bogus", "-table", "1"}, &stdout, &stderr)
 	if !errors.Is(err, errBadFlags) {
-		t.Fatalf("unknown backend: want errBadFlags, got %v", err)
+		t.Fatalf("-backend: want errBadFlags, got %v", err)
 	}
-	want := fmt.Sprintf("benchtables: unknown backend %q (valid: %s)\n",
-		"bogus", strings.Join(aliaslimit.BackendNames(), ", "))
-	if stderr.String() != want {
-		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
+	if !strings.HasPrefix(stderr.String(), "flag provided but not defined: -backend\n") {
+		t.Fatalf("stderr = %q, want the unknown-flag message for -backend", stderr.String())
 	}
 }
 

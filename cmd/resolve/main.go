@@ -58,11 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	s, err := resolver.NewBatch().Open(resolver.Options{})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
+	s := resolver.NewSession()
 	observed := make([]int, len(ident.Protocols))
 	for _, path := range fs.Args() {
 		if err := load(s, observed, path); err != nil {

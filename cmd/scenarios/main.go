@@ -7,10 +7,6 @@
 //	scenarios -run baseline                  # one scenario, text scorecard
 //	scenarios -run all -quick -json SCENARIOS.json
 //	scenarios -run churn-storm -epochs 5     # longitudinal: N snapshot rounds
-//	scenarios -run baseline -backend distributed -shard-workers 2
-//	scenarios -run all -quick -backend all   # every preset on every resolver
-//	                                         # backend; byte-identical alias
-//	                                         # sets enforced
 //	scenarios -run churn-storm -epochs 5 -log RUN  # durable: observation log +
 //	                                         # per-epoch checkpoints under RUN/
 //	scenarios -resume RUN                    # continue a killed durable run
@@ -22,10 +18,9 @@
 //	scenarios -merge 'SCENARIOS-*.json' -json SCENARIOS.json
 //
 // The CI scenario-matrix job runs every preset with -quick -json, the
-// longitudinal job runs the pinned presets with -epochs 5, the
-// backend-compare job runs the catalog on the distributed backend, and the
-// per-run files merge into the SCENARIOS.json artifact with -merge. The nightly
-// sweep job emits per-axis degradation curves with -sweep.
+// longitudinal job runs the pinned presets with -epochs 5, and the per-run
+// files merge into the SCENARIOS.json artifact with -merge. The nightly sweep
+// job emits per-axis degradation curves with -sweep.
 package main
 
 import (
@@ -43,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"aliaslimit/internal/aliasd"
 	"aliaslimit/internal/atomicio"
 	"aliaslimit/internal/scenario"
 )
@@ -53,9 +47,6 @@ import (
 var errBadFlags = errors.New("bad arguments")
 
 func main() {
-	// When the distributed backend re-executes this binary as a shard
-	// worker, serve that role instead of running scenarios.
-	aliasd.RunWorkerIfRequested()
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case err == nil:
@@ -81,11 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once)")
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")
-	backend := fs.String("backend", "", "resolver backend: batch|distributed (default batch), or 'all' to run every backend and require byte-identical alias sets")
-	shardWorkers := fs.Int("shard-workers", 0, "worker processes for the distributed backend (0 = its default, 2)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them through the resolver in bounded batches — identical alias sets, peak memory O(alias-set output) instead of O(observations); required by stream-only worlds (megascale-x100)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
-	logDir := fs.String("log", "", "write a durable observation log + epoch checkpoints under this directory (single preset, single backend); a killed run continues with -resume")
+	logDir := fs.String("log", "", "write a durable observation log + epoch checkpoints under this directory (single preset); a killed run continues with -resume")
 	resume := fs.String("resume", "", "continue the killed durable run whose log lives under this directory")
 	sweep := fs.String("sweep", "", "axis sweep, e.g. loss=1,5,10,20,30 (percent) or epochs=2,3,5; runs the -run preset per value")
 	jsonPath := fs.String("json", "", "write the machine-readable report to this path (- for stdout)")
@@ -99,12 +88,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	// Reject an unknown backend before any world is built: a typo must fail
-	// in milliseconds with the valid names, not after minutes of collection.
-	if err := validateBackend(*backend); err != nil {
-		fmt.Fprintf(stderr, "scenarios: %v\n", err)
-		return errBadFlags
-	}
 	if *memBudget != 0 && !*streamCollect {
 		fmt.Fprintln(stderr, "scenarios: -mem-budget tunes the out-of-core replay; pass -stream-collect too")
 		return errBadFlags
@@ -122,8 +105,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Quick:         *quick,
 		Workers:       *workers,
 		Parallelism:   *parallelism,
-		Backend:       *backend,
-		ShardWorkers:  *shardWorkers,
 		LogDir:        *logDir,
 		StreamCollect: *streamCollect,
 		MemBudget:     *memBudget,
@@ -136,17 +117,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-log starts a fresh durable run; -resume continues one — pick one")
 		case *merge != "" || *sweep != "":
 			return fmt.Errorf("-log records a single run; it cannot combine with -merge or -sweep")
-		case *backend == "all":
-			return fmt.Errorf("-log records a single run; pick one backend of %s",
-				strings.Join(scenario.BackendNames(), "|"))
 		case *runName == "all":
 			return fmt.Errorf("-log records a single run; pick one preset of %s",
 				strings.Join(scenario.Names(), ", "))
 		}
-	}
-	backends := []string{*backend}
-	if *backend == "all" {
-		backends = scenario.BackendNames()
 	}
 	switch {
 	case *list:
@@ -159,10 +133,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *merge != "":
 		return mergeReports(*merge, *jsonPath, stdout, stderr)
 	case *sweep != "":
-		if *backend == "all" {
-			return fmt.Errorf("-sweep runs one backend at a time; pick one of %s",
-				strings.Join(scenario.BackendNames(), "|"))
-		}
 		return runSweep(*sweep, *runName, opts, *jsonPath, stdout, stderr)
 	case *runName != "":
 		if *epochs > 1 {
@@ -170,30 +140,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Options: opts,
 				Epochs:  *epochs,
 				Decay:   *decay,
-			}, backends, *jsonPath, stdout, stderr)
+			}, *jsonPath, stdout, stderr)
 		}
-		return runScenarios(*runName, opts, backends, *jsonPath, stdout, stderr)
+		return runScenarios(*runName, opts, *jsonPath, stdout, stderr)
 	default:
 		fmt.Fprintln(stderr, "scenarios: one of -list, -run, -sweep, or -merge is required")
 		fs.Usage()
 		return errBadFlags
 	}
-}
-
-// validateBackend rejects an unknown -backend value before anything runs,
-// naming the valid choices. The empty value selects the batch default and
-// "all" fans out over the whole catalog.
-func validateBackend(name string) error {
-	if name == "" || name == "all" {
-		return nil
-	}
-	names := scenario.BackendNames()
-	for _, b := range names {
-		if name == b {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown backend %q (valid: %s, or 'all')", name, strings.Join(names, ", "))
 }
 
 // startProfiles turns on CPU profiling and/or arranges a heap profile dump,
@@ -241,11 +195,9 @@ func printCatalog(w io.Writer) error {
 	return nil
 }
 
-// runScenarios executes one preset or the whole catalog — once per selected
-// backend — and emits the scorecards as text or as a JSON report. With more
-// than one backend, every preset's alias sets must be byte-identical across
-// backends (compared through the scorecards' SetsDigest) or the run fails.
-func runScenarios(name string, opts scenario.Options, backends []string, jsonPath string, stdout, stderr io.Writer) error {
+// runScenarios executes one preset or the whole catalog and emits the
+// scorecards as text or as a JSON report.
+func runScenarios(name string, opts scenario.Options, jsonPath string, stdout, stderr io.Writer) error {
 	names := []string{name}
 	if name == "all" {
 		// Stream-only worlds refuse to materialise in RAM, so a catalog run
@@ -261,28 +213,14 @@ func runScenarios(name string, opts scenario.Options, backends []string, jsonPat
 	}
 	rep := &scenario.Report{}
 	for _, n := range names {
-		var ref *scenario.Result
-		for _, b := range backends {
-			bopts := opts
-			bopts.Backend = b
-			start := time.Now()
-			res, err := scenario.Run(n, bopts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "scenarios: %s (%s) done in %v\n",
-				n, res.Backend, time.Since(start).Round(time.Millisecond))
-			if ref == nil {
-				ref = res
-			} else if res.SetsDigest != ref.SetsDigest {
-				return fmt.Errorf("backend divergence on %s: %s", n, divergence(ref, res))
-			}
-			rep.Scenarios = append(rep.Scenarios, res)
+		start := time.Now()
+		res, err := scenario.Run(n, opts)
+		if err != nil {
+			return err
 		}
-		if len(backends) > 1 {
-			fmt.Fprintf(stderr, "scenarios: %s byte-identical across %s\n",
-				n, strings.Join(backends, ", "))
-		}
+		fmt.Fprintf(stderr, "scenarios: %s (%s) done in %v\n",
+			n, res.Backend, time.Since(start).Round(time.Millisecond))
+		rep.Scenarios = append(rep.Scenarios, res)
 	}
 	if jsonPath == "" {
 		for _, r := range rep.Scenarios {
@@ -294,43 +232,22 @@ func runScenarios(name string, opts scenario.Options, backends []string, jsonPat
 }
 
 // runLongitudinal executes one preset (or the pinned longitudinal set with
-// "all") over several epochs — once per selected backend, with per-epoch
-// byte-identity enforced across backends — and emits the longitudinal
-// scorecards.
-func runLongitudinal(name string, opts scenario.LongitudinalOptions, backends []string, jsonPath string, stdout, stderr io.Writer) error {
+// "all") over several epochs and emits the longitudinal scorecards.
+func runLongitudinal(name string, opts scenario.LongitudinalOptions, jsonPath string, stdout, stderr io.Writer) error {
 	names := []string{name}
 	if name == "all" {
 		names = scenario.LongitudinalNames()
 	}
 	rep := &scenario.Report{}
 	for _, n := range names {
-		var ref *scenario.LongitudinalResult
-		for _, b := range backends {
-			bopts := opts
-			bopts.Backend = b
-			start := time.Now()
-			res, err := scenario.RunLongitudinal(n, bopts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "scenarios: %s x%d epochs (%s) done in %v\n",
-				n, opts.Epochs, res.Backend, time.Since(start).Round(time.Millisecond))
-			if ref == nil {
-				ref = res
-			} else {
-				for i, e := range res.Epochs {
-					if e.SetsDigest != ref.Epochs[i].SetsDigest {
-						return fmt.Errorf("backend divergence on %s epoch %d: %s",
-							n, i, divergence(&ref.Epochs[i].Result, &e.Result))
-					}
-				}
-			}
-			rep.Longitudinal = append(rep.Longitudinal, res)
+		start := time.Now()
+		res, err := scenario.RunLongitudinal(n, opts)
+		if err != nil {
+			return err
 		}
-		if len(backends) > 1 {
-			fmt.Fprintf(stderr, "scenarios: %s epochs byte-identical across %s\n",
-				n, strings.Join(backends, ", "))
-		}
+		fmt.Fprintf(stderr, "scenarios: %s x%d epochs (%s) done in %v\n",
+			n, opts.Epochs, res.Backend, time.Since(start).Round(time.Millisecond))
+		rep.Longitudinal = append(rep.Longitudinal, res)
 	}
 	if jsonPath == "" {
 		for _, r := range rep.Longitudinal {
@@ -342,8 +259,8 @@ func runLongitudinal(name string, opts scenario.LongitudinalOptions, backends []
 }
 
 // resumeLongitudinal continues a killed durable run from its log directory.
-// The run's identity (preset, seed, scale, backend, epochs, decay) comes from
-// the log's manifest; only execution knobs (workers, parallelism) come from
+// The run's identity (preset, seed, scale, epochs, decay) comes from the
+// log's manifest; only execution knobs (workers, parallelism) come from
 // the command line.
 func resumeLongitudinal(dir string, opts scenario.Options, jsonPath string, stdout, stderr io.Writer) error {
 	start := time.Now()
@@ -359,19 +276,6 @@ func resumeLongitudinal(dir string, opts scenario.Options, jsonPath string, stdo
 	}
 	rep := &scenario.Report{Longitudinal: []*scenario.LongitudinalResult{res}}
 	return writeReport(rep, jsonPath, stdout, stderr)
-}
-
-// divergence renders an actionable cross-backend mismatch: both backends,
-// both full digests, and — when the per-partition breakdowns are available —
-// the first partition whose alias sets differ, so a CI failure says where to
-// look instead of just that two hashes disagree.
-func divergence(ref, res *scenario.Result) string {
-	msg := fmt.Sprintf("%s alias sets (digest %s) differ from %s (digest %s)",
-		res.Backend, res.SetsDigest, ref.Backend, ref.SetsDigest)
-	if part := scenario.FirstDivergence(ref.PartitionDigests, res.PartitionDigests); part != "" {
-		msg += fmt.Sprintf("; first differing partition: %s", part)
-	}
-	return msg
 }
 
 // runSweep parses an axis=values spec (percent values, except the epochs

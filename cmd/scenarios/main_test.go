@@ -4,24 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"aliaslimit/internal/aliasd"
 	"aliaslimit/internal/scenario"
 )
-
-// TestMain makes the test binary worker-capable: -backend all now covers the
-// distributed backend, whose coordinator re-executes the running binary as
-// its shard worker processes.
-func TestMain(m *testing.M) {
-	aliasd.RunWorkerIfRequested()
-	os.Exit(m.Run())
-}
 
 // TestRunList checks that every catalog preset appears in -list.
 func TestRunList(t *testing.T) {
@@ -251,79 +241,39 @@ func TestSweepCLI(t *testing.T) {
 	}
 }
 
-// TestBackendFlag runs one preset on a named backend and on all of them,
-// checking the scorecards and the byte-identity enforcement path, and
-// rejects the retired in-process backend names.
+// TestBackendFlag: the resolver has no backends to choose from, so -backend
+// and -shard-workers are unknown flags, whatever their value, and exit with
+// the usage error.
 func TestBackendFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "baseline", "-scale", "0.05", "-workers", "32",
-		"-backend", "distributed", "-shard-workers", "2"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run -backend distributed: %v (stderr: %s)", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "backend=distributed") {
-		t.Errorf("scorecard does not name the backend:\n%s", stdout.String())
-	}
-	for _, retired := range []string{"streaming", "sharded"} {
-		if err := run([]string{"-run", "baseline", "-backend", retired}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
-			t.Errorf("-backend %s: want errBadFlags, got %v", retired, err)
+	for _, args := range [][]string{
+		{"-run", "baseline", "-backend", "batch"},
+		{"-run", "baseline", "-backend", "distributed"},
+		{"-run", "all", "-quick", "-backend", "all"},
+		{"-run", "baseline", "-shard-workers", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Errorf("%v: want errBadFlags, got %v", args, err)
 		}
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	err = run([]string{"-run", "baseline", "-scale", "0.05", "-workers", "32",
-		"-backend", "all", "-json", "-"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run -backend all: %v (stderr: %s)", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "byte-identical across") {
-		t.Errorf("-backend all did not report the equivalence check:\n%s", stderr.String())
-	}
-	rep, err := scenario.ParseReport(stdout.Bytes())
-	if err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if len(rep.Scenarios) != len(scenario.BackendNames()) {
-		t.Fatalf("got %d results, want one per backend (%d)",
-			len(rep.Scenarios), len(scenario.BackendNames()))
-	}
-	for i, want := range scenario.BackendNames() {
-		if rep.Scenarios[i].Backend != want {
-			t.Errorf("result %d has backend %q, want %q (canonical order)",
-				i, rep.Scenarios[i].Backend, want)
-		}
-	}
-
-	if err := run([]string{"-run", "baseline", "-scale", "0.05", "-backend", "quantum"},
-		&stdout, &stderr); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	if err := run([]string{"-run", "baseline", "-sweep", "loss=0,10", "-scale", "0.05",
-		"-backend", "all"}, &stdout, &stderr); err == nil {
-		t.Fatal("-sweep with -backend all accepted")
 	}
 }
 
-// TestBackendValidationMessage pins the early-rejection contract: an unknown
-// -backend must fail before any world is built, naming every valid backend
-// and the 'all' pseudo-backend. The run would take far longer than the time
-// bound if a world were built first, so the bound doubles as the
-// fail-fast check.
+// TestBackendValidationMessage pins how a retired -backend fails: before
+// any world is built, with the flag package's message naming the flag. The
+// run would take far longer than the time bound if a world were built
+// first, so the bound doubles as the fail-fast check.
 func TestBackendValidationMessage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	start := time.Now()
-	err := run([]string{"-run", "baseline", "-backend", "bogus"}, &stdout, &stderr)
+	err := run([]string{"-run", "baseline", "-backend", "distributed"}, &stdout, &stderr)
 	if !errors.Is(err, errBadFlags) {
-		t.Fatalf("unknown backend: want errBadFlags, got %v", err)
+		t.Fatalf("-backend: want errBadFlags, got %v", err)
 	}
-	want := fmt.Sprintf("scenarios: unknown backend %q (valid: %s, or 'all')\n",
-		"bogus", strings.Join(scenario.BackendNames(), ", "))
-	if stderr.String() != want {
-		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
+	if !strings.HasPrefix(stderr.String(), "flag provided but not defined: -backend\n") {
+		t.Fatalf("stderr = %q, want the unknown-flag message for -backend", stderr.String())
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("rejection took %v; backend validation must run before the world build", elapsed)
+		t.Errorf("rejection took %v; flag parsing must fail before the world build", elapsed)
 	}
 }
 
@@ -411,133 +361,6 @@ func TestCISweepJobPresent(t *testing.T) {
 	}
 }
 
-// TestCIBackendCoversCatalog pins the CI backend jobs to the resolver
-// registry: every backend but the default batch must appear in the
-// backend-compare matrix, and the workflow must run the full cross-backend
-// comparison, single-epoch and longitudinal.
-func TestCIBackendCoversCatalog(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Skipf("ci.yml not readable: %v", err)
-	}
-	text := string(data)
-	idx := strings.Index(text, "backend-compare:")
-	if idx < 0 {
-		t.Fatal("ci.yml has no backend-compare job")
-	}
-	end := strings.Index(text[idx:], "\n  distributed-compare:")
-	if end < 0 {
-		t.Fatal("ci.yml has no distributed-compare job after backend-compare")
-	}
-	job := text[idx : idx+end]
-	names := scenario.BackendNames()
-	if len(names) < 2 {
-		t.Fatalf("backend registry too small: %v", names)
-	}
-	for _, name := range names {
-		if name == "batch" {
-			// The default backend's catalog run lives in the scenario-matrix
-			// job; a second batch leg here would duplicate both the compute
-			// and the merged report's entries. The job must still acknowledge
-			// where batch coverage comes from.
-			if strings.Contains(job, "- "+name+"\n") {
-				t.Errorf("backend-compare matrix re-runs the %q backend the scenario-matrix job already covers", name)
-			}
-			if !strings.Contains(job, name) {
-				t.Errorf("backend-compare job does not document %q coverage", name)
-			}
-			continue
-		}
-		if !strings.Contains(job, "- "+name) {
-			t.Errorf("backend %q missing from the ci.yml backend-compare matrix", name)
-		}
-	}
-	if !strings.Contains(job, "-backend ${{ matrix.backend }}") {
-		t.Error("backend-compare job does not thread the matrix backend into cmd/scenarios")
-	}
-	for _, want := range []string{"-run all -quick -backend all", "-run churn-storm -quick -epochs 3 -backend all"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("ci.yml never runs the cross-backend byte-identity comparison %q", want)
-		}
-	}
-}
-
-// TestCIDistributedCompareJob pins the multi-process CI gate: the workflow
-// must run the full preset catalog with the coordinator plus at least two
-// real shard worker processes under -backend all, so every preset's
-// sets_digest is compared across all backends including distributed.
-func TestCIDistributedCompareJob(t *testing.T) {
-	names := scenario.BackendNames()
-	distributed := false
-	for _, n := range names {
-		if n == "distributed" {
-			distributed = true
-		}
-	}
-	if !distributed {
-		t.Fatalf("resolver registry %v lost the distributed backend; the CI job would gate nothing", names)
-	}
-
-	data, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Skipf("ci.yml not readable: %v", err)
-	}
-	text := string(data)
-	idx := strings.Index(text, "distributed-compare:")
-	if idx < 0 {
-		t.Fatal("ci.yml has no distributed-compare job")
-	}
-	job := text[idx:]
-	if end := strings.Index(job, "\n  scenario-merge:"); end >= 0 {
-		job = job[:end]
-	}
-	for _, want := range []string{
-		"-run all", "-quick", "-backend all", "-shard-workers 2",
-	} {
-		if !strings.Contains(job, want) {
-			t.Errorf("distributed-compare job missing %q", want)
-		}
-	}
-}
-
-// TestDivergenceMessage: a cross-backend mismatch names both backends, both
-// full digests, and the first partition whose alias sets differ — the parts a
-// CI failure needs to be actionable.
-func TestDivergenceMessage(t *testing.T) {
-	ref := &scenario.Result{
-		Backend: "batch", SetsDigest: "aaa111",
-		PartitionDigests: []scenario.PartitionDigest{
-			{Partition: "ssh", Digest: "s1"},
-			{Partition: "union-v6", Digest: "u1"},
-		},
-	}
-	res := &scenario.Result{
-		Backend: "distributed", SetsDigest: "bbb222",
-		PartitionDigests: []scenario.PartitionDigest{
-			{Partition: "ssh", Digest: "s1"},
-			{Partition: "union-v6", Digest: "u2"},
-		},
-	}
-	msg := divergence(ref, res)
-	for _, want := range []string{"batch", "distributed", "aaa111", "bbb222",
-		"first differing partition: union-v6"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("divergence message missing %q:\n%s", want, msg)
-		}
-	}
-	// Legacy reports without breakdowns still get both digests.
-	res.PartitionDigests = nil
-	msg = divergence(ref, res)
-	if strings.Contains(msg, "first differing partition") {
-		t.Errorf("breakdown-less divergence should not name a partition:\n%s", msg)
-	}
-	for _, want := range []string{"aaa111", "bbb222"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("divergence message missing %q:\n%s", want, msg)
-		}
-	}
-}
-
 // TestBadArguments covers the error paths.
 func TestBadArguments(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -612,7 +435,6 @@ func TestLogResumeFlagCombos(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-run", "all", "-quick", "-log", filepath.Join(dir, "a")},
-		{"-run", "baseline", "-quick", "-backend", "all", "-log", filepath.Join(dir, "b")},
 		{"-run", "baseline", "-quick", "-sweep", "loss=1,5", "-log", filepath.Join(dir, "c")},
 		{"-merge", "x*.json", "-log", filepath.Join(dir, "d")},
 		{"-run", "baseline", "-quick", "-log", filepath.Join(dir, "e"), "-resume", filepath.Join(dir, "e")},
@@ -628,6 +450,41 @@ func TestLogResumeFlagCombos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-resume", filepath.Join(dir, "nothing-here")}, &stdout, &stderr); err == nil {
 		t.Error("-resume of a directory without a log accepted")
+	}
+}
+
+// TestResumeRefusesRetiredBackend: a log whose manifest names a resolver
+// backend this build no longer has — such as one written with -backend
+// distributed — does not resume, and the error names the manifest field and
+// its value.
+func TestResumeRefusesRetiredBackend(t *testing.T) {
+	logDir := filepath.Join(t.TempDir(), "RUN")
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-run", "baseline", "-epochs", "2", "-scale", "0.03",
+		"-workers", "32", "-log", logDir, "-json", filepath.Join(t.TempDir(), "REF.json")}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("logged run: %v (stderr: %s)", err, stderr.String())
+	}
+	manifest := filepath.Join(logDir, "MANIFEST.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := bytes.Replace(data, []byte(`"backend": "batch"`), []byte(`"backend": "distributed"`), 1)
+	if bytes.Equal(retired, data) {
+		t.Fatalf("manifest does not record the batch backend:\n%s", data)
+	}
+	if err := os.WriteFile(manifest, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-resume", logDir}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("resume of a distributed-backend log accepted")
+	}
+	for _, want := range []string{"backend", `"distributed"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("resume error %q does not name %s", err, want)
+		}
 	}
 }
 
@@ -741,11 +598,6 @@ func TestCIBoundedMemoryJob(t *testing.T) {
 			t.Errorf("bounded-memory.sh missing %q", want)
 		}
 	}
-	// The streamed legs run the default backend, which groups each replayed
-	// observation as it arrives; no backend override belongs in the gate.
-	if strings.Contains(string(script), "-backend") {
-		t.Error("bounded-memory.sh overrides the resolver backend; the gate must run the default")
-	}
 	// The scenario matrix's stream-only leg must carry its flag, and the run
 	// step must thread it through.
 	if !strings.Contains(text, "flags: -stream-collect") {
@@ -777,9 +629,8 @@ func TestStreamCollectFlagCombos(t *testing.T) {
 }
 
 // TestRunAllSkipsStreamOnly: a catalog run without -stream-collect must skip
-// the stream-only worlds loudly and still succeed, keeping the CI jobs that
-// sweep the catalog in-RAM (backend-compare, distributed-compare) green; with
-// the flag, the same invocation covers them.
+// the stream-only worlds loudly and still succeed; with the flag, the same
+// invocation covers them.
 func TestRunAllSkipsStreamOnly(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "all", "-scale", "0.04", "-workers", "16", "-json", "-"}, &stdout, &stderr)

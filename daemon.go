@@ -37,17 +37,11 @@ type (
 // NewAliasd builds a resolution daemon with no sessions.
 func NewAliasd(cfg AliasdConfig) *AliasdServer { return aliasd.NewServer(cfg) }
 
-// RunShardWorkerIfRequested turns the current process into a distributed
-// shard worker — a loopback resolution daemon speaking the binary resolve
-// protocol — when the coordinator's environment marker is set, and never
-// returns in that case. Binaries that may host the "distributed" backend
-// call it first thing in main; in every other invocation it is a no-op.
-func RunShardWorkerIfRequested() { aliasd.RunWorkerIfRequested() }
-
 // RunAliasdLoadTest builds a measured corpus world, starts a daemon on a
 // loopback listener, and drives it with concurrent tenants, reporting
 // latency percentiles in the bench-gate JSON shape. Every tenant's final
-// sets_digest must equal the batch backend's digest over the same corpus.
+// sets_digest must equal the sealed environment's digest over the same
+// corpus.
 func RunAliasdLoadTest(cfg AliasdConfig, opts AliasdLoadOptions) (*AliasdLoadReport, error) {
 	return aliasd.RunLoadTest(cfg, opts)
 }

@@ -77,7 +77,7 @@ func ExampleServeAliasd() {
 	var sess struct {
 		ID string `json:"id"`
 	}
-	post("/v1/sessions", `{"backend":"batch"}`, &sess)
+	post("/v1/sessions", `{}`, &sess)
 
 	var ingest struct {
 		Accepted int `json:"accepted"`
@@ -107,11 +107,4 @@ func ExampleServeAliasd() {
 		log.Fatal(err)
 	}
 	// Output: session s1 ingested 3 observations; ssh alias sets: [[192.0.2.1 192.0.2.2]]
-}
-
-// ExampleBackendNames lists the pluggable resolver backends: the in-process
-// session and the multi-process one, byte-identical alias sets.
-func ExampleBackendNames() {
-	fmt.Println(strings.Join(aliaslimit.BackendNames(), ", "))
-	// Output: batch, distributed
 }

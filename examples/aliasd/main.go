@@ -1,6 +1,6 @@
 // Aliasd: run the resolution daemon in-process, stream a measured corpus
-// into two tenant sessions on different resolver backends, and show that
-// both converge to the same sets_digest — resolution as a service, with the
+// into two tenant sessions in different orders, and show that both
+// converge to the same sets_digest — resolution as a service, with the
 // same byte-determinism contract as the batch library.
 //
 //	go run ./examples/aliasd

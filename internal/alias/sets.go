@@ -138,9 +138,8 @@ func sortSets(sets []Set) {
 }
 
 // SortSets orders sets canonically (the same total order Group and Merge
-// apply before returning). Resolver backends that assemble sets out of
-// shards or streams use it to make their output byte-identical to the batch
-// pipeline's.
+// apply before returning). Code that assembles sets out of shards or streams
+// uses it to make its output byte-identical to Group's.
 func SortSets(sets []Set) {
 	sortSets(sets)
 }

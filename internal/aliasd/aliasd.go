@@ -42,6 +42,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"aliaslimit/internal/resolver"
 )
 
 // Config tunes the daemon. The zero value serves with the defaults below.
@@ -63,6 +65,9 @@ type Config struct {
 	// applyHook, when set, runs before each observation is applied by a
 	// session worker — a test hook for holding the queue saturated.
 	applyHook func()
+	// newSession, when set, opens each ingest session's resolver session in
+	// place of resolver.NewSession — a test hook for counting derivations.
+	newSession func() resolver.Session
 }
 
 // withDefaults fills unset fields.

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"aliaslimit/internal/obsfile"
-	"aliaslimit/internal/resolver"
 )
 
 // post sends a request body and decodes the JSON reply into out (skipped
@@ -71,6 +68,10 @@ func obsLines(recs ...[3]string) string {
 	return sb.String()
 }
 
+// TestHealthzAndBackends: healthz reports liveness, and the retired
+// backend surface is gone — GET /v1/backends and the binary resolve route
+// answer 404, and a session naming a backend other than batch is refused
+// with a 400 that names the value.
 func TestHealthzAndBackends(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}).Handler())
 	defer ts.Close()
@@ -84,15 +85,28 @@ func TestHealthzAndBackends(t *testing.T) {
 	if health.Status != "ok" || health.Sessions != 0 {
 		t.Fatalf("healthz = %+v", health)
 	}
-	var backends struct {
-		Backends []string `json:"backends"`
-		Default  string   `json:"default"`
+	if code := get(t, ts.URL+"/v1/backends", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/backends: status %d, want 404", code)
 	}
-	get(t, ts.URL+"/v1/backends", &backends)
-	// The registry also holds this package's test-only "counting" backend.
-	if !reflect.DeepEqual(backends.Backends, resolver.Names()) ||
-		!slices.Contains(backends.Backends, "distributed") || backends.Default != "batch" {
-		t.Fatalf("backends = %+v", backends)
+
+	var info sessionInfo
+	if code := post(t, ts.URL+"/v1/sessions", `{"backend":"batch"}`, &info); code != http.StatusCreated {
+		t.Fatalf("batch session: status %d", code)
+	}
+	if info.Backend != "batch" {
+		t.Fatalf("session info backend %q, want batch", info.Backend)
+	}
+	if code := post(t, ts.URL+"/v1/sessions/"+info.ID+"/resolve", "", nil); code != http.StatusNotFound {
+		t.Fatalf("POST /v1/sessions/{id}/resolve: status %d, want 404", code)
+	}
+	for _, name := range []string{"distributed", "streaming", "quantum"} {
+		var refused errorBody
+		if code := post(t, ts.URL+"/v1/sessions", `{"backend":"`+name+`"}`, &refused); code != http.StatusBadRequest {
+			t.Fatalf("backend %q: status %d, want 400", name, code)
+		}
+		if !strings.Contains(refused.Error, `"`+name+`"`) {
+			t.Fatalf("backend %q refusal does not name it: %q", name, refused.Error)
+		}
 	}
 }
 
@@ -160,7 +174,7 @@ func TestIngestQueryFlow(t *testing.T) {
 		t.Fatalf("stats a digest %q not a sha256 hex string", statsA.SetsDigest)
 	}
 	if statsA.SetsDigest != statsB.SetsDigest {
-		t.Fatalf("order/backend-dependent digests: %s vs %s", statsA.SetsDigest, statsB.SetsDigest)
+		t.Fatalf("order-dependent digests: %s vs %s", statsA.SetsDigest, statsB.SetsDigest)
 	}
 	if statsA.Applied != int64(len(corpus)) {
 		t.Fatalf("stats a applied %d, want %d", statsA.Applied, len(corpus))
@@ -453,6 +467,13 @@ func TestScenarioEndpoints(t *testing.T) {
 	}
 	if code := get(t, ts.URL+"/v1/scenarios/baseline?scale=99", nil); code != http.StatusBadRequest {
 		t.Fatal("oversized scenario scale accepted")
+	}
+	var refused errorBody
+	if code := get(t, ts.URL+"/v1/scenarios/baseline?backend=distributed", &refused); code != http.StatusBadRequest {
+		t.Fatalf("backend=distributed: status %d, want 400", code)
+	}
+	if !strings.Contains(refused.Error, `"distributed"`) {
+		t.Fatalf("backend refusal does not name the value: %q", refused.Error)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"aliaslimit/internal/asview"
-	"aliaslimit/internal/distres"
 	"aliaslimit/internal/obsfile"
 	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/scenario"
@@ -20,12 +19,10 @@ import (
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/backends", s.handleBackends)
 	mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
 	mux.HandleFunc("GET /v1/sessions", s.handleListSessions)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStats)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDeleteSession)
-	mux.HandleFunc("POST /v1/sessions/{id}/resolve", s.handleResolve)
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("POST /v1/flush", s.handleFlush)
 	mux.HandleFunc("GET /v1/sets", s.handleSets)
@@ -73,14 +70,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleBackends lists the pluggable resolver strategies.
-func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"backends": resolver.Names(),
-		"default":  "batch",
-	})
-}
-
 // sessionInfo is the public shape of one session.
 type sessionInfo struct {
 	ID      string  `json:"id"`
@@ -101,8 +90,8 @@ func (sess *Session) info() sessionInfo {
 	}
 }
 
-// handleCreateSession registers a tenant. An empty body picks the default
-// ingest session (batch backend).
+// handleCreateSession registers a tenant. An empty body picks an ingest
+// session.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var cfg SessionConfig
 	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil && err != io.EOF {
@@ -216,40 +205,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Received: sess.received.Load(),
 		Applied:  sess.applied.Load(),
 	})
-}
-
-// handleResolve is the binary fast path distributed-resolution coordinators
-// speak (internal/distres wire format: CRC-32C frames, the obslog
-// discipline): observation batches, alias-set requests, and partition-merge
-// requests execute directly against the session's resolver state, bypassing
-// the NDJSON queue. The human-facing /v1 NDJSON API stays untouched — the
-// frames are for the fleet.
-func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	sess := s.sessionFrom(w, r)
-	if sess == nil {
-		return
-	}
-	if sess.env != nil {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("session %s is world-backed and refuses binary resolve", sess.ID))
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, applied, err := distres.ServeResolve(body, sess.rsess)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if applied > 0 {
-		sess.received.Add(int64(applied))
-		sess.applied.Add(int64(applied))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(resp)
 }
 
 // handleFlush blocks until every observation queued before it has been
@@ -452,7 +407,11 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Scale = scale
 	}
-	opts.Backend = q.Get("backend")
+	if v := q.Get("backend"); v != "" && v != resolver.Name {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("unknown backend %q (scenarios resolve with %q)", v, resolver.Name))
+		return
+	}
 	epochs := 0
 	if v := q.Get("epochs"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -468,8 +427,8 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := fmt.Sprintf("%s|quick=%t|seed=%d|scale=%g|backend=%s|epochs=%d",
-		name, opts.Quick, opts.Seed, opts.Scale, opts.Backend, epochs)
+	key := fmt.Sprintf("%s|quick=%t|seed=%d|scale=%g|epochs=%d",
+		name, opts.Quick, opts.Seed, opts.Scale, epochs)
 	s.scenMu.Lock()
 	run, ok := s.scenarioRuns[key]
 	if !ok {

@@ -16,7 +16,6 @@ import (
 	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obsfile"
-	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/scenario"
 	"aliaslimit/internal/topo"
 	"aliaslimit/internal/xrand"
@@ -26,8 +25,8 @@ import (
 // ingesting the same observation corpus in a tenant-specific shuffled order
 // over real HTTP, then querying every view. It reports latency percentiles
 // in the bench-gate JSON shape and cross-checks every tenant's final
-// sets_digest against the batch backend's digest of the same corpus — the
-// end-to-end byte-determinism proof, through the wire.
+// sets_digest against the sealed environment's digest of the same corpus —
+// the end-to-end byte-determinism proof, through the wire.
 
 // LoadOptions tune one load-test run.
 type LoadOptions struct {
@@ -45,9 +44,6 @@ type LoadOptions struct {
 	// Workers / Parallelism tune corpus collection.
 	Workers     int
 	Parallelism int
-	// Backend names the session backend every tenant requests; empty picks
-	// the daemon default (batch).
-	Backend string
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -107,7 +103,7 @@ type LoadReport struct {
 	// Retries counts 429-backpressure rounds the clients absorbed.
 	Retries int `json:"retries"`
 	// SetsDigest is the digest every tenant converged to — equal to the
-	// batch backend's digest over the same corpus.
+	// sealed environment's digest over the same corpus.
 	SetsDigest string           `json:"sets_digest"`
 	Latencies  []LatencySummary `json:"latencies"`
 	Results    []BenchEntry     `json:"results"`
@@ -144,7 +140,7 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 // RunLoadTest builds the corpus world, starts an aliasd server on a loopback
 // listener, drives it with opts.Clients concurrent tenants, and returns the
 // latency report. It fails if any tenant's final sets_digest differs from
-// the batch backend's digest over the same corpus.
+// the sealed environment's digest over the same corpus.
 func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 	opts = opts.withDefaults()
 	logf := opts.Logf
@@ -152,8 +148,8 @@ func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 		logf = func(string, ...any) {}
 	}
 
-	// The corpus and the expected digest come from an ordinary batch-backend
-	// environment — the reference implementation the daemon must match.
+	// The corpus and the expected digest come from an ordinary sealed
+	// environment — the reference the daemon must match.
 	tc := topo.Default()
 	tc.Seed = opts.Seed
 	tc.Scale = opts.Scale
@@ -164,7 +160,6 @@ func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 			Seed:        opts.Seed,
 			Parallelism: opts.Parallelism,
 		},
-		Backend: resolver.NewBatch(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("aliasd: building corpus world: %w", err)
@@ -287,11 +282,7 @@ func driveClient(base string, c int, lines [][]byte, wantDigest string, opts Loa
 	// Create the session.
 	var sessID string
 	err := timed("session", func() error {
-		body := fmt.Sprintf(`{"backend":%q}`, opts.Backend)
-		if opts.Backend == "" {
-			body = "{}"
-		}
-		resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewBufferString(body))
+		resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewBufferString("{}"))
 		if err != nil {
 			return err
 		}
@@ -405,7 +396,7 @@ func driveClient(base string, c int, lines [][]byte, wantDigest string, opts Loa
 	}
 
 	// The end-to-end determinism check: this tenant's digest must equal the
-	// batch backend's over the same observations.
+	// sealed environment's over the same observations.
 	resp, err := client.Get(base + "/v1/stats?session=" + sessID)
 	if err != nil {
 		return retries, err

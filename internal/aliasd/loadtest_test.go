@@ -7,7 +7,7 @@ import (
 
 // TestLoadTestQuick is the end-to-end tentpole check: concurrent tenants
 // ingest a real measured corpus over HTTP in shuffled orders and every
-// tenant's sets_digest equals the batch backend's digest of the same
+// tenant's sets_digest equals the sealed environment's digest of the same
 // observations. Runs at a tiny scale; the CI aliasd-smoke job runs the same
 // harness at the gate scale via cmd/aliasd -loadtest.
 func TestLoadTestQuick(t *testing.T) {

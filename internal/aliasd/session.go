@@ -3,7 +3,6 @@ package aliasd
 import (
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -31,10 +30,8 @@ var (
 // SessionConfig is the tenant-supplied shape of one session (the POST
 // /v1/sessions body).
 type SessionConfig struct {
-	// Backend names the resolver strategy (any resolver.Names() entry —
-	// "batch", and "distributed" when linked; empty picks batch, whose
-	// sessions group each observation as it is applied). Every backend
-	// yields byte-identical alias sets.
+	// Backend labels the resolver: empty or "batch" (resolver.Name), the
+	// one the daemon has. Any other value is refused.
 	Backend string `json:"backend,omitempty"`
 	// World, when true, builds a sealed measured environment instead of an
 	// empty ingest session: the daemon generates a synthetic Internet at
@@ -58,9 +55,8 @@ type ingestItem struct {
 }
 
 // Session is one tenant's independent resolution state. Ingest sessions own
-// an open resolver session fed by a single worker goroutine draining a
-// bounded queue (and, on the binary fast path, directly by the resolve
-// endpoint); world-backed sessions own a sealed environment. Neither shares
+// a resolver session fed by a single worker goroutine draining a bounded
+// queue; world-backed sessions own a sealed environment. Neither shares
 // mutable state with any other session.
 type Session struct {
 	// ID is the registry key ("s1", "s2", …); seq its creation order.
@@ -73,21 +69,20 @@ type Session struct {
 	// ingest sessions.
 	env *experiments.Env
 
-	// backend is the named resolver factory; rsess is the open resolver
-	// session holding this tenant's live resolution state (ingest sessions
-	// only — world sessions keep their state inside env).
-	backend resolver.Backend
-	rsess   resolver.Session
-	queue   chan ingestItem
-	done    chan struct{}
-	hook    func()
+	// rsess is the resolver session holding this tenant's live resolution
+	// state (ingest sessions only — world sessions keep their state inside
+	// env).
+	rsess resolver.Session
+	queue chan ingestItem
+	done  chan struct{}
+	hook  func()
 
 	// sendMu guards queue sends against close; closed flips once.
 	sendMu sync.RWMutex
 	closed bool
 
-	// received counts observations accepted into the queue (or on the binary
-	// fast path); applied counts observations landed in the resolver session.
+	// received counts observations accepted into the queue; applied counts
+	// observations landed in the resolver session.
 	received atomic.Int64
 	applied  atomic.Int64
 
@@ -107,14 +102,13 @@ func sortSessions(ss []*Session) {
 // builds don't block other tenants.
 func (s *Server) createSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Backend == "" {
-		cfg.Backend = "batch"
+		cfg.Backend = resolver.Name
 	}
-	backend, err := resolver.New(cfg.Backend, 0)
-	if err != nil {
-		return nil, err
+	if cfg.Backend != resolver.Name {
+		return nil, fmt.Errorf("unknown backend %q (the daemon resolves with %q)", cfg.Backend, resolver.Name)
 	}
 
-	sess := &Session{cfg: cfg, backend: backend}
+	sess := &Session{cfg: cfg}
 	if cfg.World {
 		if cfg.Scale == 0 {
 			cfg.Scale = 0.05
@@ -123,18 +117,17 @@ func (s *Server) createSession(cfg SessionConfig) (*Session, error) {
 		if cfg.Scale < 0 || cfg.Scale > s.cfg.MaxScale {
 			return nil, fmt.Errorf("scale %v out of range (0, %v]", cfg.Scale, s.cfg.MaxScale)
 		}
-		env, err := buildWorld(cfg, backend)
+		env, err := buildWorld(cfg)
 		if err != nil {
 			return nil, err
 		}
 		sess.env = env
 	} else {
-		rsess, err := backend.Open(resolver.Options{})
-		if err != nil {
-			closeBackend(backend)
-			return nil, err
+		newSession := resolver.NewSession
+		if s.cfg.newSession != nil {
+			newSession = s.cfg.newSession
 		}
-		sess.rsess = rsess
+		sess.rsess = newSession()
 		sess.queue = make(chan ingestItem, s.cfg.QueueDepth)
 		sess.done = make(chan struct{})
 		sess.hook = s.cfg.applyHook
@@ -143,11 +136,9 @@ func (s *Server) createSession(cfg SessionConfig) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		sess.release()
 		return nil, errClosed
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
-		sess.release()
 		return nil, fmt.Errorf("%w (%d sessions)", errCapacity, s.cfg.MaxSessions)
 	}
 	s.nextID++
@@ -163,7 +154,7 @@ func (s *Server) createSession(cfg SessionConfig) (*Session, error) {
 // buildWorld measures one tenant's private environment, mirroring the
 // facade's option mapping (topo defaults, seed driving both generation and
 // scan order).
-func buildWorld(cfg SessionConfig, backend resolver.Backend) (*experiments.Env, error) {
+func buildWorld(cfg SessionConfig) (*experiments.Env, error) {
 	tc := topo.Default()
 	if cfg.Seed != 0 {
 		tc.Seed = cfg.Seed
@@ -176,25 +167,7 @@ func buildWorld(cfg SessionConfig, backend resolver.Backend) (*experiments.Env, 
 			Seed:        tc.Seed,
 			Parallelism: cfg.Parallelism,
 		},
-		Backend: backend,
 	})
-}
-
-// release frees the resolver resources of a session that was opened but
-// never registered (or has finished draining). Backends that hold external
-// resources — the distributed backend's worker cluster — implement io.Closer.
-func (sess *Session) release() {
-	if sess.rsess != nil {
-		sess.rsess.Close()
-	}
-	closeBackend(sess.backend)
-}
-
-// closeBackend closes a backend factory when it holds external resources.
-func closeBackend(b resolver.Backend) {
-	if c, ok := b.(io.Closer); ok {
-		c.Close()
-	}
 }
 
 // loop is the session worker: it drains the queue into the live resolver
@@ -212,9 +185,6 @@ func (sess *Session) loop() {
 		sess.rsess.Observe(it.obs)
 		sess.applied.Add(1)
 	}
-	// The queue only closes once the session has left the registry (or the
-	// daemon is draining), so the resolver resources can be released.
-	sess.release()
 }
 
 // offer enqueues one observation without blocking. errQueueFull asks the

@@ -18,22 +18,9 @@ import (
 	"aliaslimit/internal/xrand"
 )
 
-// countingBackend is the batch backend wrapped to count, per opened session,
-// the Sets calls of each protocol and the Merged calls, registered as
-// "counting" so tests can check what a view read derives.
-type countingBackend struct{ resolver.Backend }
-
-func (countingBackend) Name() string { return "counting" }
-
-func (b countingBackend) Open(opts resolver.Options) (resolver.Session, error) {
-	s, err := b.Backend.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &countingSession{Session: s}, nil
-}
-
-// countingSession counts the derivation calls on one batch session.
+// countingSession wraps a resolver session to count the Sets calls of each
+// protocol and the Merged calls, so tests can check what a view read
+// derives.
 type countingSession struct {
 	resolver.Session
 	sets   [3]atomic.Int64 // by ident.Protocol
@@ -57,10 +44,6 @@ func (s *countingSession) calls() calls {
 	return calls{s.sets[ident.SSH].Load(), s.sets[ident.BGP].Load(), s.sets[ident.SNMP].Load(), s.merged.Load()}
 }
 
-func init() {
-	resolver.Register("counting", func(int) resolver.Backend { return countingBackend{resolver.NewBatch()} })
-}
-
 // viewCorpus draws ingest records over a small address pool: all three
 // protocols, both address families, identifiers shared across families (so
 // the dualstack view is non-empty), and duplicate lines.
@@ -79,7 +62,7 @@ func viewCorpus(seed uint64, n int) [][3]string {
 		[3]string{"10.9.0.1", "SSH", "dual"}, [3]string{"2001:db8:9::1", "SSH", "dual"})
 }
 
-// reference derives the scored partitions of recs through a fresh batch
+// reference derives the scored partitions of recs through a fresh resolver
 // session: each view as the address lists /v1/sets returns, and the digest.
 func reference(t *testing.T, recs [][3]string) (map[string][][]string, string) {
 	t.Helper()
@@ -97,11 +80,7 @@ func reference(t *testing.T, recs [][3]string) (map[string][][]string, string) {
 // referenceObs is reference over observations already parsed.
 func referenceObs(t *testing.T, obs []alias.Observation) (map[string][][]string, string) {
 	t.Helper()
-	s, err := resolver.NewBatch().Open(resolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := resolver.NewSession()
 	for _, o := range obs {
 		s.Observe(o)
 	}
@@ -208,10 +187,12 @@ func TestViewReadsMatchFreshDerivation(t *testing.T) {
 // view takes only its own snapshot and merges nothing; and a repeated
 // /v1/stats derives nothing.
 func TestViewReadsDeriveOnlyTheirView(t *testing.T) {
-	srv := NewServer(Config{})
+	srv := NewServer(Config{newSession: func() resolver.Session {
+		return &countingSession{Session: resolver.NewSession()}
+	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	id := createTestSession(t, ts.URL, `{"backend":"counting"}`)
+	id := createTestSession(t, ts.URL, `{}`)
 	sess, err := srv.lookup(id)
 	if err != nil {
 		t.Fatal(err)

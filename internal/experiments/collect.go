@@ -20,8 +20,8 @@ import (
 
 // ObservationSink receives identifier observations the moment the scan
 // pipeline extracts them — while the SYN sweep and later grabs are still in
-// flight — so a live-feeding resolver backend can maintain alias sets online.
-// Worker pools call Observe concurrently with no ordering guarantee, so
+// flight — so the observation log can record them as they arrive. Worker
+// pools call Observe concurrently with no ordering guarantee, so
 // implementations must be concurrency-safe and order-insensitive.
 type ObservationSink interface {
 	Observe(p ident.Protocol, o alias.Observation)
@@ -60,8 +60,7 @@ type ScanOptions struct {
 	Parallelism int
 	// Sink, when non-nil, is fed every extracted observation live from the
 	// scan worker goroutines. The Dataset contents are unaffected: the sink
-	// is a tap, not a detour. EnvSeries installs a live-feeding backend's
-	// sessions and the observation log here.
+	// is a tap, not a detour. EnvSeries installs the observation log here.
 	Sink ObservationSink
 	// DiscardObs turns the tap into the only output: scan workers deliver
 	// every observation to Sink and accumulate nothing, so the returned

@@ -136,13 +136,13 @@ func distinctAddrs(obs []alias.Observation, v4 *bool) []netip.Addr {
 
 // Sets groups a protocol's observations into alias sets (all sizes). Cached
 // and shared once sealed — treat the result as read-only. Sealed datasets
-// group through their open resolver session: a session fed live during
-// collection already holds the dataset's resolution state, otherwise the
-// sealed observations stream in here, once, on first use.
+// group through their resolver session: a stream-sealed session already
+// holds the dataset's observations, otherwise the sealed observations stream
+// in here, once, on first use.
 func (d *Dataset) Sets(p ident.Protocol) []alias.Set {
 	if v := d.views; v != nil {
 		return v.groups[p].get(func() []alias.Set {
-			if !v.live {
+			if !v.fed {
 				for _, o := range d.Obs[p] {
 					v.session.Observe(o)
 				}

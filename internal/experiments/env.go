@@ -25,13 +25,12 @@ type Env struct {
 	// Both is Union(Active, Censys), the default analysis input.
 	Both *Dataset
 
-	views   envViews
-	backend resolver.Backend
+	views envViews
 	// session executes the cross-dataset merges; each dataset holds its own
-	// session for its views. Close releases all of them.
+	// session for its views.
 	session   resolver.Session
 	closeOnce sync.Once
-	// onClose runs after the sessions close — BuildEnv hangs the temporary
+	// onClose runs once, on Close — BuildEnv hangs the temporary
 	// stream-collection spill's cleanup here so a facade-built Env owns its
 	// whole footprint.
 	onClose func() error
@@ -54,12 +53,10 @@ type Options struct {
 	// and before either measurement campaign. The zero value injects
 	// nothing; see netsim.Faults for the determinism contract.
 	Faults netsim.Faults
-	// Backend is the alias-resolution strategy every analysis view routes
-	// through; nil selects a fresh batch backend per environment. The choice
-	// never changes any view's bytes — only the execution strategy. A
-	// live-feeding backend (distributed — see resolver.FeedsLive)
-	// additionally has per-dataset sessions fed during collection, so every
-	// dataset's alias sets are already resolved when the scans return.
+	// Backend is ignored: every environment resolves through its own
+	// resolver sessions.
+	//
+	// Deprecated: the field remains for callers that still set it.
 	Backend resolver.Backend
 	// Log, when set, makes the run durable: both campaigns' scan sinks tee
 	// every observation into the log writer during collection, and each
@@ -78,9 +75,9 @@ type Options struct {
 	// write straight into a per-protocol obslog spill (Log when set, else a
 	// temporary writer) and accumulate nothing in RAM, and sealing replays
 	// the folded epoch through the resolver sessions in bounded batches.
-	// Alias sets are byte-identical to the in-RAM path on every backend;
-	// peak memory is O(alias-set output + arena), not O(observations). Raw
-	// Dataset.Obs reads are empty in this mode — analyses iterate through
+	// Alias sets are byte-identical to the in-RAM path; peak memory is
+	// O(alias-set output + arena), not O(observations). Raw Dataset.Obs
+	// reads are empty in this mode — analyses iterate through
 	// Dataset.EachObs and the memoized views instead.
 	StreamCollect bool
 	// MemBudget, consulted only with StreamCollect, is an advisory bound in
@@ -103,7 +100,7 @@ func BuildEnv(opts Options) (*Env, error) {
 		return nil, err
 	}
 	// A single-epoch Env owns the series' temporary spill (if any): its
-	// Close tears the spill down along with the sessions.
+	// Close tears the spill down.
 	ep.Env.onClose = s.Close
 	return ep.Env, nil
 }

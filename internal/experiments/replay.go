@@ -10,15 +10,16 @@ import (
 // durable observation log, without a world: the log holds exactly what the
 // epoch's scans yielded, so the dataset split (Active, Censys, and their
 // union), the non-standard-port exclusion, and every partition view come
-// out byte-identical to the in-RAM run that wrote the log — on any resolver
-// backend, which is how the resume path proves the log's integrity through
-// the sets-digest gate.
+// out byte-identical to the in-RAM run that wrote the log, which is how the
+// resume path proves the log's integrity through the sets-digest gate.
 //
 // The returned Env has a nil World: only dataset- and partition-level views
 // are valid (everything scenario.ScoredPartitions reads). World-dependent
 // analyses — the MIDAR verification run, coverage against ground truth —
-// need the live series, not a replay.
-func ReplayEnv(snap *obslog.Snapshot, backend resolver.Backend) (*Env, error) {
+// need the live series, not a replay. A resolver.Backend argument is
+// ignored; the parameter keeps older callers compiling. The error is always
+// nil.
+func ReplayEnv(snap *obslog.Snapshot, _ ...resolver.Backend) (*Env, error) {
 	active := NewDataset("Active")
 	censys := NewDataset("Censys")
 	for _, p := range ident.Protocols {
@@ -34,8 +35,6 @@ func ReplayEnv(snap *obslog.Snapshot, backend resolver.Backend) (*Env, error) {
 		Censys: censys,
 		Both:   Union("Union", active, censys),
 	}
-	if err := env.seal(backend, nil, nil, nil); err != nil {
-		return nil, err
-	}
+	env.seal()
 	return env, nil
 }

@@ -6,14 +6,12 @@ import (
 
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obslog"
-	"aliaslimit/internal/resolver"
 )
 
 // logSeriesOpts is seriesOpts plus a durable log in dir.
-func logSeriesOpts(t *testing.T, dir string, backend resolver.Backend) (SeriesOptions, *obslog.Writer) {
+func logSeriesOpts(t *testing.T, dir string) (SeriesOptions, *obslog.Writer) {
 	t.Helper()
 	opts := seriesOpts(0)
-	opts.Backend = backend
 	lg, err := obslog.Create(dir, obslog.RunMeta{Scenario: "series-test", Seed: opts.Topo.Seed, Scale: opts.Topo.Scale, Epochs: opts.Epochs}, obslog.Options{Sync: obslog.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -38,56 +36,42 @@ func viewsFingerprint(env *Env) map[string]interface{} {
 	return fp
 }
 
-// TestReplayMatchesInRAMAllBackends pins the tentpole recovery invariant:
-// every epoch replayed from the observation log rebuilds the exact
-// partition views of the in-RAM run, on every resolver backend.
-func TestReplayMatchesInRAMAllBackends(t *testing.T) {
-	for _, name := range resolver.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			backend, err := resolver.New(name, 0)
-			if err != nil {
-				t.Fatal(err)
+// TestReplayMatchesInRAM pins the tentpole recovery invariant: every epoch
+// replayed from the observation log rebuilds the exact partition views of the
+// in-RAM run.
+func TestReplayMatchesInRAM(t *testing.T) {
+	dir := t.TempDir()
+	opts, lg := logSeriesOpts(t, dir)
+	s, err := NewEnvSeries(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []map[string]interface{}
+	for e := 0; e < opts.Epochs; e++ {
+		ep, err := s.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, viewsFingerprint(ep.Env))
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < opts.Epochs; e++ {
+		snap, err := obslog.Replay(dir, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renv, err := ReplayEnv(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := viewsFingerprint(renv)
+		for key, w := range want[e] {
+			if !reflect.DeepEqual(got[key], w) {
+				t.Errorf("epoch %d view %s: replay diverges from in-RAM run", e, key)
 			}
-			dir := t.TempDir()
-			opts, lg := logSeriesOpts(t, dir, backend)
-			s, err := NewEnvSeries(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []map[string]interface{}
-			for e := 0; e < opts.Epochs; e++ {
-				ep, err := s.Advance()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, viewsFingerprint(ep.Env))
-			}
-			if err := lg.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for e := 0; e < opts.Epochs; e++ {
-				snap, err := obslog.Replay(dir, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayBackend, err := resolver.New(name, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				renv, err := ReplayEnv(snap, replayBackend)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := viewsFingerprint(renv)
-				for key, w := range want[e] {
-					if !reflect.DeepEqual(got[key], w) {
-						t.Errorf("epoch %d view %s: replay diverges from in-RAM run", e, key)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

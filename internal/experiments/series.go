@@ -5,21 +5,10 @@ import (
 	"os"
 	"time"
 
-	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obslog"
-	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/topo"
 )
-
-// sessionSink adapts an open resolver session to the ObservationSink shape
-// collection feeds — the seam that lets a live-feeding backend (the
-// distributed worker processes) consume a campaign online.
-type sessionSink struct{ s resolver.Session }
-
-// Observe implements ObservationSink. The protocol tag is redundant with the
-// observation's identifier and the session routes by the latter.
-func (k sessionSink) Observe(_ ident.Protocol, o alias.Observation) { k.s.Observe(o) }
 
 // EnvSeries is the multi-epoch measurement runtime: one persistent world
 // measured by N successive snapshot→churn→scan rounds. Each Advance call
@@ -182,41 +171,7 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 	s.next++
 	w := s.World
 
-	// A live-feeding backend consumes observations online: per epoch, each
-	// campaign feeds its own fresh session plus a shared union session, so
-	// every dataset's alias sets — Active, Censys, and the union — are fully
-	// resolved the moment the scans return. This is the live per-dataset view
-	// wiring the resolution daemon and the distributed coordinator build on.
 	activeOpts, censysOpts := s.opts.Scan, s.opts.Scan
-	var activeSes, censysSes, unionSes resolver.Session
-	if resolver.FeedsLive(s.opts.Backend) {
-		open := func() (resolver.Session, error) {
-			return s.opts.Backend.Open(resolver.Options{})
-		}
-		var err error
-		if activeSes, err = open(); err != nil {
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		if censysSes, err = open(); err != nil {
-			activeSes.Close()
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		if unionSes, err = open(); err != nil {
-			activeSes.Close()
-			censysSes.Close()
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		activeOpts.Sink = TeeSink(sessionSink{activeSes}, sessionSink{unionSes})
-		censysOpts.Sink = TeeSink(sessionSink{censysSes}, sessionSink{unionSes})
-	}
-	closeLive := func() {
-		for _, ls := range []resolver.Session{activeSes, censysSes, unionSes} {
-			if ls != nil {
-				ls.Close()
-			}
-		}
-	}
-
 	lg := s.opts.Log
 	var counter *obsCounter
 	if s.opts.StreamCollect {
@@ -226,7 +181,6 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		// the Censys SSH population size for the non-standard-port model.
 		var err error
 		if lg, err = s.ensureSpill(); err != nil {
-			closeLive()
 			return nil, err
 		}
 		activeOpts.DiscardObs, censysOpts.DiscardObs = true, true
@@ -249,7 +203,6 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 
 	censys, err := CollectCensys(w, censysOpts)
 	if err != nil {
-		closeLive()
 		return nil, err
 	}
 	w.Clock.Advance(s.opts.SnapshotGap)
@@ -259,7 +212,6 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 	}
 	active, err := CollectActive(w, activeOpts)
 	if err != nil {
-		closeLive()
 		return nil, err
 	}
 	if counter != nil {
@@ -283,20 +235,13 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		env.Censys.stream = &streamSource{log: lg, epoch: e, censys: true, readahead: ra}
 		env.Both.stream = &streamSource{log: lg, epoch: e, active: true, censys: true, readahead: ra}
 		if err := lg.FoldEpoch(e); err != nil {
-			closeLive()
 			return nil, fmt.Errorf("experiments: folding epoch %d: %w", e, err)
 		}
-		if err := env.sealStreamed(s.opts.Backend, activeSes, censysSes, unionSes); err != nil {
-			closeLive()
+		if err := env.sealStreamed(); err != nil {
 			return nil, fmt.Errorf("experiments: sealing epoch %d: %w", e, err)
 		}
-	} else if err := env.seal(s.opts.Backend, activeSes, censysSes, unionSes); err != nil {
-		// Each live session saw exactly its dataset's observations (the
-		// union session the union of both campaigns), so sealing adopts them
-		// as the datasets' resolution state — byte-identical to a batch
-		// regroup of the sealed data.
-		closeLive()
-		return nil, fmt.Errorf("experiments: sealing epoch %d: %w", e, err)
+	} else {
+		env.seal()
 	}
 	ep := &Epoch{Env: env, Stats: stats, Truth: w.Truth.Snapshot()}
 	if lg != nil {

@@ -12,8 +12,8 @@ package experiments
 // The replay invariant: the log's canonical epoch fold orders records by
 // (source, address, digest) and drops exact duplicates, and resolver
 // sessions are order-insensitive by contract, so a streamed run's alias
-// sets are byte-identical to the in-RAM run's on every backend — the same
-// sets_digest, gated by the stream-equivalence tests.
+// sets are byte-identical to the in-RAM run's — the same sets_digest,
+// gated by the stream-equivalence tests.
 
 import (
 	"io"
@@ -180,59 +180,29 @@ func readaheadFor(budget int64) int {
 
 // sealStreamed is seal's out-of-core counterpart: instead of adopting
 // in-RAM observations, it replays the epoch's folded log segments through
-// the resolver sessions in one bounded pass per shard, deriving the address
-// universes along the way. Live-fed sessions (a live-feeding backend)
-// already hold the resolution state, so the pass only derives addresses.
-// Every dataset seals with live=true — its session is fully fed either way,
-// and the empty Obs slices must never be replayed into it.
-func (e *Env) sealStreamed(b resolver.Backend, activeSes, censysSes, unionSes resolver.Session) error {
-	if b == nil {
-		b = resolver.NewBatch()
-	}
-	e.backend = b
-	open := func() (resolver.Session, error) { return b.Open(resolver.Options{}) }
-	s, err := open()
-	if err != nil {
-		return err
-	}
-	e.session = s
-	feed := activeSes == nil
-	if feed {
-		if activeSes, err = open(); err != nil {
-			return err
-		}
-		if censysSes, err = open(); err != nil {
-			activeSes.Close()
-			return err
-		}
-		if unionSes, err = open(); err != nil {
-			activeSes.Close()
-			censysSes.Close()
-			return err
-		}
-	}
+// fresh resolver sessions in one bounded pass per shard, deriving the address
+// universes along the way. Every dataset seals with its session marked fed,
+// so the empty Obs slices are never replayed into it.
+func (e *Env) sealStreamed() error {
+	e.session = resolver.NewSession()
+	activeSes, censysSes, unionSes := resolver.NewSession(), resolver.NewSession(), resolver.NewSession()
 	for _, p := range ident.Protocols {
-		if err := e.streamSealPass(p, feed, activeSes, censysSes, unionSes); err != nil {
-			if feed {
-				activeSes.Close()
-				censysSes.Close()
-				unionSes.Close()
-			}
+		if err := e.streamSealPass(p, activeSes, censysSes, unionSes); err != nil {
 			return err
 		}
 	}
-	e.Active.SealWith(activeSes, true)
-	e.Censys.SealWith(censysSes, true)
-	e.Both.SealWith(unionSes, true)
+	e.Active.sealFed(activeSes)
+	e.Censys.sealFed(censysSes)
+	e.Both.sealFed(unionSes)
 	return nil
 }
 
-// streamSealPass replays one shard's folded epoch segment: when feed is set
-// (a non-live backend) every record streams into its dataset's session and
-// the union session, and in all cases the pass derives the three datasets'
-// sorted distinct address universes for the protocol. A read error aborts
-// the seal — no partial dataset is ever sealed from a defective segment.
-func (e *Env) streamSealPass(p ident.Protocol, feed bool, activeSes, censysSes, unionSes resolver.Session) error {
+// streamSealPass replays one shard's folded epoch segment: every record
+// streams into its dataset's session and the union session, and the pass
+// derives the three datasets' sorted distinct address universes for the
+// protocol. A read error aborts the seal — no partial dataset is ever sealed
+// from a defective segment.
+func (e *Env) streamSealPass(p ident.Protocol, activeSes, censysSes, unionSes resolver.Session) error {
 	r, err := e.Both.stream.reader(p)
 	if err != nil {
 		return err
@@ -249,17 +219,12 @@ func (e *Env) streamSealPass(p ident.Protocol, feed bool, activeSes, censysSes, 
 		}
 		if src == obslog.SourceCensys {
 			cen = appendAddr(cen, o.Addr)
-			if feed {
-				censysSes.Observe(o)
-				unionSes.Observe(o)
-			}
+			censysSes.Observe(o)
 		} else {
 			act = appendAddr(act, o.Addr)
-			if feed {
-				activeSes.Observe(o)
-				unionSes.Observe(o)
-			}
+			activeSes.Observe(o)
 		}
+		unionSes.Observe(o)
 	}
 	e.Active.stream.addrs[p] = act
 	e.Censys.stream.addrs[p] = cen

@@ -67,45 +67,31 @@ type datasetViews struct {
 	addrs    [numProto][3]memo[[]netip.Addr] // per-protocol address universes
 	allAddrs [3]memo[[]netip.Addr]           // cross-protocol address universes
 
-	// session is the open resolver session every grouping and merge in this
+	// session is the resolver session every grouping and merge in this
 	// dataset's views routes through; sessions are concurrency-safe, so no
 	// extra serialisation is needed here.
 	session resolver.Session
-	// live records that session was fed observation-by-observation during
-	// collection (a live-feeding backend such as distributed), so its
-	// resolution state already covers the dataset and Sets never replays the
-	// sealed observations into it.
-	live bool
+	// fed records that session already holds every observation of the
+	// dataset (stream collection replays the folded log into it while
+	// sealing), so Sets never feeds the sealed Obs slices into it.
+	fed bool
 }
 
-// Seal freezes the dataset for analysis with a fresh batch resolver session:
+// Seal freezes the dataset for analysis with a fresh resolver session:
 // mutation panics from here on, and derived views are cached. Sealing twice
 // is a no-op.
-func (d *Dataset) Seal() { d.SealWith(nil, false) }
-
-// SealWith is Seal with an explicit open resolver session; nil selects a
-// fresh batch session. live marks a session that was already fed during
-// collection (see datasetViews.live). The session choice never changes a
-// single byte of any view — only the execution strategy (see
-// internal/resolver).
-func (d *Dataset) SealWith(s resolver.Session, live bool) {
+func (d *Dataset) Seal() {
 	if d.views == nil {
-		if s == nil {
-			s = mustBatchSession()
-			live = false
-		}
-		d.views = &datasetViews{session: s, live: live}
+		d.views = &datasetViews{session: resolver.NewSession()}
 	}
 }
 
-// mustBatchSession opens a session on a fresh batch backend — the default
-// resolver, whose Open never fails.
-func mustBatchSession() resolver.Session {
-	s, err := resolver.NewBatch().Open(resolver.Options{})
-	if err != nil {
-		panic("experiments: batch backend refused to open: " + err.Error())
+// sealFed is Seal with a session that already holds every observation of
+// the dataset (see datasetViews.fed).
+func (d *Dataset) sealFed(s resolver.Session) {
+	if d.views == nil {
+		d.views = &datasetViews{session: s, fed: true}
 	}
-	return s
 }
 
 // Sealed reports whether the dataset has been sealed.
@@ -206,74 +192,28 @@ type MIDARResult struct {
 	Tally midar.Tally
 }
 
-// seal freezes all three datasets after collection on one resolver backend;
-// nil selects batch. Each dataset gets its own open session (and the env
-// keeps one for the cross-dataset merges), so the concurrent render paths
-// keep the merge parallelism the per-dataset tables used to provide. When
-// collection already fed live sessions (a live-feeding backend), they are
-// passed in and adopted as the datasets' resolution state.
-func (e *Env) seal(b resolver.Backend, activeSes, censysSes, unionSes resolver.Session) error {
-	if b == nil {
-		b = resolver.NewBatch()
-	}
-	e.backend = b
-	open := func() (resolver.Session, error) { return b.Open(resolver.Options{}) }
-	s, err := open()
-	if err != nil {
-		return err
-	}
-	e.session = s
-	live := activeSes != nil
-	if !live {
-		if activeSes, err = open(); err != nil {
-			return err
-		}
-		if censysSes, err = open(); err != nil {
-			return err
-		}
-		if unionSes, err = open(); err != nil {
-			return err
-		}
-	}
-	e.Active.SealWith(activeSes, live)
-	e.Censys.SealWith(censysSes, live)
-	e.Both.SealWith(unionSes, live)
-	return nil
+// seal freezes all three datasets after in-RAM collection. Each dataset gets
+// its own session (and the env keeps one for the cross-dataset merges), so
+// the concurrent render paths keep the merge parallelism the per-dataset
+// tables used to provide.
+func (e *Env) seal() {
+	e.session = resolver.NewSession()
+	e.Active.Seal()
+	e.Censys.Seal()
+	e.Both.Seal()
 }
 
-// Resolver returns the backend the environment's views resolve through.
-func (e *Env) Resolver() resolver.Backend { return e.backend }
-
-// Close releases the environment's resolver sessions. For the in-process
-// backends this is a no-op; for the distributed backend it deletes the
-// remote shard sessions and surfaces any sticky worker failure. Idempotent;
-// the analysis views already computed stay readable.
+// Close runs the environment's cleanup hook once — for a facade-built Env,
+// the teardown of its temporary stream-collection spill — and reports its
+// error. Idempotent; the analysis views already computed stay readable.
 func (e *Env) Close() error {
 	var err error
 	e.closeOnce.Do(func() {
-		for _, s := range []resolver.Session{e.session, e.Active.session(), e.Censys.session(), e.Both.session()} {
-			if s == nil {
-				continue
-			}
-			if cerr := s.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
 		if e.onClose != nil {
-			if cerr := e.onClose(); cerr != nil && err == nil {
-				err = cerr
-			}
+			err = e.onClose()
 		}
 	})
 	return err
-}
-
-// session exposes a dataset's open resolver session, nil before sealing.
-func (d *Dataset) session() resolver.Session {
-	if d == nil || d.views == nil {
-		return nil
-	}
-	return d.views.session
 }
 
 // UnionFamilySets returns the canonical cross-protocol union partition for

@@ -30,7 +30,8 @@ type RunMeta struct {
 	Scale float64 `json:"scale"`
 	// Quick records whether the run used the preset's quick scale.
 	Quick bool `json:"quick,omitempty"`
-	// Backend is the resolver backend name.
+	// Backend labels the resolver that resolved the run ("batch"); a resume
+	// refuses a log that names any other.
 	Backend string `json:"backend,omitempty"`
 	// Epochs is the planned epoch count (1 for a single-snapshot run).
 	Epochs int `json:"epochs"`

@@ -10,7 +10,7 @@
 // (experiments.ScanOptions.Sink), each epoch boundary folds the arrivals
 // into a canonical on-disk segment and commits a manifest checkpoint, and
 // Replay rebuilds any completed epoch's datasets from disk — byte-identical
-// to the in-RAM run, on any resolver backend.
+// to the in-RAM run.
 //
 // # On-disk layout
 //

@@ -58,7 +58,7 @@ func TestGroupBackendsMatchSortReference(t *testing.T) {
 		reversed := slices.Clone(obs)
 		slices.Reverse(reversed)
 		for order, feed := range map[string][]alias.Observation{"forward": obs, "reverse": reversed} {
-			s := openBatch(t)
+			s := NewSession()
 			for _, o := range feed {
 				s.Observe(o)
 			}
@@ -77,14 +77,14 @@ func TestMergeBackendsAgreeOnGroupedCorpus(t *testing.T) {
 	obs := determinismCorpus(13, 3000)
 	half := len(obs) / 2
 	a, b := alias.Group(obs[:half]), alias.Group(obs[half:])
-	requireSameSets(t, "merge", alias.Merge(a, b), openBatch(t).Merged(a, b))
+	requireSameSets(t, "merge", alias.Merge(a, b), NewSession().Merged(a, b))
 }
 
 // TestBatchSetsPoolReuse hammers one session's Sets from concurrent
 // goroutines: snapshots must never leak state between calls (run under
 // -race this is also the per-protocol lock's concurrency proof).
 func TestBatchSetsPoolReuse(t *testing.T) {
-	s := openBatch(t)
+	s := NewSession()
 	obs := determinismCorpus(29, 2000)
 	for _, o := range obs {
 		s.Observe(o)

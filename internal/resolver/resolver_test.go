@@ -60,27 +60,12 @@ func requireSameSets(t *testing.T, label string, want, got []alias.Set) {
 	}
 }
 
-// openBatch opens a batch session that the test closes on cleanup.
-func openBatch(t *testing.T) Session {
-	t.Helper()
-	s, err := NewBatch().Open(Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
-	return s
-}
-
 // TestSessionGroupEquivalence: the session groups observations into alias
 // sets byte-identical to alias.Group, at two seeds.
 func TestSessionGroupEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 9} {
 		obs := corpus(seed, 3000)
-		s := openBatch(t)
+		s := NewSession()
 		for _, o := range obs {
 			s.Observe(o)
 		}
@@ -91,7 +76,7 @@ func TestSessionGroupEquivalence(t *testing.T) {
 // TestSessionMergeEquivalence: the session merges partitions into components
 // byte-identical to alias.Merge, at two seeds, reusing one interning table.
 func TestSessionMergeEquivalence(t *testing.T) {
-	s := openBatch(t)
+	s := NewSession()
 	for _, seed := range []uint64{1, 9} {
 		a := alias.Group(corpus(seed, 2000))
 		b := alias.Group(corpus(seed+100, 2000))
@@ -105,7 +90,7 @@ func TestSessionMergeEquivalence(t *testing.T) {
 func TestMergedOrderInsensitive(t *testing.T) {
 	a := alias.Group(corpus(5, 1500))
 	b := alias.Group(corpus(6, 1500))
-	s := openBatch(t)
+	s := NewSession()
 	want := s.Merged(a, b)
 	requireSameSets(t, "reverse", want, s.Merged(b, a))
 	oneByOne := make([][]alias.Set, 0, len(a)+1)
@@ -120,7 +105,7 @@ func TestMergedOrderInsensitive(t *testing.T) {
 // contract every session implementation must honor.
 func TestSessionConcurrentFeed(t *testing.T) {
 	obs := corpus(3, 4000)
-	s := openBatch(t)
+	s := NewSession()
 	feedConcurrently(s, obs, 8)
 	requireSameSets(t, "concurrent feed", alias.Group(obs), s.Sets(ident.SSH))
 }
@@ -145,7 +130,7 @@ func feedConcurrently(s Session, obs []alias.Observation, feeders int) {
 // protocol, and Sets of an unfed protocol is empty.
 func TestSessionRoutesPerProtocol(t *testing.T) {
 	a := netip.MustParseAddr("10.0.0.1")
-	s := openBatch(t)
+	s := NewSession()
 	s.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.SSH, Digest: "x"}})
 	s.Observe(alias.Observation{Addr: a, ID: ident.Identifier{Proto: ident.BGP, Digest: "y"}})
 	if n := len(s.Sets(ident.SSH)); n != 1 {
@@ -161,7 +146,7 @@ func TestSessionRoutesPerProtocol(t *testing.T) {
 // reference partition — the per-protocol groupers are independent.
 func TestStreamConcurrentFeed(t *testing.T) {
 	obs := determinismCorpus(17, 4000)
-	s := openBatch(t)
+	s := NewSession()
 	feedConcurrently(s, obs, 8)
 	for _, p := range ident.Protocols {
 		requireSameSets(t, "concurrent stream "+p.String(), alias.GroupSorted(protoObs(obs, p)), s.Sets(p))
@@ -175,7 +160,7 @@ func TestStreamConcurrentFeed(t *testing.T) {
 func TestStreamSnapshotDuringFeed(t *testing.T) {
 	obs := corpus(7, 4000)
 	want := alias.Group(obs)
-	s := openBatch(t)
+	s := NewSession()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -200,115 +185,56 @@ func TestStreamSnapshotDuringFeed(t *testing.T) {
 	requireSameSets(t, "final snapshot", want, s.Sets(ident.SSH))
 }
 
-// liveBatch marks the batch backend live-feeding, the shape the distributed
-// backend has.
-type liveBatch struct{ Backend }
-
-func (liveBatch) FeedLive() bool { return true }
-
-// TestLiveFeeder: the batch backend is fed lazily from sealed datasets;
-// FeedsLive honours a backend that volunteers for live feeds.
-func TestLiveFeeder(t *testing.T) {
-	if FeedsLive(NewBatch()) {
-		t.Fatal("the batch backend must not feed live")
+// TestCompatBackendOpensTheSession: the retired backend API the frozen
+// benchmark harness still calls opens working sessions whose sets equal
+// NewSession's, so the harness's numbers describe the real resolver.
+func TestCompatBackendOpensTheSession(t *testing.T) {
+	obs := determinismCorpus(3, 2000)
+	ref := NewSession()
+	for _, o := range obs {
+		ref.Observe(o)
 	}
-	if !FeedsLive(liveBatch{NewBatch()}) {
-		t.Fatal("FeedsLive ignored a LiveFeeder")
+	for name, be := range map[string]Backend{"NewBatch": NewBatch(), "NewStreaming": NewStreaming()} {
+		s, err := be.Open(Options{})
+		if err != nil || s == nil {
+			t.Fatalf("%s().Open = %v, %v", name, s, err)
+		}
+		for _, o := range obs {
+			s.Observe(o)
+		}
+		for _, p := range ident.Protocols {
+			requireSameSets(t, name+" "+p.String(), ref.Sets(p), s.Sets(p))
+		}
+		a, b := ref.Sets(ident.SSH), ref.Sets(ident.BGP)
+		requireSameSets(t, name+" merged", ref.Merged(a, b), s.Merged(a, b))
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s session Close: %v", name, err)
+		}
 	}
 }
 
-// TestNewRegistry covers name resolution of the built-in backend and the
-// rejection of the retired in-process names.
-func TestNewRegistry(t *testing.T) {
-	for _, name := range append([]string{""}, Names()...) {
-		b, err := New(name, 0)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if name != "" && b.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, b.Name())
-		}
-	}
-	if b, _ := New("", 0); b.Name() != "batch" {
-		t.Fatalf("default backend is %q, want batch", b.Name())
-	}
-	if b := NewStreaming(); b.Name() != "batch" {
-		t.Fatalf("NewStreaming().Name() = %q, want batch", b.Name())
-	}
-	for _, name := range []string{"quantum", "streaming", "sharded"} {
-		if _, err := New(name, 0); err == nil {
-			t.Fatalf("unknown backend %q accepted", name)
-		}
-	}
-	if names := Names(); names[0] != "batch" {
-		t.Fatalf("Names() = %v, want the built-in batch first", names)
-	}
-}
-
-// fakeBackend is a registrable stand-in for an out-of-process backend.
-type fakeBackend struct{ workers int }
-
-func (fakeBackend) Name() string { return "testfake" }
-func (f fakeBackend) Open(Options) (Session, error) {
-	return NewBatch().Open(Options{})
-}
-
-// TestRegisterExtendsRegistry: a registered backend resolves by name, lists
-// after the built-in, and receives the worker bound New was given.
-func TestRegisterExtendsRegistry(t *testing.T) {
-	var gotWorkers int
-	Register("testfake", func(workers int) Backend {
-		gotWorkers = workers
-		return fakeBackend{workers: workers}
-	})
-	b, err := New("testfake", 5)
-	if err != nil {
-		t.Fatalf("New(testfake): %v", err)
-	}
-	if b.Name() != "testfake" || gotWorkers != 5 {
-		t.Fatalf("factory got name %q workers %d, want testfake 5", b.Name(), gotWorkers)
-	}
-	names := Names()
-	if names[len(names)-1] != "testfake" {
-		t.Fatalf("Names() = %v, want registered backend after the built-in", names)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register("testfake", func(int) Backend { return fakeBackend{} })
-}
-
-// BenchmarkBackendGroup prices the session's grouping on one synthetic
+// BenchmarkSessionGroup prices the session's grouping on one synthetic
 // corpus.
-func BenchmarkBackendGroup(b *testing.B) {
+func BenchmarkSessionGroup(b *testing.B) {
 	obs := corpus(1, 20000)
-	be := NewBatch()
-	b.Run(be.Name(), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s, _ := be.Open(Options{})
-			for _, o := range obs {
-				s.Observe(o)
-			}
-			s.Sets(ident.SSH)
-			s.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSession()
+		for _, o := range obs {
+			s.Observe(o)
 		}
-	})
+		s.Sets(ident.SSH)
+	}
 }
 
-// BenchmarkBackendMerge prices the session's cross-partition merge.
-func BenchmarkBackendMerge(b *testing.B) {
+// BenchmarkSessionMerge prices the session's cross-partition merge.
+func BenchmarkSessionMerge(b *testing.B) {
 	g1 := alias.Group(corpus(1, 10000))
 	g2 := alias.Group(corpus(2, 10000))
 	g3 := alias.Group(corpus(3, 4000))
-	be := NewBatch()
-	s, _ := be.Open(Options{})
-	b.Run(be.Name(), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Merged(g1, g2, g3)
-		}
-	})
+	s := NewSession()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Merged(g1, g2, g3)
+	}
 }

@@ -112,8 +112,8 @@ type LongitudinalResult struct {
 	Scenario string `json:"scenario"`
 	Summary  string `json:"summary"`
 	// Seed / Scale / Quick pin the world exactly as Result does; Decay is
-	// the decay-weighted strategy's factor; Backend names the resolver
-	// strategy every epoch resolved through.
+	// the decay-weighted strategy's factor; Backend labels the resolver
+	// (always resolver.Name).
 	Seed    uint64  `json:"seed"`
 	Scale   float64 `json:"scale"`
 	Quick   bool    `json:"quick"`
@@ -180,17 +180,16 @@ func runLongitudinalPreset(p Preset, opts LongitudinalOptions) (*LongitudinalRes
 // already-committed epochs from the observation log and then drive the very
 // same loop for the remaining live epochs.
 type longRun struct {
-	p       Preset
-	cfg     topo.Config
-	quick   bool
-	n       int
-	decay   float64
-	series  *experiments.EnvSeries
-	backend resolver.Backend
-	log     *obslog.Writer
-	logDir  string
-	out     *LongitudinalResult
-	views   []*epochView
+	p      Preset
+	cfg    topo.Config
+	quick  bool
+	n      int
+	decay  float64
+	series *experiments.EnvSeries
+	log    *obslog.Writer
+	logDir string
+	out    *LongitudinalResult
+	views  []*epochView
 	// finalTruth is the ground truth at the last consumed epoch's scan time.
 	finalTruth *topo.Truth
 	// pending carries scorecards computed inside the epoch-checkpoint hook
@@ -222,17 +221,13 @@ func newLongRun(p Preset, opts LongitudinalOptions, resumeLog *obslog.Writer) (*
 	}
 
 	cfg, quick := resolveConfig(p, opts.Options)
-	eopts, err := envOptions(p, cfg, opts.Options)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", name, err)
-	}
+	eopts := envOptions(p, cfg, opts.Options)
 	r := &longRun{
 		p:       p,
 		cfg:     cfg,
 		quick:   quick,
 		n:       n,
 		decay:   decay,
-		backend: eopts.Backend,
 		logDir:  opts.LogDir,
 		pending: make(map[int]*EpochScore),
 		out: &LongitudinalResult{
@@ -242,7 +237,7 @@ func newLongRun(p Preset, opts LongitudinalOptions, resumeLog *obslog.Writer) (*
 			Scale:    cfg.Scale,
 			Quick:    quick,
 			Decay:    decay,
-			Backend:  eopts.Backend.Name(),
+			Backend:  resolver.Name,
 		},
 	}
 	switch {
@@ -254,7 +249,7 @@ func newLongRun(p Preset, opts LongitudinalOptions, resumeLog *obslog.Writer) (*
 			Seed:     cfg.Seed,
 			Scale:    cfg.Scale,
 			Quick:    quick,
-			Backend:  eopts.Backend.Name(),
+			Backend:  resolver.Name,
 			Epochs:   n,
 			Decay:    decay,
 		}, obslog.Options{})
@@ -324,12 +319,6 @@ func (r *longRun) runEpoch() error {
 	}
 	r.views = append(r.views, view)
 	r.finalTruth = ep.Truth
-	// The view captured everything the cross-epoch metrics read, so the
-	// epoch's resolver sessions can go; closing surfaces a distributed
-	// session's sticky worker error before the next epoch builds on it.
-	if err := ep.Env.Close(); err != nil {
-		return fmt.Errorf("scenario %s epoch %d: %w", r.p.Name, e, err)
-	}
 	return nil
 }
 
@@ -347,18 +336,14 @@ func (r *longRun) finish() *LongitudinalResult {
 	return out
 }
 
-// close releases the observation log, if any, the series' temporary
-// stream-collection spill, and the resolver backend (the distributed
-// backend stops its worker processes here).
+// close releases the observation log, if any, and the series' temporary
+// stream-collection spill.
 func (r *longRun) close() {
 	if r.log != nil {
 		r.log.Close()
 	}
 	if r.series != nil {
 		r.series.Close()
-	}
-	if r.backend != nil {
-		closeBackend(r.backend)
 	}
 }
 
@@ -627,7 +612,7 @@ func scoreMerge(strategy string, sets []alias.Set, owner map[netip.Addr]string) 
 }
 
 // SortLongitudinal orders longitudinal results canonically, mirroring
-// SortResults: catalog order, then name, then backend.
+// SortResults: catalog order, then name, then backend label.
 func SortLongitudinal(rs []*LongitudinalResult) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		ri, rj := rank(rs[i].Scenario), rank(rs[j].Scenario)
@@ -637,7 +622,7 @@ func SortLongitudinal(rs []*LongitudinalResult) {
 		if rs[i].Scenario != rs[j].Scenario {
 			return rs[i].Scenario < rs[j].Scenario
 		}
-		return backendRank(rs[i].Backend) < backendRank(rs[j].Backend)
+		return rs[i].Backend < rs[j].Backend
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"aliaslimit/internal/netsim"
-	"aliaslimit/internal/resolver"
 	"aliaslimit/internal/topo"
 )
 
@@ -210,27 +209,9 @@ func rank(name string) int {
 	return len(presets)
 }
 
-// backendRank orders backend names canonically (registry order, unknown
-// names after, the unset legacy value first within its scenario).
-func backendRank(name string) int {
-	if name == "" {
-		return -1
-	}
-	for i, n := range resolver.Names() {
-		if n == name {
-			return i
-		}
-	}
-	return len(resolver.Names())
-}
-
-// BackendNames lists the resolver backends the scenario engine can run, in
-// canonical order.
-func BackendNames() []string { return resolver.Names() }
-
 // SortResults orders results canonically: catalog order first, then by name
-// for entries the catalog does not know, then by backend so the matrix's
-// backend dimension interleaves stably.
+// for entries the catalog does not know, then by backend label, so reports
+// merged from older runs that carry several labels stay stable.
 func SortResults(rs []*Result) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		ri, rj := rank(rs[i].Scenario), rank(rs[j].Scenario)
@@ -240,6 +221,6 @@ func SortResults(rs []*Result) {
 		if rs[i].Scenario != rs[j].Scenario {
 			return rs[i].Scenario < rs[j].Scenario
 		}
-		return backendRank(rs[i].Backend) < backendRank(rs[j].Backend)
+		return rs[i].Backend < rs[j].Backend
 	})
 }

@@ -24,7 +24,7 @@ import (
 //     world exactly as the original epochs did; World.ChurnDrawState is
 //     checked against the manifest after every skipped epoch.
 //  2. Log replay: each committed epoch's observations are replayed from the
-//     log through a fresh resolver backend and re-digested; the digest must
+//     log through fresh resolver sessions and re-digested; the digest must
 //     match the manifest's sets_digest.
 //  3. Scorecard presence: an epoch without its scorecard file (a torn
 //     checkpoint) is rolled back along with every later epoch and re-run
@@ -74,10 +74,11 @@ func loadEpochScore(dir string, epoch int) (*EpochScore, error) {
 }
 
 // ResumeLongitudinal continues the durable longitudinal run under dir. The
-// run's identity — preset, seed, scale, quick, backend, epochs, decay — comes
-// from the log's manifest; opts contributes only the execution knobs that
-// cannot change results (Workers, Parallelism, ShardWorkers, StreamCollect,
-// MemBudget). Epochs the log holds are
+// run's identity — preset, seed, scale, quick, epochs, decay — comes from the
+// log's manifest; opts contributes only the execution knobs that cannot
+// change results (Workers, Parallelism, StreamCollect, MemBudget). A manifest
+// whose backend is not resolver.Name was written by a resolver this build no
+// longer has, and is refused. Epochs the log holds are
 // replayed and verified, remaining epochs run live, and the assembled
 // LongitudinalResult is identical (MIDAR tallies of post-crash epochs aside)
 // to what the uninterrupted run would have returned.
@@ -96,19 +97,22 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 		lg.Close()
 		return nil, fmt.Errorf("scenario: log %s is not a longitudinal run (epochs=%d)", dir, meta.Epochs)
 	}
+	if meta.Backend != resolver.Name {
+		lg.Close()
+		return nil, fmt.Errorf("scenario: log %s manifest field backend is %q; only %q logs resume",
+			dir, meta.Backend, resolver.Name)
+	}
 
 	// Rebuild the original options from the manifest. Quick runs must go back
 	// through the quick path (Scale=0) so resolveConfig re-derives the same
 	// config — and the same MIDAR sampling — as the original invocation.
 	ropts := LongitudinalOptions{
 		Options: Options{
-			Seed:         meta.Seed,
-			Quick:        meta.Quick,
-			Workers:      opts.Workers,
-			Parallelism:  opts.Parallelism,
-			Backend:      meta.Backend,
-			ShardWorkers: opts.ShardWorkers,
-			LogDir:       dir,
+			Seed:        meta.Seed,
+			Quick:       meta.Quick,
+			Workers:     opts.Workers,
+			Parallelism: opts.Parallelism,
+			LogDir:      dir,
 			// Streaming collection is a memory policy, not a semantic
 			// difference (its alias sets are byte-identical), so like
 			// Workers it carries over from the resume invocation.
@@ -129,11 +133,11 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 	}
 	defer r.close()
 	if r.cfg.Seed != meta.Seed || r.cfg.Scale != meta.Scale || r.quick != meta.Quick ||
-		r.n != meta.Epochs || r.out.Backend != meta.Backend {
+		r.n != meta.Epochs {
 		return nil, fmt.Errorf("scenario: manifest of %s does not reproduce its run config "+
-			"(seed %d/%d scale %v/%v quick %v/%v epochs %d/%d backend %q/%q)",
+			"(seed %d/%d scale %v/%v quick %v/%v epochs %d/%d)",
 			dir, r.cfg.Seed, meta.Seed, r.cfg.Scale, meta.Scale, r.quick, meta.Quick,
-			r.n, meta.Epochs, r.out.Backend, meta.Backend)
+			r.n, meta.Epochs)
 	}
 
 	// A committed epoch is usable only if its scorecard file exists too; a
@@ -166,13 +170,8 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: replaying epoch %d: %w", e, err)
 		}
-		backend, err := resolver.New(meta.Backend, 0)
+		env, err := experiments.ReplayEnv(snap)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: replaying epoch %d: %w", e, err)
-		}
-		env, err := experiments.ReplayEnv(snap, backend)
-		if err != nil {
-			closeBackend(backend)
 			return nil, fmt.Errorf("scenario: replaying epoch %d: %w", e, err)
 		}
 		digest, _ := DigestPartitions(ScoredPartitions(env))
@@ -191,15 +190,9 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 		r.out.Epochs = append(r.out.Epochs, es)
 		view, err := newEpochView(env)
 		if err != nil {
-			closeBackend(backend)
 			return nil, fmt.Errorf("scenario: replaying epoch %d: %w", e, err)
 		}
 		r.views = append(r.views, view)
-		if err := env.Close(); err != nil {
-			closeBackend(backend)
-			return nil, fmt.Errorf("scenario: replaying epoch %d: %w", e, err)
-		}
-		closeBackend(backend)
 	}
 	if done == r.n {
 		// Fully committed run: after the last skipped epoch the world's truth

@@ -18,14 +18,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/netip"
 	"slices"
 	"strings"
 	"sync"
 
 	"aliaslimit/internal/alias"
-	_ "aliaslimit/internal/distres" // registers the "distributed" backend
 	"aliaslimit/internal/evaluate"
 	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/ident"
@@ -46,16 +44,6 @@ type Options struct {
 	// Workers / Parallelism tune collection exactly as the facade's
 	// aliaslimit.Common fields of the same names.
 	Workers, Parallelism int
-	// Backend names the resolver strategy ("batch" or "distributed"; empty
-	// picks batch). Both yield byte-identical alias sets — the Result's
-	// SetsDigest proves it — differing only in execution strategy, which is
-	// exactly what the backend dimension of the scenario matrix compares.
-	// The distributed backend runs real shard worker processes (see
-	// internal/distres), which this package links in.
-	Backend string
-	// ShardWorkers sizes the distributed backend's worker-process fan-out
-	// (0 picks distres.DefaultWorkers). Ignored by batch.
-	ShardWorkers int
 	// LogDir, when set, makes the run durable: every observation is teed
 	// into the append-only binary log under this directory during
 	// collection, and every epoch boundary commits a checkpoint (manifest
@@ -69,7 +57,7 @@ type Options struct {
 	// set, else a temporary directory) and dataset sealing replays them in
 	// bounded batches, so peak memory stays O(alias-set output + arena)
 	// instead of O(observations). Scorecards — including SetsDigest — are
-	// byte-identical to the in-RAM path on every backend. Required by
+	// byte-identical to the in-RAM path. Required by
 	// StreamOnly presets (megascale-x100).
 	StreamCollect bool
 	// MemBudget, consulted only with StreamCollect, advises the replay
@@ -123,10 +111,9 @@ type Result struct {
 	Seed  uint64  `json:"seed"`
 	Scale float64 `json:"scale"`
 	Quick bool    `json:"quick"`
-	// Backend names the resolver strategy the run resolved through, and
-	// SetsDigest is a SHA-256 over every scored alias-set partition in
-	// canonical order — equal digests mean byte-identical alias sets, the
-	// cross-backend equivalence the matrix asserts. PartitionDigests breaks
+	// Backend labels the resolver (always resolver.Name), and SetsDigest is
+	// a SHA-256 over every scored alias-set partition in canonical order —
+	// equal digests mean byte-identical alias sets. PartitionDigests breaks
 	// the digest down per partition so a divergence names the partition that
 	// differs instead of just "the hashes disagree".
 	Backend          string            `json:"backend,omitempty"`
@@ -228,15 +215,8 @@ func resolveConfig(p Preset, opts Options) (cfg topo.Config, quick bool) {
 	return cfg, quick
 }
 
-// envOptions assembles the experiments options for a resolved preset world,
-// including the named resolver backend.
-func envOptions(p Preset, cfg topo.Config, opts Options) (experiments.Options, error) {
-	// ShardWorkers sizes resolution fan-out (goroutines or worker
-	// processes); Workers tunes scan concurrency, not resolution.
-	backend, err := resolver.New(opts.Backend, opts.ShardWorkers)
-	if err != nil {
-		return experiments.Options{}, err
-	}
+// envOptions assembles the experiments options for a resolved preset world.
+func envOptions(p Preset, cfg topo.Config, opts Options) experiments.Options {
 	faults := p.Faults
 	faults.Seed = cfg.Seed
 	return experiments.Options{
@@ -248,10 +228,9 @@ func envOptions(p Preset, cfg topo.Config, opts Options) (experiments.Options, e
 		},
 		ChurnFraction: p.Churn,
 		Faults:        faults,
-		Backend:       backend,
 		StreamCollect: opts.StreamCollect,
 		MemBudget:     opts.MemBudget,
-	}, nil
+	}
 }
 
 // runPreset measures one (possibly sweep-modified) preset and scores it.
@@ -260,17 +239,14 @@ func runPreset(p Preset, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: this world only runs out-of-core; pass -stream-collect", p.Name)
 	}
 	cfg, quick := resolveConfig(p, opts)
-	eopts, err := envOptions(p, cfg, opts)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", p.Name, err)
-	}
+	eopts := envOptions(p, cfg, opts)
 	if opts.LogDir != "" {
 		lg, err := obslog.Create(opts.LogDir, obslog.RunMeta{
 			Scenario: p.Name,
 			Seed:     cfg.Seed,
 			Scale:    cfg.Scale,
 			Quick:    quick,
-			Backend:  eopts.Backend.Name(),
+			Backend:  resolver.Name,
 			Epochs:   1,
 		}, obslog.Options{})
 		if err != nil {
@@ -283,28 +259,16 @@ func runPreset(p Preset, opts Options) (*Result, error) {
 			return d, nil
 		}
 	}
-	defer closeBackend(eopts.Backend)
 	env, err := experiments.BuildEnv(eopts)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", p.Name, err)
 	}
 	res := score(p, cfg, quick, env, env.World.Truth)
-	// Closing surfaces a distributed session's sticky worker error: a run
-	// that lost a shard worker fails here instead of shipping a partial
-	// scorecard.
+	// Closing removes a stream-collected run's temporary spill.
 	if err := env.Close(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", p.Name, err)
 	}
 	return res, nil
-}
-
-// closeBackend releases a backend that holds external resources (the
-// distributed backend's worker processes); the in-process backends close to
-// a no-op.
-func closeBackend(b resolver.Backend) {
-	if c, ok := b.(io.Closer); ok {
-		c.Close()
-	}
 }
 
 // score assembles the Result from a measured environment, judged against the
@@ -317,7 +281,7 @@ func score(p Preset, cfg topo.Config, quick bool, env *experiments.Env, truth *t
 		Seed:        cfg.Seed,
 		Scale:       cfg.Scale,
 		Quick:       quick,
-		Backend:     env.Resolver().Name(),
+		Backend:     resolver.Name,
 		Devices:     env.World.Fabric.NumDevices(),
 		V4Addresses: len(env.Both.AllAddrs(experiments.V4)),
 		V6Addresses: len(env.Both.AllAddrs(experiments.V6)),
@@ -391,8 +355,8 @@ type Partition struct {
 }
 
 // PartitionDigest is one partition's contribution to a sets digest, keyed so
-// that a cross-backend (or cross-service) divergence can name the first
-// partition that differs.
+// that a divergence (between runs, or between a run and the daemon) can name
+// the first partition that differs.
 type PartitionDigest struct {
 	Partition string `json:"partition"`
 	Digest    string `json:"digest"`
@@ -505,8 +469,7 @@ func (v *SessionView) Partitions() []Partition {
 
 // DigestPartitions hashes named alias-set partitions in order and returns the
 // combined hex digest plus the per-partition breakdown. Two runs with equal
-// combined digests produced byte-identical alias sets — the cross-backend
-// equivalence check reduces to comparing these strings — and unequal runs
+// combined digests produced byte-identical alias sets, and unequal runs
 // locate the first differing partition through the breakdown. The resolution
 // daemon hashes its session views through the same helper, so its digests are
 // directly comparable with scorecard digests over the same partitions.
@@ -545,11 +508,11 @@ func FirstDivergence(a, b []PartitionDigest) string {
 	return ""
 }
 
-// backendName reports the resolver backend, defaulting legacy reports to
-// batch.
+// backendName reports the resolver label, defaulting legacy reports to
+// resolver.Name.
 func (r *Result) backendName() string {
 	if r.Backend == "" {
-		return "batch"
+		return resolver.Name
 	}
 	return r.Backend
 }

@@ -100,20 +100,12 @@ func TestDigestPartitionsBreakdown(t *testing.T) {
 func TestSessionPartitionsMatchScored(t *testing.T) {
 	p, _ := Lookup("baseline")
 	cfg, _ := resolveConfig(p, tinyOpts)
-	eopts, err := envOptions(p, cfg, tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := experiments.BuildEnv(eopts)
+	env, err := experiments.BuildEnv(envOptions(p, cfg, tinyOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	s, err := resolver.NewBatch().Open(resolver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := resolver.NewSession()
 	for _, proto := range scoreProtos {
 		ds := env.Both
 		if proto == ident.SNMP {
