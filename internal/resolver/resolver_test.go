@@ -218,6 +218,7 @@ func TestCompatBackendOpensTheSession(t *testing.T) {
 func BenchmarkSessionGroup(b *testing.B) {
 	obs := corpus(1, 20000)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewSession()
 		for _, o := range obs {
@@ -234,6 +235,7 @@ func BenchmarkSessionMerge(b *testing.B) {
 	g3 := alias.Group(corpus(3, 4000))
 	s := NewSession()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Merged(g1, g2, g3)
 	}
