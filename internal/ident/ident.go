@@ -80,7 +80,7 @@ func digest(proto Protocol, preimage string) Identifier {
 
 // FromSSH extracts the paper's SSH identifier from a scan result. ok is
 // false when the scan lacks either half of the material (no banner/KEXINIT,
-// or no host key).
+// or no host key whose signature verified).
 func FromSSH(res *sshwire.ScanResult) (Identifier, bool) {
 	if !res.HasIdentifierMaterial() {
 		return Identifier{}, false
@@ -126,9 +126,10 @@ func SSHPreimage(res *sshwire.ScanResult) string {
 // FromSSHKeyOnly is the ablation variant using only the host key. It
 // over-merges the 0.4% of hosts that share a key but differ in capabilities
 // only when keys are genuinely shared (factory defaults); it under-separates
-// nothing else. Used by the identifier-composition ablation bench.
+// nothing else. Used by the identifier-composition ablation bench. Like
+// FromSSH it accepts a host key only with a valid signature.
 func FromSSHKeyOnly(res *sshwire.ScanResult) (Identifier, bool) {
-	if res == nil || len(res.HostKeyBlob) == 0 {
+	if res == nil || len(res.HostKeyBlob) == 0 || !res.SignatureValid {
 		return Identifier{}, false
 	}
 	return digest(SSH, "key="+res.HostKeyFingerprint), true

@@ -113,14 +113,28 @@ func TestSSHIdentifierSeparatesSharedKeys(t *testing.T) {
 }
 
 func TestSSHIdentifierRequiresMaterial(t *testing.T) {
-	if _, ok := FromSSH(&sshwire.ScanResult{Banner: "SSH-2.0-X"}); ok {
-		t.Error("banner-only result must not yield an identifier")
-	}
-	if _, ok := FromSSHKeyOnly(&sshwire.ScanResult{}); ok {
-		t.Error("keyless result must not yield a key-only identifier")
-	}
-	if _, ok := FromSSHKeyOnly(nil); ok {
-		t.Error("nil result must not yield an identifier")
+	unsigned := sshResult("SSH-2.0-X", false, "SHA256:k1")
+	unsigned.SignatureValid = false
+	for _, tc := range []struct {
+		name          string
+		res           *sshwire.ScanResult
+		full, keyOnly bool
+	}{
+		{"complete", sshResult("SSH-2.0-X", false, "SHA256:k1"), true, true},
+		{"nil", nil, false, false},
+		{"empty", &sshwire.ScanResult{}, false, false},
+		{"banner only", &sshwire.ScanResult{Banner: "SSH-2.0-X"}, false, false},
+		{"signed key only", &sshwire.ScanResult{HostKeyBlob: []byte("blob"), SignatureValid: true}, false, true},
+		// A responder can present another host's public blob; without a
+		// signature it must not take that host's identifier.
+		{"signature invalid", unsigned, false, false},
+	} {
+		if _, ok := FromSSH(tc.res); ok != tc.full {
+			t.Errorf("%s: FromSSH ok = %v, want %v", tc.name, ok, tc.full)
+		}
+		if _, ok := FromSSHKeyOnly(tc.res); ok != tc.keyOnly {
+			t.Errorf("%s: FromSSHKeyOnly ok = %v, want %v", tc.name, ok, tc.keyOnly)
+		}
 	}
 }
 

@@ -2,11 +2,12 @@ package sshwire
 
 import (
 	"bufio"
+	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
-	"io"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -27,16 +28,19 @@ type ScanResult struct {
 	// blob, the canonical key form used by the alias pipeline.
 	HostKeyFingerprint string
 	// SignatureValid reports whether the server proved possession of the
-	// host key by a correct signature over the exchange hash.
+	// host key by a correct signature over the exchange hash. Without it the
+	// host key is only a claim: any responder can present another host's
+	// public blob.
 	SignatureValid bool
 	// KexCompleted reports whether the key exchange ran to ECDH_REPLY.
 	KexCompleted bool
 }
 
 // HasIdentifierMaterial reports whether the scan captured both identifier
-// halves the paper combines: capabilities and host key.
+// halves the paper combines: capabilities and a host key the server proved
+// it holds.
 func (r *ScanResult) HasIdentifierMaterial() bool {
-	return r != nil && r.Banner != "" && r.KexInit != nil && len(r.HostKeyBlob) > 0
+	return r != nil && r.Banner != "" && r.KexInit != nil && len(r.HostKeyBlob) > 0 && r.SignatureValid
 }
 
 // ScanConfig parameterises a client scan.
@@ -46,8 +50,6 @@ type ScanConfig struct {
 	// Algorithms is the client offer; zero value selects
 	// DefaultClientAlgorithms.
 	Algorithms Algorithms
-	// Rand supplies cookie and ephemeral-key entropy; nil means crypto/rand.
-	Rand io.Reader
 	// Timeout bounds the whole exchange; zero means 5s.
 	Timeout time.Duration
 }
@@ -55,6 +57,14 @@ type ScanConfig struct {
 // DefaultClientBanner identifies the scanner, following the convention of
 // announcing tool and version.
 const DefaultClientBanner = "SSH-2.0-AliasLimitScan_0.9"
+
+// scannerKey is the client's X25519 key, drawn once per process and shared
+// by every Scan. The scanner never derives session keys, and the fresh
+// cookie each Scan puts in I_C makes every exchange hash unique, so a
+// recorded signature never verifies a second time.
+var scannerKey = sync.OnceValues(func() (*ecdh.PrivateKey, error) {
+	return generateX25519(rand.Reader)
+})
 
 // Scan runs the plaintext phase of SSH against an established connection and
 // collects identifier material. It always closes conn. The returned result
@@ -64,9 +74,6 @@ const DefaultClientBanner = "SSH-2.0-AliasLimitScan_0.9"
 func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 	if cfg.Banner == "" {
 		cfg.Banner = DefaultClientBanner
-	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.Reader
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
@@ -98,8 +105,10 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 	}
 	res.KexInit = sk
 
+	// The cookie keeps exchange hashes unique under scannerKey, so it always
+	// comes from crypto/rand, never from a stream a caller could repeat.
 	var cookie [16]byte
-	if _, err := io.ReadFull(cfg.Rand, cookie[:]); err != nil {
+	if _, err := rand.Read(cookie[:]); err != nil {
 		return res, err
 	}
 	clientKexInitPayload := cfg.Algorithms.KexInit(cookie).Marshal()
@@ -116,11 +125,11 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 	}
 	_ = kexAlgo
 
-	eph, err := generateX25519(cfg.Rand)
+	key, err := scannerKey()
 	if err != nil {
 		return res, err
 	}
-	qc := eph.PublicKey().Bytes()
+	qc := key.PublicKey().Bytes()
 	if err := WritePacket(conn, marshalECDHInit(qc)); err != nil {
 		return res, err
 	}
@@ -144,7 +153,7 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 		res.HostKeyAlgo = algo
 	}
 	if hostKeyAlgo == HostKeyEd25519 && algo == HostKeyEd25519 {
-		shared, err := x25519Shared(eph, qs)
+		shared, err := x25519Shared(key, qs)
 		if err == nil {
 			h := exchangeHash(cfg.Banner, serverBanner,
 				clientKexInitPayload, serverKexInitPayload, ks, qc, qs, shared)

@@ -54,7 +54,7 @@ func TestFullHandshake(t *testing.T) {
 				Algorithms: p.Algorithms,
 				HostKey:    key,
 				Rand:       newDetRand(2),
-			}, ScanConfig{Rand: newDetRand(3), Timeout: 2 * time.Second})
+			}, ScanConfig{Timeout: 2 * time.Second})
 			if err != nil {
 				t.Fatalf("Scan: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestSameKeyDifferentInterfacesSameFingerprint(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		res, err := runHandshake(t, ServerConfig{
 			Banner: p.Banner, Algorithms: p.Algorithms, HostKey: key, Rand: newDetRand(uint64(10 + i)),
-		}, ScanConfig{Rand: newDetRand(uint64(20 + i))})
+		}, ScanConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestDifferentKeysDifferentFingerprints(t *testing.T) {
 	mk := func(seed uint64) string {
 		res, err := runHandshake(t, ServerConfig{
 			Banner: p.Banner, Algorithms: p.Algorithms, HostKey: testHostKey(t, seed), Rand: newDetRand(seed + 100),
-		}, ScanConfig{Rand: newDetRand(seed + 200)})
+		}, ScanConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestPerInterfaceAlgorithmVariation(t *testing.T) {
 	scanAt := func(addr netip.Addr) *ScanResult {
 		client, server := net.Pipe()
 		go NewServer(cfg).Serve(server, netsim.ServeContext{LocalAddr: addr})
-		res, err := Scan(client, ScanConfig{Rand: newDetRand(9)})
+		res, err := Scan(client, ScanConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,6 @@ func TestNoCommonAlgorithmsYieldsPartialResult(t *testing.T) {
 	res, err := runHandshake(t, ServerConfig{
 		Banner: p.Banner, Algorithms: p.Algorithms, HostKey: key, Rand: newDetRand(4),
 	}, ScanConfig{
-		Rand: newDetRand(5),
 		Algorithms: Algorithms{
 			Kex:         []string{"diffie-hellman-group1-sha1"},
 			HostKey:     []string{"ssh-dss"},

@@ -1,7 +1,6 @@
 package zgrab
 
 import (
-	"io"
 	"net"
 	"net/netip"
 	"time"
@@ -14,9 +13,6 @@ import (
 type SSHModule struct {
 	// Timeout bounds the whole SSH exchange; zero picks sshwire's default.
 	Timeout time.Duration
-	// Rand supplies scan-side entropy; nil means crypto/rand. Simulated
-	// experiments inject deterministic streams.
-	Rand io.Reader
 }
 
 // Name implements Module.
@@ -29,7 +25,7 @@ func (m *SSHModule) DefaultPort() uint16 { return 22 }
 
 // Scan implements Module.
 func (m *SSHModule) Scan(conn net.Conn, target netip.Addr) (any, error) {
-	res, err := sshwire.Scan(conn, sshwire.ScanConfig{Timeout: m.Timeout, Rand: m.Rand})
+	res, err := sshwire.Scan(conn, sshwire.ScanConfig{Timeout: m.Timeout})
 	if err != nil {
 		return nil, err
 	}
