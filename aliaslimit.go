@@ -97,9 +97,6 @@ type Common struct {
 	// empty in this mode; iterate through Dataset.EachObs or the derived
 	// views instead.
 	StreamCollect bool
-	// MemBudget, consulted only with StreamCollect, advises the replay
-	// readahead in bytes; 0 picks the default. It cannot change results.
-	MemBudget int64
 }
 
 // StudyOptions configure Run.
@@ -141,7 +138,6 @@ func Run(opts StudyOptions) (*Study, error) {
 		},
 		ChurnFraction: opts.ChurnFraction,
 		StreamCollect: opts.StreamCollect,
-		MemBudget:     opts.MemBudget,
 	})
 	if err != nil {
 		return nil, err
@@ -359,7 +355,6 @@ func (o ScenarioOptions) internal() scenario.Options {
 		Parallelism:   o.Parallelism,
 		LogDir:        o.LogDir,
 		StreamCollect: o.StreamCollect,
-		MemBudget:     o.MemBudget,
 	}
 }
 

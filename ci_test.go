@@ -36,9 +36,10 @@ func TestCIPerfbenchJob(t *testing.T) {
 }
 
 // TestCIFuzzJob pins the CI job that fuzzes the obsfile decoder against its
-// encoding/json reference and the SSH scanner against arbitrary server bytes:
-// it must run FuzzRead and FuzzScan for a bounded time on every event, and
-// keep each package's failing input as an artifact. Only the upload steps
+// encoding/json reference, the SSH scanner against arbitrary server bytes
+// and the obslog EpochReader against arbitrary shard bytes: it must run
+// FuzzRead, FuzzScan and FuzzEpochReader for a bounded time on every event,
+// and keep each package's failing input as an artifact. Only the upload steps
 // may carry an if:, so that they run when a fuzz step fails.
 func TestCIFuzzJob(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
@@ -57,9 +58,11 @@ func TestCIFuzzJob(t *testing.T) {
 	for _, want := range []string{
 		"run: go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 30s ./internal/obsfile",
 		"run: go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sshwire",
+		"run: go test -run '^$' -fuzz '^FuzzEpochReader$' -fuzztime 30s -fuzzminimizetime 2s ./internal/obslog",
 		"uses: actions/upload-artifact@v4",
 		"path: internal/obsfile/testdata/fuzz",
 		"path: internal/sshwire/testdata/fuzz",
+		"path: internal/obslog/testdata/fuzz",
 	} {
 		if !strings.Contains(job, want) {
 			t.Errorf("fuzz job missing %q:\n%s", want, job)

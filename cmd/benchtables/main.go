@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 256, "scan concurrency")
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them in bounded batches — identical tables, peak memory O(alias-set output) instead of O(observations)")
-	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	table := fs.String("table", "", "regenerate a single table (1-6)")
 	figure := fs.String("figure", "", "regenerate a single figure (3-6)")
 	extensions := fs.Bool("extensions", false, "also run the future-work extension experiments")
@@ -108,10 +107,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	if *memBudget != 0 && !*streamCollect {
-		fmt.Fprintln(stderr, "benchtables: -mem-budget tunes the out-of-core replay; pass -stream-collect too")
-		return errBadFlags
-	}
 	if *streamCollect && (*benchJSON != "" || *compare != "" || *against != "") {
 		// The bench harness measures the streamed path itself (the
 		// stream_collect and stream_replay_group entries); the flag shapes
@@ -142,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	study, err := aliaslimit.Run(aliaslimit.StudyOptions{
 		Common: aliaslimit.Common{
 			Seed: *seed, Scale: *scale, Workers: *workers, Parallelism: *parallelism,
-			StreamCollect: *streamCollect, MemBudget: *memBudget,
+			StreamCollect: *streamCollect,
 		},
 	})
 	if err != nil {

@@ -111,17 +111,25 @@ func TestBackendValidationMessage(t *testing.T) {
 	}
 }
 
-// TestStreamCollectFlagCombos pins the out-of-core flag contract: -mem-budget
-// needs -stream-collect, and -stream-collect shapes study runs only — the
-// bench harness measures the streamed path through its own entries, so
-// combining the flag with -benchjson or the compare gate is rejected.
+// TestStreamCollectFlagCombos pins the out-of-core flag contract: the
+// replay readahead is fixed, so -mem-budget is an unknown flag, rejected
+// by flag parsing with or without -stream-collect; and
+// -stream-collect shapes study runs only — the bench harness measures the
+// streamed path through its own entries, so combining the flag with
+// -benchjson or the compare gate is rejected.
 func TestStreamCollectFlagCombos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-mem-budget", "1048576", "-table", "1"}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
-		t.Fatalf("-mem-budget without -stream-collect: want errBadFlags, got %v", err)
-	}
-	if !strings.Contains(stderr.String(), "-stream-collect") {
-		t.Errorf("rejection does not name the missing flag: %s", stderr.String())
+	for _, args := range [][]string{
+		{"-mem-budget", "1048576", "-table", "1"},
+		{"-stream-collect", "-mem-budget", "1048576", "-table", "1"},
+	} {
+		stderr.Reset()
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Fatalf("%v: want errBadFlags, got %v", args, err)
+		}
+		if !strings.HasPrefix(stderr.String(), "flag provided but not defined: -mem-budget\n") {
+			t.Errorf("%v: stderr = %q, want the unknown-flag message for -mem-budget", args, stderr.String())
+		}
 	}
 	for _, extra := range [][]string{
 		{"-benchjson", "-"},

@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them through the resolver in bounded batches — identical alias sets, peak memory O(alias-set output) instead of O(observations); required by stream-only worlds (megascale-x100)")
-	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	logDir := fs.String("log", "", "write a durable observation log + epoch checkpoints under this directory (single preset); a killed run continues with -resume")
 	resume := fs.String("resume", "", "continue the killed durable run whose log lives under this directory")
 	sweep := fs.String("sweep", "", "axis sweep, e.g. loss=1,5,10,20,30 (percent) or epochs=2,3,5; runs the -run preset per value")
@@ -85,11 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		return errBadFlags
-	}
-
-	if *memBudget != 0 && !*streamCollect {
-		fmt.Fprintln(stderr, "scenarios: -mem-budget tunes the out-of-core replay; pass -stream-collect too")
 		return errBadFlags
 	}
 
@@ -107,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Parallelism:   *parallelism,
 		LogDir:        *logDir,
 		StreamCollect: *streamCollect,
-		MemBudget:     *memBudget,
 	}
 	if *logDir != "" {
 		// A durable log records exactly one run: multi-run modes would

@@ -608,16 +608,27 @@ func TestCIBoundedMemoryJob(t *testing.T) {
 	}
 }
 
-// TestStreamCollectFlagCombos pins the out-of-core CLI contract: -mem-budget
-// is meaningless without -stream-collect, and a stream-only preset refuses an
-// in-RAM run with an error naming the missing flag.
+// TestStreamCollectFlagCombos pins the out-of-core CLI contract: the replay
+// readahead is fixed, so -mem-budget is an unknown flag that fails before
+// any world is built, with or without -stream-collect; and a stream-only
+// preset refuses an in-RAM run with an error naming the missing flag.
 func TestStreamCollectFlagCombos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "baseline", "-mem-budget", "1048576"}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
-		t.Fatalf("-mem-budget without -stream-collect: want errBadFlags, got %v", err)
-	}
-	if !strings.Contains(stderr.String(), "-stream-collect") {
-		t.Errorf("rejection does not name the missing flag: %s", stderr.String())
+	for _, args := range [][]string{
+		{"-run", "baseline", "-mem-budget", "1048576"},
+		{"-run", "megascale-x100", "-quick", "-stream-collect", "-mem-budget", "1048576"},
+	} {
+		stderr.Reset()
+		start := time.Now()
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Fatalf("%v: want errBadFlags, got %v", args, err)
+		}
+		if !strings.HasPrefix(stderr.String(), "flag provided but not defined: -mem-budget\n") {
+			t.Errorf("%v: stderr = %q, want the unknown-flag message for -mem-budget", args, stderr.String())
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("%v: rejection took %v; flag parsing must fail before the world build", args, elapsed)
+		}
 	}
 	err := run([]string{"-run", "megascale-x100", "-scale", "0.04", "-workers", "16"}, &stdout, &stderr)
 	if err == nil {

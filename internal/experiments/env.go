@@ -80,10 +80,6 @@ type Options struct {
 	// reads are empty in this mode — analyses iterate through
 	// Dataset.EachObs and the memoized views instead.
 	StreamCollect bool
-	// MemBudget, consulted only with StreamCollect, is an advisory bound in
-	// bytes on the collection/replay working set; it sizes the streaming
-	// reader's readahead. 0 picks the obslog default.
-	MemBudget int64
 }
 
 // BuildEnv generates a world and measures it from both vantage points in

@@ -230,10 +230,9 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		// datasets to it, and seal by replaying the segment in bounded
 		// batches (see stream.go). The fold precedes the manifest commit so
 		// the EpochDigest hook below can read the sealed views.
-		ra := readaheadFor(s.opts.MemBudget)
-		env.Active.stream = &streamSource{log: lg, epoch: e, active: true, readahead: ra}
-		env.Censys.stream = &streamSource{log: lg, epoch: e, censys: true, readahead: ra}
-		env.Both.stream = &streamSource{log: lg, epoch: e, active: true, censys: true, readahead: ra}
+		env.Active.stream = &streamSource{log: lg, epoch: e, active: true}
+		env.Censys.stream = &streamSource{log: lg, epoch: e, censys: true}
+		env.Both.stream = &streamSource{log: lg, epoch: e, active: true, censys: true}
 		if err := lg.FoldEpoch(e); err != nil {
 			return nil, fmt.Errorf("experiments: folding epoch %d: %w", e, err)
 		}

@@ -43,15 +43,14 @@ func (c *obsCounter) count(p ident.Protocol) int { return int(c.n[p].Load()) }
 
 // streamSource backs a stream-collected Dataset: its observations live in
 // one folded epoch of the observation log, not in RAM. It references the
-// live Writer rather than raw byte offsets so every read resolves the
-// epoch's segment under the writer's lock — safe across auto-compaction,
-// which rewrites the shard files and their offsets mid-run.
+// live Writer rather than raw byte offsets because the seal replay reads
+// the epoch after FoldEpoch and before the manifest commits it, when only
+// the writer knows the segment's end.
 type streamSource struct {
-	log       *obslog.Writer
-	epoch     int
-	active    bool // dataset includes SourceActive records
-	censys    bool // dataset includes SourceCensys records
-	readahead int  // reader chunk size; 0 picks the obslog default
+	log    *obslog.Writer
+	epoch  int
+	active bool // dataset includes SourceActive records
+	censys bool // dataset includes SourceCensys records
 
 	// addrs holds the per-protocol sorted distinct address universes (both
 	// families mixed), derived during the seal replay pass — the only
@@ -61,7 +60,7 @@ type streamSource struct {
 
 // reader opens a bounded-readahead reader over the dataset's epoch segment.
 func (ss *streamSource) reader(p ident.Protocol) (*obslog.EpochReader, error) {
-	return ss.log.EpochReaderAt(p, ss.epoch, obslog.ReadOptions{Readahead: ss.readahead})
+	return ss.log.EpochReaderAt(p, ss.epoch, obslog.ReadOptions{})
 }
 
 // wants reports whether the dataset includes records from a campaign.
@@ -109,11 +108,6 @@ func (d *Dataset) EachObs(p ident.Protocol, fn func(alias.Observation)) error {
 	return nil
 }
 
-// StreamBacked reports whether the dataset's observations live in the
-// observation log rather than in RAM. Raw Obs reads are empty on such a
-// dataset; every memoized view and EachObs work identically.
-func (d *Dataset) StreamBacked() bool { return d != nil && d.stream != nil }
-
 // appendAddr extends a sorted distinct address list with the next address
 // of a sorted run — the log's canonical order makes consecutive-dedup
 // sufficient, no hash set needed.
@@ -158,24 +152,6 @@ func filterFam(addrs []netip.Addr, v4 *bool) []netip.Addr {
 		}
 	}
 	return out
-}
-
-// readaheadFor maps a collection memory budget to a reader chunk size:
-// roughly 1/64th of the budget, clamped to [64 KiB, 8 MiB]. 0 defers to the
-// obslog default.
-func readaheadFor(budget int64) int {
-	if budget <= 0 {
-		return 0
-	}
-	const lo, hi = 64 << 10, 8 << 20
-	ra := budget / 64
-	if ra < lo {
-		return lo
-	}
-	if ra > hi {
-		return hi
-	}
-	return int(ra)
 }
 
 // sealStreamed is seal's out-of-core counterpart: instead of adopting

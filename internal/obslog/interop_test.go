@@ -88,15 +88,40 @@ func TestObsfileUnknownProtocol(t *testing.T) {
 
 // TestShardRejectsWrongProtocolHeader covers the binary side of the
 // unknown-protocol path: a shard whose header frame names a different
-// protocol than its filename implies is refused at open.
+// protocol than its filename implies is refused at open — by Replay and by
+// OpenEpoch, which share the EpochReader.
 func TestShardRejectsWrongProtocolHeader(t *testing.T) {
 	dir := writeTwoEpochs(t)
+	// The SSH and BGP shards are the same size, so after a swap every
+	// manifest offset still lands on a frame boundary of the other shard:
+	// only the header can tell the two apart.
+	sizes := make(map[ident.Protocol]int64)
+	for _, p := range []ident.Protocol{ident.SSH, ident.BGP} {
+		st, err := os.Stat(filepath.Join(dir, shardName(p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[p] = st.Size()
+	}
+	if sizes[ident.SSH] != sizes[ident.BGP] {
+		t.Fatalf("ssh shard %d bytes, bgp shard %d: the swap needs equal sizes", sizes[ident.SSH], sizes[ident.BGP])
+	}
 	// Swap the SSH and BGP shard contents: headers no longer match names.
 	swap(t, dir, shardName(ident.SSH), shardName(ident.BGP))
 	if _, err := Replay(dir, 0); err == nil {
 		t.Fatal("Replay accepted shards with mismatched protocol headers")
 	} else if !strings.Contains(err.Error(), "bad header") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	for _, p := range []ident.Protocol{ident.SSH, ident.BGP} {
+		r, err := OpenEpoch(dir, p, 0, ReadOptions{})
+		if err == nil {
+			r.Close()
+			t.Fatalf("OpenEpoch streamed the %s shard under the other protocol's header", protoKey(p))
+		}
+		if !strings.Contains(err.Error(), "bad header") {
+			t.Fatalf("OpenEpoch(%s): unexpected error: %v", protoKey(p), err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"aliaslimit/internal/atomicio"
+	"aliaslimit/internal/ident"
 )
 
 // manifestName is the checkpoint manifest filename inside a log directory.
@@ -99,7 +100,11 @@ func (m *Manifest) write(dir string) error {
 }
 
 // ReadManifest loads and validates the checkpoint manifest of a log
-// directory.
+// directory. Every committed epoch must record an offset for each of the
+// three shards, and each offset must lie at least one epoch marker frame
+// past the previous epoch's offset (past the header frame for epoch 0):
+// Resume truncates the shards to these offsets, so a manifest that breaks
+// the rule is refused before any shard is touched.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -121,6 +126,21 @@ func ReadManifest(dir string) (*Manifest, error) {
 		}
 		if len(e.Offsets) != numShards {
 			return nil, fmt.Errorf("obslog: manifest epoch %d has %d shard offsets, want %d", i, len(e.Offsets), numShards)
+		}
+		for _, p := range ident.Protocols {
+			key := protoKey(p)
+			off, ok := e.Offsets[key]
+			if !ok {
+				return nil, fmt.Errorf("obslog: manifest epoch %d has no %s shard offset", i, key)
+			}
+			prev := int64(headerSize)
+			if i > 0 {
+				prev = m.Epochs[i-1].Offsets[key]
+			}
+			if off < prev+markSize {
+				return nil, fmt.Errorf("obslog: manifest epoch %d %s shard offset %d, want at least %d (one epoch marker past %d)",
+					i, key, off, prev+markSize, prev)
+			}
 		}
 	}
 	return &m, nil

@@ -1,15 +1,14 @@
 // Package obslog is the durable observation log: an append-only,
 // per-protocol-sharded, length-prefixed binary record of every identifier
 // observation a measurement run extracts, with CRC-framed records, epoch
-// boundary markers, fsync policy knobs, a checkpoint manifest, and a
-// compaction pass that folds superseded observations.
+// boundary markers and a checkpoint manifest.
 //
 // Where obsfile is the human-auditable JSONL interchange format, obslog is
 // the crash-safe collection journal: the scan worker pools tee every
 // extracted observation into a Writer while the sweeps are still in flight
 // (experiments.ScanOptions.Sink), each epoch boundary folds the arrivals
 // into a canonical on-disk segment and commits a manifest checkpoint, and
-// Replay rebuilds any completed epoch's datasets from disk — byte-identical
+// Replay rebuilds any committed epoch's datasets from disk — byte-identical
 // to the in-RAM run.
 //
 // # On-disk layout
@@ -43,19 +42,24 @@
 //
 // # Crash safety
 //
-// A frame with a short or corrupt tail (the typical SIGKILL artifact) fails
-// its CRC or length check and is cleanly dropped at open, along with
-// everything after it; records past the last epoch marker belong to the
-// incomplete epoch and are likewise ignored by Replay. Resume truncates the
-// shards back to the manifest's recorded offsets and clears the spills, so
-// a killed run continues from its last complete epoch.
+// The manifest names an epoch only after its segments are on disk, and it
+// records each shard's size after every committed epoch. Resume truncates
+// the shards back to the last committed offsets and clears the spills, so
+// a killed run's partial epoch and torn frames are cut away and the run
+// continues from its last committed epoch. Every reader (Replay, OpenEpoch,
+// Writer.EpochReaderAt) goes through the EpochReader, which reads only
+// committed or folded segments and treats any defect inside one — a wrong
+// header, a torn or CRC-corrupt frame, a misnumbered or misplaced epoch
+// marker — as an error.
 package obslog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"net/netip"
+	"os"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
@@ -100,6 +104,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // frameOverhead is the length prefix plus the CRC trailer.
 const frameOverhead = 8
+
+// headerSize is the encoded size of a shard's header frame: kind, magic,
+// version and protocol bytes plus the frame overhead.
+const headerSize = frameOverhead + 7
+
+// markSize is the encoded size of an epoch marker frame: kind and u32le
+// epoch plus the frame overhead.
+const markSize = frameOverhead + 5
 
 // numShards is one shard per protocol (SSH, BGP, SNMPv3).
 const numShards = 3
@@ -218,7 +230,7 @@ func markPayload(epoch int) []byte {
 
 // nextFrame parses the frame at the start of data, returning its payload
 // and total encoded size. ok is false when the bytes do not form a complete,
-// CRC-valid frame — the truncated-or-corrupt-tail case readers drop cleanly.
+// CRC-valid frame.
 func nextFrame(data []byte) (payload []byte, size int, ok bool) {
 	if len(data) < frameOverhead {
 		return nil, 0, false
@@ -235,15 +247,17 @@ func nextFrame(data []byte) (payload []byte, size int, ok bool) {
 	return payload, frameOverhead + n, true
 }
 
-// checkHeader validates a shard's header frame and returns its encoded size.
-func checkHeader(data []byte, p ident.Protocol) (int, error) {
-	payload, size, ok := nextFrame(data)
-	if !ok {
-		return 0, fmt.Errorf("obslog: %s shard: missing or corrupt header frame", protoKey(p))
+// checkHeader reads the header frame at the start of an open shard file.
+// The frame is fully determined by the protocol, so one byte comparison
+// checks its length, magic, version, protocol and CRC.
+func checkHeader(f *os.File, p ident.Protocol) error {
+	want := appendFrame(nil, headerPayload(p))
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil {
+		return fmt.Errorf("obslog: %s shard: reading header frame: %w", protoKey(p), err)
 	}
-	want := headerPayload(p)
-	if len(payload) != len(want) || string(payload) != string(want) {
-		return 0, fmt.Errorf("obslog: %s shard: bad header (wrong magic, version, or protocol)", protoKey(p))
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("obslog: %s shard: bad header (wrong magic, version, or protocol)", protoKey(p))
 	}
-	return size, nil
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"aliaslimit/internal/alias"
@@ -89,9 +90,6 @@ func TestRoundTripWithSpill(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, spillName(p))); !os.IsNotExist(err) {
 			t.Fatalf("spill file %s survived Close", spillName(p))
 		}
-	}
-	if n, err := Epochs(dir); err != nil || n != 2 {
-		t.Fatalf("Epochs = %d, %v; want 2", n, err)
 	}
 	for e, batch := range epochs {
 		snap, err := Replay(dir, e)
@@ -251,9 +249,6 @@ func TestTruncatedTailDroppedCleanly(t *testing.T) {
 	if _, err := Replay(dir, 1); err == nil {
 		t.Fatal("epoch 1 lost its marker to the torn tail; Replay must refuse it")
 	}
-	if n, err := Epochs(dir); err != nil || n != 1 {
-		t.Fatalf("Epochs = %d, %v; want 1", n, err)
-	}
 }
 
 func TestCorruptFrameDroppedCleanly(t *testing.T) {
@@ -268,7 +263,7 @@ func TestCorruptFrameDroppedCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside epoch 1's segment (past epoch 0's committed
-	// offset): its CRC fails and everything from it on is dropped.
+	// offset): its CRC fails, so epoch 1 is refused and epoch 0 still reads.
 	pos := man.Epochs[0].Offsets["bgp"] + 10
 	data[pos] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -340,8 +335,8 @@ func TestRollbackDiscardsCommittedEpoch(t *testing.T) {
 	if err := w.Rollback(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Manifest(); got.EpochsDone != 1 {
-		t.Fatalf("after rollback EpochsDone = %d, want 1", got.EpochsDone)
+	if got, err := ReadManifest(dir); err != nil || got.EpochsDone != 1 {
+		t.Fatalf("after rollback: manifest %+v, %v; want 1 epoch done", got, err)
 	}
 	// The log can recommit epoch 1 from scratch.
 	w.Observe(SourceActive, ident.SSH, obs(ident.SSH, "10.8.0.1", "redo"))
@@ -367,68 +362,67 @@ func TestCreateRefusesExistingLog(t *testing.T) {
 	}
 }
 
-func TestCompactFoldsSupersededKeepsFinalEpoch(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, testMeta, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10.0.0.1 is re-observed with a new digest every epoch (superseded
-	// twice); 10.0.0.2 appears only in epoch 0 (never superseded).
-	for e := 0; e < 3; e++ {
-		w.Observe(SourceActive, ident.SSH, obs(ident.SSH, "10.0.0.1", fmt.Sprintf("gen-%d", e)))
-		if e == 0 {
-			w.Observe(SourceActive, ident.SSH, obs(ident.SSH, "10.0.0.2", "stable"))
-		}
-		w.Observe(SourceActive, ident.BGP, obs(ident.BGP, "10.0.0.3", "b"))
-		w.Observe(SourceActive, ident.SNMP, obs(ident.SNMP, "10.0.0.4", "s"))
-		if err := w.CompleteEpoch(e, "", uint64(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := Replay(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := Compact(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// gen-0, gen-1, and epochs 0/1's copies of b and s fold away.
-	if stats.Dropped != 6 {
-		t.Fatalf("Dropped = %d, want 6", stats.Dropped)
-	}
-	if stats.BytesAfter >= stats.BytesBefore {
-		t.Fatalf("compaction grew the log: %d -> %d", stats.BytesBefore, stats.BytesAfter)
-	}
-	after, err := Replay(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("final epoch changed across compaction:\nbefore %+v\nafter  %+v", before, after)
-	}
-	// Epoch 0 keeps its never-superseded record but loses gen-0.
-	snap0, err := Replay(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap0.Active[ident.SSH]) != 1 || snap0.Active[ident.SSH][0].ID.Digest != "stable" {
-		t.Fatalf("compacted epoch 0 SSH = %v, want only the stable record", snap0.Active[ident.SSH])
-	}
-	// Offsets were rewritten consistently: resume still works.
-	w2, man, err := Resume(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.EpochsDone != 3 {
-		t.Fatalf("EpochsDone = %d after compaction", man.EpochsDone)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
+// TestReadManifestRejectsBadOffsets: Resume truncates every shard to the
+// last committed epoch's offsets, so a manifest naming offsets that are not
+// past the header and one epoch marker per epoch must be refused — by
+// ReadManifest and by Resume — before any shard byte changes.
+func TestReadManifestRejectsBadOffsets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(m *Manifest)
+		want string
+	}{
+		{"keys renamed", func(m *Manifest) {
+			o := m.Epochs[1].Offsets
+			m.Epochs[1].Offsets = map[string]int64{"a": o["ssh"], "b": o["bgp"], "c": o["snmpv3"]}
+		}, "epoch 1 has no ssh shard offset"},
+		{"one key unknown", func(m *Manifest) {
+			o := m.Epochs[0].Offsets
+			o["snmp"] = o["snmpv3"]
+			delete(o, "snmpv3")
+		}, "epoch 0 has no snmpv3 shard offset"},
+		{"offset inside the header", func(m *Manifest) { m.Epochs[1].Offsets["bgp"] = 3 }, "epoch 1 bgp shard offset 3"},
+		{"epoch 0 without a marker", func(m *Manifest) { m.Epochs[0].Offsets["ssh"] = headerSize }, "epoch 0 ssh shard offset"},
+		{"epoch 1 not past epoch 0", func(m *Manifest) {
+			m.Epochs[1].Offsets["snmpv3"] = m.Epochs[0].Offsets["snmpv3"] + markSize - 1
+		}, "epoch 1 snmpv3 shard offset"},
+		{"negative offset", func(m *Manifest) { m.Epochs[0].Offsets["bgp"] = -1 }, "epoch 0 bgp shard offset -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeTwoEpochs(t)
+			man, err := ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(man)
+			if err := man.write(dir); err != nil {
+				t.Fatal(err)
+			}
+			before := make(map[string][]byte)
+			for _, p := range ident.Protocols {
+				data, err := os.ReadFile(filepath.Join(dir, shardName(p)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[shardName(p)] = data
+			}
+			if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadManifest = %v, want an error containing %q", err, tc.want)
+			}
+			if w, _, err := Resume(dir, Options{}); err == nil {
+				w.Close()
+				t.Fatal("Resume accepted the manifest")
+			}
+			for name, data := range before {
+				after, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, data) {
+					t.Errorf("%s changed from %d to %d bytes", name, len(data), len(after))
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,7 @@
 package obslog
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
@@ -22,98 +20,39 @@ type Snapshot struct {
 	Censys [numShards][]alias.Observation
 }
 
-// readShardEpochs parses a shard file into its complete epochs. Records
-// after the last epoch marker — the incomplete epoch in flight when a run
-// was killed — are dropped, as is everything from the first truncated or
-// CRC-corrupt frame onward. Only structurally valid frames with impossible
-// content (a bad source byte, an epoch marker out of sequence) are reported
-// as errors: they mean the file is not an observation log at all, not that
-// a crash tore its tail.
-func readShardEpochs(path string, p ident.Protocol) ([][]rec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obslog: %w", err)
-	}
-	off, err := checkHeader(data, p)
-	if err != nil {
-		return nil, err
-	}
-	var epochs [][]rec
-	cur := []rec{}
-	for off < len(data) {
-		payload, n, ok := nextFrame(data[off:])
-		if !ok {
-			break
-		}
-		off += n
-		switch payload[0] {
-		case kindObs:
-			r, err := decodeObsPayload(payload)
-			if err != nil {
-				return nil, fmt.Errorf("obslog: %s shard: %w", protoKey(p), err)
-			}
-			cur = append(cur, r)
-		case kindMark:
-			if len(payload) != 5 {
-				return nil, fmt.Errorf("obslog: %s shard: malformed epoch marker", protoKey(p))
-			}
-			e := int(uint32(payload[1]) | uint32(payload[2])<<8 | uint32(payload[3])<<16 | uint32(payload[4])<<24)
-			if e != len(epochs) {
-				return nil, fmt.Errorf("obslog: %s shard: epoch marker %d where %d expected", protoKey(p), e, len(epochs))
-			}
-			epochs = append(epochs, cur)
-			cur = []rec{}
-		default:
-			return nil, fmt.Errorf("obslog: %s shard: unknown frame kind %d", protoKey(p), payload[0])
-		}
-	}
-	return epochs, nil
-}
-
-// Epochs reports how many complete epochs the log directory can replay: the
-// minimum across shards of the epochs closed by a valid marker.
-func Epochs(dir string) (int, error) {
-	n := -1
-	for _, p := range ident.Protocols {
-		epochs, err := readShardEpochs(filepath.Join(dir, shardName(p)), p)
-		if err != nil {
-			return 0, err
-		}
-		if n < 0 || len(epochs) < n {
-			n = len(epochs)
-		}
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n, nil
-}
-
-// Replay reconstructs one completed epoch's observations from the log. It
-// errors if any shard lacks the epoch (crash-truncated tails make later
-// epochs unavailable, never wrong).
+// Replay reconstructs one committed epoch's observations from the log,
+// streaming each shard's segment through OpenEpoch. It errors if the
+// manifest has not committed the epoch or any of its segments is defective
+// (see EpochReader).
 func Replay(dir string, epoch int) (*Snapshot, error) {
-	if epoch < 0 {
-		return nil, fmt.Errorf("obslog: negative epoch %d", epoch)
-	}
 	snap := &Snapshot{Epoch: epoch}
 	for _, p := range ident.Protocols {
-		epochs, err := readShardEpochs(filepath.Join(dir, shardName(p)), p)
-		if err != nil {
+		if err := snap.replayShard(dir, p); err != nil {
 			return nil, err
-		}
-		if epoch >= len(epochs) {
-			return nil, fmt.Errorf("obslog: epoch %d not in %s shard (holds %d complete epochs)",
-				epoch, protoKey(p), len(epochs))
-		}
-		for _, r := range epochs[epoch] {
-			o := r.observation(p)
-			if r.src == SourceCensys {
-				snap.Censys[p] = append(snap.Censys[p], o)
-			} else {
-				snap.Active[p] = append(snap.Active[p], o)
-			}
 		}
 	}
 	return snap, nil
+}
+
+// replayShard appends one shard's segment of the snapshot's epoch.
+func (snap *Snapshot) replayShard(dir string, p ident.Protocol) error {
+	r, err := OpenEpoch(dir, p, snap.Epoch, ReadOptions{})
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for {
+		src, o, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if src == SourceCensys {
+			snap.Censys[p] = append(snap.Censys[p], o)
+		} else {
+			snap.Active[p] = append(snap.Active[p], o)
+		}
+	}
 }

@@ -33,18 +33,19 @@ type ReadOptions struct {
 
 // EpochReader streams one committed epoch of one shard, frame by frame, in
 // bounded memory: the file is read in Readahead-sized chunks and only the
-// unparsed tail of the current chunk is ever resident. It is the read side
-// of the out-of-core collection path — dataset sealing replays logged
-// observations through it instead of materialising the epoch in RAM.
+// unparsed tail of the current chunk is ever resident. It is the one
+// decoder of committed segments: Replay, OpenEpoch and Writer.EpochReaderAt
+// all read through it, and dataset sealing in the out-of-core collection
+// path replays logged observations through it instead of materialising the
+// epoch in RAM.
 //
-// Error semantics deliberately differ from the whole-file Replay path.
-// Replay tolerates a torn tail because records past the last epoch marker
-// are an incomplete epoch a crash legitimately abandons. An EpochReader, by
-// contrast, reads an epoch the manifest has committed (or the writer has
-// folded), so any defect inside the segment — a torn frame, a CRC-corrupt
-// interior frame, a truncated or misnumbered epoch marker — is a hard
-// error: the caller must never seal a partial dataset from a segment the
-// log claims is complete.
+// It reads only an epoch the manifest has committed (or the writer has
+// folded), after checking the shard's header frame, so any defect inside
+// the segment — a torn frame, a CRC-corrupt interior frame, a truncated,
+// misnumbered or misplaced epoch marker — is a hard error: the caller must
+// never seal a partial dataset from a segment the log claims is complete.
+// Torn tails past the committed offsets are Resume's job, which truncates
+// them away before anything is read.
 type EpochReader struct {
 	f     *os.File
 	p     ident.Protocol
@@ -75,40 +76,22 @@ func OpenEpoch(dir string, p ident.Protocol, epoch int, opts ReadOptions) (*Epoc
 	return openEpochRange(filepath.Join(dir, shardName(p)), p, epoch, start, end, opts)
 }
 
-// ResumeEpochAt reopens a committed epoch mid-segment, at an offset a
-// previous reader reported through Offset(). It lets a consumer that was
-// interrupted partway through a replay continue without re-reading the
-// segment's head.
-func ResumeEpochAt(dir string, p ident.Protocol, epoch int, offset int64, opts ReadOptions) (*EpochReader, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	start, end, err := man.epochRange(p, epoch)
-	if err != nil {
-		return nil, err
-	}
-	if offset < start || offset >= end {
-		return nil, fmt.Errorf("obslog: %s shard: resume offset %d outside epoch %d segment [%d,%d)",
-			protoKey(p), offset, epoch, start, end)
-	}
-	return openEpochRange(filepath.Join(dir, shardName(p)), p, epoch, offset, end, opts)
-}
-
 // epochRange resolves one committed epoch's [start, end) byte range in a
 // shard from the manifest offsets.
 func (m *Manifest) epochRange(p ident.Protocol, epoch int) (start, end int64, err error) {
 	if epoch < 0 || epoch >= m.EpochsDone {
 		return 0, 0, fmt.Errorf("obslog: epoch %d not committed (%d epochs done)", epoch, m.EpochsDone)
 	}
-	start = int64(len(appendFrame(nil, headerPayload(p))))
+	start = headerSize
 	if epoch > 0 {
 		start = m.Epochs[epoch-1].Offsets[protoKey(p)]
 	}
 	return start, m.Epochs[epoch].Offsets[protoKey(p)], nil
 }
 
-// openEpochRange opens a reader over an explicit [start, end) segment.
+// openEpochRange opens a reader over an explicit [start, end) segment after
+// checking the shard's header frame. The header is read with its own ReadAt,
+// so Offset still counts only segment bytes.
 func openEpochRange(path string, p ident.Protocol, epoch int, start, end int64, opts ReadOptions) (*EpochReader, error) {
 	if start < 0 || start >= end {
 		return nil, fmt.Errorf("obslog: %s shard: empty or inverted epoch %d segment [%d,%d)",
@@ -134,6 +117,10 @@ func openEpochRange(path string, p ident.Protocol, epoch int, start, end int64, 
 		f.Close()
 		return nil, fmt.Errorf("obslog: %s shard is %d bytes, epoch %d ends at %d (shard truncated below a committed epoch)",
 			protoKey(p), st.Size(), epoch, end)
+	}
+	if err := checkHeader(f, p); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &EpochReader{f: f, p: p, epoch: epoch, end: end, base: start, readahead: ra}, nil
 }
@@ -261,12 +248,8 @@ func (r *EpochReader) ensure(n int) error {
 	return nil
 }
 
-// Offset reports the absolute file offset of the next unread frame — the
-// mid-file resume point ResumeEpochAt accepts.
+// Offset reports the absolute file offset of the next unread frame.
 func (r *EpochReader) Offset() int64 { return r.base + int64(r.pos) }
-
-// Epoch returns the epoch index the reader streams.
-func (r *EpochReader) Epoch() int { return r.epoch }
 
 // Close releases the reader's file handle.
 func (r *EpochReader) Close() error { return r.f.Close() }

@@ -34,8 +34,30 @@ func streamEpoch(t *testing.T, r *EpochReader) (active, censys []alias.Observati
 	}
 }
 
+// streamLogRecs lists one shard's records in epoch e of writeStreamLog's
+// log, in the canonical (source, address, digest) order a fold writes.
+func streamLogRecs(e int, p ident.Protocol) []rec {
+	var out []rec
+	add := func(src Source, prefix string) {
+		for i := 0; i < 9; i++ {
+			addr := netip.MustParseAddr(fmt.Sprintf("10.%d.0.%d", e, i+1))
+			out = append(out, rec{src: src, addr: addr, digest: fmt.Sprintf("%s%d-%d", prefix, e, i)})
+		}
+	}
+	switch p {
+	case ident.SSH:
+		add(SourceActive, "a")
+		add(SourceCensys, "c")
+	case ident.BGP:
+		add(SourceActive, "b")
+	default:
+		add(SourceActive, "s")
+	}
+	return out
+}
+
 // writeStreamLog builds a small two-epoch log and returns its directory.
-func writeStreamLog(t *testing.T) string {
+func writeStreamLog(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
 	w, err := Create(dir, testMeta, Options{SpillThreshold: 2})
@@ -43,12 +65,10 @@ func writeStreamLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for e := 0; e < 2; e++ {
-		for i := 0; i < 9; i++ {
-			addr := fmt.Sprintf("10.%d.0.%d", e, i+1)
-			w.Observe(SourceActive, ident.SSH, obs(ident.SSH, addr, fmt.Sprintf("a%d-%d", e, i)))
-			w.Observe(SourceCensys, ident.SSH, obs(ident.SSH, addr, fmt.Sprintf("c%d-%d", e, i)))
-			w.Observe(SourceActive, ident.BGP, obs(ident.BGP, addr, fmt.Sprintf("b%d-%d", e, i)))
-			w.Observe(SourceActive, ident.SNMP, obs(ident.SNMP, addr, fmt.Sprintf("s%d-%d", e, i)))
+		for _, p := range ident.Protocols {
+			for _, r := range streamLogRecs(e, p) {
+				w.Observe(r.src, p, r.observation(p))
+			}
 		}
 		if err := w.CompleteEpoch(e, "", 0); err != nil {
 			t.Fatal(err)
@@ -60,10 +80,9 @@ func writeStreamLog(t *testing.T) string {
 	return dir
 }
 
-// TestEpochReaderMatchesReplay proves the chunked streaming reader yields
-// exactly what the whole-file Replay materialises — for every epoch and
-// shard, at a readahead small enough that every frame straddles a chunk
-// refill at least once.
+// TestEpochReaderMatchesReplay proves Replay and the chunked streaming
+// reader both yield exactly the records written — for every epoch and
+// shard, the reader at a readahead small enough to exercise refills.
 func TestEpochReaderMatchesReplay(t *testing.T) {
 	dir := writeStreamLog(t)
 	for e := 0; e < 2; e++ {
@@ -72,19 +91,36 @@ func TestEpochReaderMatchesReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range ident.Protocols {
+			var wantActive, wantCensys []alias.Observation
+			for _, r := range streamLogRecs(e, p) {
+				if r.src == SourceCensys {
+					wantCensys = append(wantCensys, r.observation(p))
+				} else {
+					wantActive = append(wantActive, r.observation(p))
+				}
+			}
+			if !reflect.DeepEqual(snap.Active[p], wantActive) || !reflect.DeepEqual(snap.Censys[p], wantCensys) {
+				t.Fatalf("epoch %d %s: Replay differs from the records written", e, protoKey(p))
+			}
 			// minReadahead clamps this up, but the tiny request documents
 			// the intent: exercise refills, not one-shot reads.
 			r, err := OpenEpoch(dir, p, e, ReadOptions{Readahead: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Offset spans exactly the segment (the header check reads
+			// apart from it), so Offset deltas count segment bytes read.
+			start, end := shardEpochRange(t, dir, p, e)
+			if got := r.Offset(); got != start {
+				t.Fatalf("epoch %d %s: Offset %d at open, segment starts at %d", e, protoKey(p), got, start)
+			}
 			active, censys := streamEpoch(t, r)
 			r.Close()
-			if !reflect.DeepEqual(active, snap.Active[p]) {
-				t.Fatalf("epoch %d %s: streamed active records differ from Replay", e, protoKey(p))
+			if !reflect.DeepEqual(active, wantActive) || !reflect.DeepEqual(censys, wantCensys) {
+				t.Fatalf("epoch %d %s: streamed records differ from the records written", e, protoKey(p))
 			}
-			if !reflect.DeepEqual(censys, snap.Censys[p]) {
-				t.Fatalf("epoch %d %s: streamed censys records differ from Replay", e, protoKey(p))
+			if got := r.Offset(); got != end {
+				t.Fatalf("epoch %d %s: Offset %d at EOF, segment ends at %d", e, protoKey(p), got, end)
 			}
 			// After EOF the reader stays at EOF.
 			if _, _, err := r.Next(); err != io.EOF {
@@ -94,54 +130,6 @@ func TestEpochReaderMatchesReplay(t *testing.T) {
 	}
 	if _, err := OpenEpoch(dir, ident.SSH, 2, ReadOptions{}); err == nil {
 		t.Fatal("OpenEpoch accepted an uncommitted epoch")
-	}
-}
-
-// TestEpochReaderResumeOffset proves Offset is a valid mid-file resume
-// point: a reader interrupted partway and resumed with ResumeEpochAt yields
-// the same record sequence as an uninterrupted read.
-func TestEpochReaderResumeOffset(t *testing.T) {
-	dir := writeStreamLog(t)
-	full, err := OpenEpoch(dir, ident.SSH, 1, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantActive, wantCensys := streamEpoch(t, full)
-	full.Close()
-
-	r, err := OpenEpoch(dir, ident.SSH, 1, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var active, censys []alias.Observation
-	for i := 0; i < 5; i++ {
-		src, o, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src == SourceCensys {
-			censys = append(censys, o)
-		} else {
-			active = append(active, o)
-		}
-	}
-	off := r.Offset()
-	r.Close()
-
-	res, err := ResumeEpochAt(dir, ident.SSH, 1, off, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restActive, restCensys := streamEpoch(t, res)
-	res.Close()
-	active = append(active, restActive...)
-	censys = append(censys, restCensys...)
-	if !reflect.DeepEqual(active, wantActive) || !reflect.DeepEqual(censys, wantCensys) {
-		t.Fatal("resumed read differs from uninterrupted read")
-	}
-
-	if _, err := ResumeEpochAt(dir, ident.SSH, 1, 1, ReadOptions{}); err == nil {
-		t.Fatal("ResumeEpochAt accepted an offset outside the epoch segment")
 	}
 }
 
@@ -172,7 +160,7 @@ func TestEpochReaderPendingFold(t *testing.T) {
 	}
 	pendingActive, pendingCensys := streamEpoch(t, r)
 	r.Close()
-	if err := w.CommitEpoch(0, "digest", 7); err != nil {
+	if err := w.CompleteEpoch(0, "digest", 7); err != nil {
 		t.Fatal(err)
 	}
 	r, err = w.EpochReaderAt(ident.SSH, 0, ReadOptions{})
@@ -312,107 +300,6 @@ func TestEpochReaderTruncatedMarker(t *testing.T) {
 	}
 	if _, _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "truncated epoch marker") {
 		t.Fatalf("Next = %v, want truncated epoch marker error", err)
-	}
-}
-
-// runEpochsForCompaction drives a 3-epoch run where every epoch re-observes
-// the same addresses with epoch-specific digests, so earlier epochs'
-// records are all superseded — the workload auto-compaction feeds on.
-func runEpochsForCompaction(t *testing.T, dir string, opts Options) {
-	t.Helper()
-	w, err := Create(dir, testMeta, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 3; e++ {
-		for i := 0; i < 8; i++ {
-			addr := fmt.Sprintf("10.1.0.%d", i+1)
-			w.Observe(SourceActive, ident.SSH, obs(ident.SSH, addr, fmt.Sprintf("ssh-e%d", e)))
-			w.Observe(SourceCensys, ident.BGP, obs(ident.BGP, addr, fmt.Sprintf("bgp-e%d", e)))
-			w.Observe(SourceActive, ident.SNMP, obs(ident.SNMP, addr, fmt.Sprintf("snmp-e%d", e)))
-		}
-		if err := w.CompleteEpoch(e, fmt.Sprintf("digest-%d", e), uint64(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAutoCompactionPreservesFinalEpoch proves Options.CompactAbove: a run
-// whose shards are compacted mid-run (after every commit, with a 1-byte
-// threshold) yields a byte-identical final-epoch replay to an uncompacted
-// run of the same workload, keeps appending correctly after each compaction,
-// and actually shrinks the shards.
-func TestAutoCompactionPreservesFinalEpoch(t *testing.T) {
-	plain, compacted := t.TempDir(), t.TempDir()
-	runEpochsForCompaction(t, plain, Options{})
-	runEpochsForCompaction(t, compacted, Options{CompactAbove: 1})
-
-	wantEpochs, err := Epochs(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEpochs, err := Epochs(compacted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantEpochs != 3 || gotEpochs != 3 {
-		t.Fatalf("epochs done: plain %d, compacted %d, want 3", wantEpochs, gotEpochs)
-	}
-
-	want, err := Replay(plain, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(compacted, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("final-epoch replay differs across mid-run auto-compaction")
-	}
-
-	// The streaming reader agrees with Replay on the compacted log too.
-	for _, p := range ident.Protocols {
-		r, err := OpenEpoch(compacted, p, 2, ReadOptions{Readahead: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		active, censys := streamEpoch(t, r)
-		r.Close()
-		if !reflect.DeepEqual(active, want.Active[p]) || !reflect.DeepEqual(censys, want.Censys[p]) {
-			t.Fatalf("%s: streamed read of compacted final epoch differs from uncompacted replay", protoKey(p))
-		}
-	}
-
-	var plainBytes, compactedBytes int64
-	for _, p := range ident.Protocols {
-		ps, err := os.Stat(filepath.Join(plain, shardName(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := os.Stat(filepath.Join(compacted, shardName(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plainBytes += ps.Size()
-		compactedBytes += cs.Size()
-	}
-	if compactedBytes >= plainBytes {
-		t.Fatalf("auto-compaction did not shrink shards: %d >= %d bytes", compactedBytes, plainBytes)
-	}
-
-	// Manifest digests (the scored results) are untouched by compaction.
-	man, err := ReadManifest(compacted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e, rec := range man.Epochs {
-		if want := fmt.Sprintf("digest-%d", e); rec.SetsDigest != want {
-			t.Fatalf("epoch %d manifest digest %q, want %q", e, rec.SetsDigest, want)
-		}
 	}
 }
 

@@ -24,11 +24,9 @@ const (
 	// flight.
 	SyncEpoch SyncPolicy = iota
 	// SyncNever leaves flushing to the OS. Fastest; a crash may lose
-	// epochs the manifest claims are durable. For benchmarks and tests.
+	// epochs the manifest claims are durable. For the temporary
+	// stream-collection spill, benchmarks and tests.
 	SyncNever
-	// SyncAlways additionally fsyncs the spill file on every overflow
-	// flush, bounding mid-epoch loss to one spill buffer.
-	SyncAlways
 )
 
 // DefaultSpillThreshold is the per-shard record count buffered in memory
@@ -41,13 +39,6 @@ type Options struct {
 	Sync SyncPolicy
 	// SpillThreshold overrides DefaultSpillThreshold when positive.
 	SpillThreshold int
-	// CompactAbove, when positive, auto-compacts the log whenever an epoch
-	// commit leaves the canonical shards totalling more than this many
-	// bytes: superseded observations fold away (Compact semantics — the
-	// final committed epoch replays identically), the shard files are
-	// atomically replaced, and the writer reopens them at the compacted
-	// offsets, all before CommitEpoch returns. Zero disables auto-compaction.
-	CompactAbove int64
 }
 
 // Writer is the append side of an observation log directory. Observe is
@@ -56,13 +47,12 @@ type Options struct {
 // flight, which the epoch structure of a run guarantees.
 type Writer struct {
 	dir    string
-	opts   Options
 	shards [numShards]*shard
 
 	mu  sync.Mutex // guards man, pending, pendingEpoch
 	man *Manifest
 	// pending holds the per-shard offsets of an epoch FoldEpoch has made
-	// durable but CommitEpoch has not yet recorded in the manifest — the
+	// durable but CompleteEpoch has not yet recorded in the manifest — the
 	// window in which the out-of-core sealing replay streams the folded
 	// segment back through EpochReaderAt.
 	pending      map[string]int64
@@ -95,7 +85,7 @@ func Create(dir string, meta RunMeta, opts Options) (*Writer, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return nil, fmt.Errorf("obslog: %s already holds a log (use Resume)", dir)
 	}
-	w := &Writer{dir: dir, opts: opts, man: newManifest(meta)}
+	w := &Writer{dir: dir, man: newManifest(meta)}
 	for _, p := range ident.Protocols {
 		s, err := createShard(dir, p, opts)
 		if err != nil {
@@ -166,9 +156,6 @@ func (s *shard) flushSpillLocked() {
 		s.frameBuf = appendFrame(s.frameBuf, s.payloadBuf)
 	}
 	if _, err := s.spill.Write(s.frameBuf); err == nil {
-		if s.sync == SyncAlways {
-			s.spill.Sync()
-		}
 		s.spilled += len(s.mem)
 		s.mem = s.mem[:0]
 	}
@@ -191,28 +178,6 @@ func (w *Writer) Sink(src Source) SinkWriter {
 // Observe implements the observation-sink shape.
 func (s SinkWriter) Observe(p ident.Protocol, o alias.Observation) {
 	s.w.Observe(s.src, p, o)
-}
-
-// Dir returns the log directory.
-func (w *Writer) Dir() string { return w.dir }
-
-// Manifest returns a snapshot of the current checkpoint manifest.
-func (w *Writer) Manifest() Manifest {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.man.clone()
-}
-
-// CompleteEpoch folds the epoch's buffered arrivals into each shard's
-// canonical segment (sorted, deduplicated, CRC-framed, closed by an epoch
-// marker), fsyncs per policy, and atomically commits the checkpoint
-// manifest recording the per-shard offsets, the world churn draw state, and
-// the running sets digest. epoch must be the next undone epoch. It is
-// FoldEpoch followed by CommitEpoch; callers that need to read the folded
-// segment back before committing (the out-of-core sealing replay) call the
-// two halves themselves.
-func (w *Writer) CompleteEpoch(epoch int, setsDigest string, drawState uint64) error {
-	return w.CommitEpoch(epoch, setsDigest, drawState)
 }
 
 // FoldEpoch folds the epoch's buffered arrivals into each shard's canonical
@@ -252,11 +217,14 @@ func (w *Writer) foldEpochLocked(epoch int) error {
 	return nil
 }
 
-// CommitEpoch records a folded epoch in the checkpoint manifest (folding it
-// first if FoldEpoch has not run). The segment is durable before the
-// manifest names it — the ordering crash safety rests on. After the commit
-// it triggers auto-compaction when Options.CompactAbove is exceeded.
-func (w *Writer) CommitEpoch(epoch int, setsDigest string, drawState uint64) error {
+// CompleteEpoch commits the epoch: it folds the epoch's buffered arrivals
+// into each shard's canonical segment (sorted, deduplicated, CRC-framed,
+// closed by an epoch marker, fsynced per policy) unless FoldEpoch already
+// did, then atomically commits the checkpoint manifest recording the
+// per-shard offsets, the world churn draw state, and the running sets
+// digest. epoch must be the next undone epoch. The segment is durable
+// before the manifest names it — the ordering crash safety rests on.
+func (w *Writer) CompleteEpoch(epoch int, setsDigest string, drawState uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.foldEpochLocked(epoch); err != nil {
@@ -270,22 +238,17 @@ func (w *Writer) CommitEpoch(epoch int, setsDigest string, drawState uint64) err
 		Offsets:    w.pending,
 	})
 	w.pending = nil
-	if err := w.writeManifest(); err != nil {
-		return err
-	}
-	return w.maybeCompactLocked()
+	return w.writeManifest()
 }
 
 // EpochReaderAt opens a chunked streaming reader over one epoch of one
 // shard. It serves committed epochs and the epoch FoldEpoch has folded but
 // not yet committed — the window the out-of-core sealing replay reads. The
-// reader takes its own file handle, so subsequent appends never disturb it,
-// and the open happens under the writer lock so a concurrent auto-compaction
-// cannot swap the file between offset resolution and open.
+// reader takes its own file handle, so subsequent appends never disturb it.
 func (w *Writer) EpochReaderAt(p ident.Protocol, epoch int, opts ReadOptions) (*EpochReader, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	start := int64(len(appendFrame(nil, headerPayload(p))))
+	start := int64(headerSize)
 	if epoch > 0 {
 		if epoch-1 >= w.man.EpochsDone {
 			return nil, fmt.Errorf("obslog: epoch %d neither committed nor folded (%d epochs done)", epoch, w.man.EpochsDone)
@@ -302,55 +265,6 @@ func (w *Writer) EpochReaderAt(p ident.Protocol, epoch int, opts ReadOptions) (*
 		return nil, fmt.Errorf("obslog: epoch %d neither committed nor folded (%d epochs done)", epoch, w.man.EpochsDone)
 	}
 	return openEpochRange(filepath.Join(w.dir, shardName(p)), p, epoch, start, end, opts)
-}
-
-// maybeCompactLocked runs the compaction pass when the canonical shards
-// exceed Options.CompactAbove. The shard handles are closed around the pass
-// (compaction atomically replaces the files) and reopened at the compacted
-// offsets; readers opened earlier keep their own handles on the replaced
-// inodes and finish undisturbed. Callers hold w.mu.
-func (w *Writer) maybeCompactLocked() error {
-	if w.opts.CompactAbove <= 0 {
-		return nil
-	}
-	var total int64
-	for _, p := range ident.Protocols {
-		total += w.shards[p].size
-	}
-	if total <= w.opts.CompactAbove {
-		return nil
-	}
-	for _, p := range ident.Protocols {
-		s := w.shards[p]
-		s.mu.Lock()
-		err := s.f.Close()
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("obslog: %s shard: %w", protoKey(p), err)
-		}
-	}
-	if _, err := compactWith(w.dir, w.man); err != nil {
-		return err
-	}
-	for _, p := range ident.Protocols {
-		s := w.shards[p]
-		size := int64(len(appendFrame(nil, headerPayload(p))))
-		if w.man.EpochsDone > 0 {
-			size = w.man.Epochs[w.man.EpochsDone-1].Offsets[protoKey(p)]
-		}
-		f, err := os.OpenFile(filepath.Join(w.dir, shardName(p)), os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("obslog: %w", err)
-		}
-		if _, err := f.Seek(size, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("obslog: %s shard: %w", protoKey(p), err)
-		}
-		s.mu.Lock()
-		s.f, s.size = f, size
-		s.mu.Unlock()
-	}
-	return nil
 }
 
 // fold drains the spill and memory tail, canonicalises the epoch's records,
@@ -448,7 +362,7 @@ func (w *Writer) Rollback(done int) error {
 	for _, p := range ident.Protocols {
 		s := w.shards[p]
 		s.mu.Lock()
-		size := int64(len(appendFrame(nil, headerPayload(p))))
+		size := int64(headerSize)
 		if done > 0 {
 			size = w.man.Epochs[done-1].Offsets[protoKey(p)]
 		}
@@ -512,7 +426,7 @@ func Resume(dir string, opts Options) (*Writer, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &Writer{dir: dir, opts: opts, man: man}
+	w := &Writer{dir: dir, man: man}
 	for _, p := range ident.Protocols {
 		s, err := resumeShard(dir, p, man, opts)
 		if err != nil {
@@ -536,17 +450,11 @@ func resumeShard(dir string, p ident.Protocol, man *Manifest, opts Options) (*sh
 	if err != nil {
 		return nil, fmt.Errorf("obslog: %w", err)
 	}
-	headerLen := int64(len(appendFrame(nil, headerPayload(p))))
-	head := make([]byte, headerLen)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obslog: %s shard: %w", protoKey(p), err)
-	}
-	if _, err := checkHeader(head, p); err != nil {
+	if err := checkHeader(f, p); err != nil {
 		f.Close()
 		return nil, err
 	}
-	size := headerLen
+	size := int64(headerSize)
 	if man.EpochsDone > 0 {
 		size = man.Epochs[man.EpochsDone-1].Offsets[protoKey(p)]
 	}

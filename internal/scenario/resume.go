@@ -76,7 +76,7 @@ func loadEpochScore(dir string, epoch int) (*EpochScore, error) {
 // ResumeLongitudinal continues the durable longitudinal run under dir. The
 // run's identity — preset, seed, scale, quick, epochs, decay — comes from the
 // log's manifest; opts contributes only the execution knobs that cannot
-// change results (Workers, Parallelism, StreamCollect, MemBudget). A manifest
+// change results (Workers, Parallelism, StreamCollect). A manifest
 // whose backend is not resolver.Name was written by a resolver this build no
 // longer has, and is refused. Epochs the log holds are
 // replayed and verified, remaining epochs run live, and the assembled
@@ -117,7 +117,6 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 			// difference (its alias sets are byte-identical), so like
 			// Workers it carries over from the resume invocation.
 			StreamCollect: opts.StreamCollect,
-			MemBudget:     opts.MemBudget,
 		},
 		Epochs: meta.Epochs,
 		Decay:  meta.Decay,

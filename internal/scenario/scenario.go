@@ -60,10 +60,6 @@ type Options struct {
 	// byte-identical to the in-RAM path. Required by
 	// StreamOnly presets (megascale-x100).
 	StreamCollect bool
-	// MemBudget, consulted only with StreamCollect, advises the replay
-	// working-set size in bytes (it tunes the log reader's readahead); 0
-	// picks the default.
-	MemBudget int64
 }
 
 // ProtocolScore is one protocol's ground-truth accuracy in one scenario.
@@ -229,7 +225,6 @@ func envOptions(p Preset, cfg topo.Config, opts Options) experiments.Options {
 		ChurnFraction: p.Churn,
 		Faults:        faults,
 		StreamCollect: opts.StreamCollect,
-		MemBudget:     opts.MemBudget,
 	}
 }
 

@@ -24,7 +24,6 @@ func TestStreamCollectMatchesInRAMOnPresets(t *testing.T) {
 			t.Fatalf("%s in-RAM: %v", p.Name, err)
 		}
 		opts.StreamCollect = true
-		opts.MemBudget = 16 << 20
 		res, err := runPreset(p, opts)
 		if err != nil {
 			t.Fatalf("%s streamed: %v", p.Name, err)
@@ -50,7 +49,9 @@ func TestStreamCollectMatchesInRAMOnPresets(t *testing.T) {
 
 // TestStreamOnlyGate pins megascale-x100's contract: it refuses to run
 // in-RAM with an actionable error, and runs streamed (at a CI-sized scale
-// override here — the world knobs, not the full Scale 100).
+// override here — the world knobs, not the full Scale 100) to a pinned sets
+// digest. It is the one preset that runs only streamed, so the pin is the
+// streamed read path's committed reference.
 func TestStreamOnlyGate(t *testing.T) {
 	_, err := Run("megascale-x100", Options{Seed: 1, Scale: 0.04})
 	if err == nil || !strings.Contains(err.Error(), "-stream-collect") {
@@ -60,8 +61,9 @@ func TestStreamOnlyGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("streamed megascale-x100: %v", err)
 	}
-	if res.SetsDigest == "" {
-		t.Fatal("streamed megascale-x100 produced no sets digest")
+	const pinned = "99d641bfbc7861ea69b11c26e7e531978c04450c426985b4bfcb72852b396889"
+	if res.SetsDigest != pinned {
+		t.Fatalf("streamed megascale-x100 at scale 0.04: sets digest %s, pinned %s", res.SetsDigest, pinned)
 	}
 }
 
