@@ -3,6 +3,7 @@ package alias
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -396,5 +397,61 @@ func TestSingletonIdentities(t *testing.T) {
 	if withSingletons < 1000 || withDual < 400 {
 		t.Fatalf("degenerate corpus: %d partitions with singletons, %d seeds with dual-stack sets",
 			withSingletons, withDual)
+	}
+}
+
+// naiveMerge is the reference TestMergeMatchesNaiveReference holds MergeWith
+// to, written without union-find or interning: pool every input set, then
+// union any two pooled sets that share an address until no two do.
+func naiveMerge(groups ...[]Set) []Set {
+	var pool [][]netip.Addr
+	for _, sets := range groups {
+		for _, s := range sets {
+			pool = append(pool, slices.Clone(s.Addrs))
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(pool) && !changed; i++ {
+			for j := i + 1; j < len(pool); j++ {
+				if slices.ContainsFunc(pool[j], func(a netip.Addr) bool { return slices.Contains(pool[i], a) }) {
+					pool[i] = append(pool[i], pool[j]...)
+					pool = slices.Delete(pool, j, j+1)
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	out := make([]Set, len(pool))
+	for i, addrs := range pool {
+		out[i] = NewSet(addrs...)
+	}
+	SortSets(out)
+	return out
+}
+
+// TestMergeMatchesNaiveReference: over random overlapping partitions,
+// MergeWith through one interning table reused across every call equals the
+// naive fixpoint merge, for all three partitions together and each alone —
+// so a kernel that over-merges or under-merges fails here, not only on the
+// hand-written cases.
+func TestMergeMatchesNaiveReference(t *testing.T) {
+	table := NewAddrTable()
+	merged := 0
+	for seed := uint64(1); seed <= 500; seed++ {
+		parts := randomPartitions(seed)
+		want := naiveMerge(parts...)
+		got := MergeWith(table, parts...)
+		sameSets(t, want, got, fmt.Sprintf("seed %d: all partitions", seed))
+		if len(got) < len(parts[0])+len(parts[1])+len(parts[2]) {
+			merged++
+		}
+		for i, p := range parts {
+			sameSets(t, naiveMerge(p), MergeWith(table, p), fmt.Sprintf("seed %d: partition %d", seed, i))
+		}
+	}
+	if merged < 400 {
+		t.Fatalf("degenerate corpus: only %d of 500 seeds merged any sets", merged)
 	}
 }

@@ -82,13 +82,16 @@ func (g *Grouper) Observe(o Observation) {
 	g.buckets[gi] = b
 }
 
-// addrCount returns the total addresses across all buckets.
-func (g *Grouper) addrCount() int {
-	n := 0
+// count returns the number of buckets holding at least minSize addresses and
+// the addresses they hold.
+func (g *Grouper) count(minSize int) (sets, addrs int) {
 	for _, b := range g.buckets {
-		n += len(b)
+		if len(b) >= minSize {
+			sets++
+			addrs += len(b)
+		}
 	}
-	return n
+	return sets, addrs
 }
 
 // AppendSets appends the current alias sets to dst, copying addresses into
@@ -99,14 +102,18 @@ func (g *Grouper) addrCount() int {
 // the steady-state path allocation-free; the caller must treat sets from
 // earlier cycles as invalidated once backing is reused.
 func (g *Grouper) AppendSets(dst []Set, backing []netip.Addr) ([]Set, []netip.Addr) {
-	if need := g.addrCount(); cap(backing)-len(backing) < need {
-		grown := make([]netip.Addr, len(backing), len(backing)+need)
-		copy(grown, backing)
-		backing = grown
-	}
+	return g.appendSets(dst, backing, 1)
+}
+
+// appendSets is AppendSets over the buckets holding at least minSize
+// addresses: a smaller bucket is neither copied nor sorted.
+func (g *Grouper) appendSets(dst []Set, backing []netip.Addr, minSize int) ([]Set, []netip.Addr) {
+	sets, addrs := g.count(minSize)
+	dst = slices.Grow(dst, sets)
+	backing = slices.Grow(backing, addrs)
 	start := len(dst)
 	for _, b := range g.buckets {
-		if len(b) == 0 {
+		if len(b) < minSize {
 			continue
 		}
 		off := len(backing)
@@ -118,9 +125,18 @@ func (g *Grouper) AppendSets(dst []Set, backing []netip.Addr) ([]Set, []netip.Ad
 }
 
 // Sets snapshots the current alias sets into freshly allocated canonical
-// slices — the finalisation Group and every resolver session share.
+// slices — the finalisation Group and every resolver session share. The
+// result is non-nil even when empty.
 func (g *Grouper) Sets() []Set {
-	sets, _ := g.AppendSets(make([]Set, 0, len(g.buckets)), make([]netip.Addr, 0, g.addrCount()))
+	sets, _ := g.appendSets([]Set{}, nil, 1)
+	return sets
+}
+
+// NonSingletonSets is NonSingleton(g.Sets()) without copying or sorting the
+// one-address buckets, often most of them: the snapshot for readers that use
+// only sets of two or more addresses.
+func (g *Grouper) NonSingletonSets() []Set {
+	sets, _ := g.appendSets([]Set{}, nil, 2)
 	return sets
 }
 

@@ -50,11 +50,16 @@ func sameSets(t *testing.T, want, got []Set, label string) {
 
 // TestGrouperMatchesSortReference is the differential gate: the
 // merge-as-you-go Grouper must be byte-identical to the retired global-sort
-// implementation on every corpus, including observation-order permutations.
+// implementation on every corpus, including observation-order permutations,
+// and its singleton-skipping snapshot to that reference's non-singleton sets.
 func TestGrouperMatchesSortReference(t *testing.T) {
 	for _, seed := range []uint64{3, 77} {
 		obs := groupCorpus(seed, 4000)
 		want := GroupSorted(obs)
+		wantNS := NonSingleton(want)
+		if len(wantNS) == 0 || len(wantNS) == len(want) {
+			t.Fatalf("seed %d: degenerate corpus: %d of %d sets are non-singleton", seed, len(wantNS), len(want))
+		}
 		sameSets(t, want, Group(obs), fmt.Sprintf("seed %d: Group", seed))
 
 		// Reversed consumption order must not matter.
@@ -63,6 +68,7 @@ func TestGrouperMatchesSortReference(t *testing.T) {
 			g.Observe(obs[i])
 		}
 		sameSets(t, want, g.Sets(), fmt.Sprintf("seed %d: reversed", seed))
+		sameSets(t, wantNS, g.NonSingletonSets(), fmt.Sprintf("seed %d: reversed NonSingletonSets", seed))
 
 		// Arena reuse across Reset must not leak earlier state.
 		g.Reset()
@@ -71,6 +77,7 @@ func TestGrouperMatchesSortReference(t *testing.T) {
 		}
 		sets, _ := g.AppendSets(nil, nil)
 		sameSets(t, want, sets, fmt.Sprintf("seed %d: reused arena", seed))
+		sameSets(t, wantNS, g.NonSingletonSets(), fmt.Sprintf("seed %d: reused arena NonSingletonSets", seed))
 	}
 }
 

@@ -198,16 +198,26 @@ func DualStack(sets []Set) []Set {
 // sets that become empty. The paper's IPv4 tables are FilterFamily(v4) views
 // of the underlying identifier groups.
 func FilterFamily(sets []Set, v4 bool) []Set {
-	out := make([]Set, 0, len(sets))
+	// A counting pass sizes one backing array that every output set slices.
+	n := 0
 	for _, s := range sets {
-		var keep []netip.Addr
 		for _, a := range s.Addrs {
 			if a.Is4() == v4 {
-				keep = append(keep, a)
+				n++
 			}
 		}
-		if len(keep) > 0 {
-			out = append(out, Set{Addrs: keep})
+	}
+	backing := make([]netip.Addr, 0, n)
+	out := make([]Set, 0, len(sets))
+	for _, s := range sets {
+		start := len(backing)
+		for _, a := range s.Addrs {
+			if a.Is4() == v4 {
+				backing = append(backing, a)
+			}
+		}
+		if len(backing) > start {
+			out = append(out, Set{Addrs: backing[start:len(backing):len(backing)]})
 		}
 	}
 	sortSets(out)
@@ -240,11 +250,20 @@ func Merge(groups ...[]Set) []Set {
 // concurrency contract.
 func MergeWith(t *AddrTable, groups ...[]Set) []Set {
 	t.epoch++
-	// Membership pass: intern every address and record, in first-appearance
-	// order, the dense per-call ids this merge operates on.
-	var members []int32
+	total := 0
 	for _, sets := range groups {
 		for _, s := range sets {
+			total += len(s.Addrs)
+		}
+	}
+	// One pass interns each address once, records in first-appearance order
+	// the dense per-call ids (members) this merge operates on, and unions
+	// each set's addresses with its first.
+	members := make([]int32, 0, total)
+	d := newDSU(total)
+	for _, sets := range groups {
+		for _, s := range sets {
+			first := int32(-1)
 			for _, a := range s.Addrs {
 				i := t.Intern(a)
 				if t.mark[i] != t.epoch {
@@ -252,51 +271,40 @@ func MergeWith(t *AddrTable, groups ...[]Set) []Set {
 					t.pos[i] = int32(len(members))
 					members = append(members, i)
 				}
+				if first < 0 {
+					first = t.pos[i]
+				} else {
+					d.union(first, t.pos[i])
+				}
 			}
 		}
 	}
-	d := newDSU(len(members))
-	for _, sets := range groups {
-		for _, s := range sets {
-			if len(s.Addrs) < 2 {
-				continue
-			}
-			first := t.pos[t.index[s.Addrs[0]]]
-			for _, a := range s.Addrs[1:] {
-				d.union(first, t.pos[t.index[a]])
-			}
-		}
-	}
-	// Bucket members by component with a counting pass so all output sets
-	// slice one backing array.
-	rootSet := make(map[int32]int32)
-	var counts []int32
+	// Lay the components out in one backing array: end, indexed by DSU root,
+	// starts as the offset of the root's component (d.size holds its length)
+	// and advances as members are placed, so every output set slices one
+	// allocation.
+	end := make([]int32, len(members))
+	n, sets := int32(0), 0
 	for m := range members {
-		r := d.find(int32(m))
-		si, ok := rootSet[r]
-		if !ok {
-			si = int32(len(counts))
-			rootSet[r] = si
-			counts = append(counts, 0)
+		if d.parent[m] == int32(m) {
+			end[m] = n
+			n += d.size[m]
+			sets++
 		}
-		counts[si]++
-	}
-	offsets := make([]int32, len(counts)+1)
-	for i, c := range counts {
-		offsets[i+1] = offsets[i] + c
 	}
 	backing := make([]netip.Addr, len(members))
-	fill := append([]int32(nil), offsets[:len(counts)]...)
 	for m, gid := range members {
-		si := rootSet[d.find(int32(m))]
-		backing[fill[si]] = t.addrs[gid]
-		fill[si]++
+		r := d.find(int32(m))
+		backing[end[r]] = t.addrs[gid]
+		end[r]++
 	}
-	out := make([]Set, len(counts))
-	for i := range counts {
-		seg := backing[offsets[i]:offsets[i+1]:offsets[i+1]]
-		slices.SortFunc(seg, netip.Addr.Compare)
-		out[i] = Set{Addrs: seg}
+	out := make([]Set, 0, sets)
+	for m := range members {
+		if d.parent[m] == int32(m) {
+			seg := backing[end[m]-d.size[m] : end[m] : end[m]]
+			slices.SortFunc(seg, netip.Addr.Compare)
+			out = append(out, Set{Addrs: seg})
+		}
 	}
 	sortSets(out)
 	return out

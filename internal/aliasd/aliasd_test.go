@@ -285,6 +285,36 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestIngestRecordTooLong: a record longer than obsfile.MaxRecordBytes stops
+// the ingest with 413 and the count of records accepted before it, and the
+// session applies exactly those.
+func TestIngestRecordTooLong(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+	id := createTestSession(t, ts.URL, "{}")
+	body := obsLines(
+		[3]string{"10.0.0.1", "SSH", "k1"},
+		[3]string{"10.0.0.2", "SSH", "k1"},
+		[3]string{"10.0.0.3", "SSH", strings.Repeat("d", 1<<20)},
+		[3]string{"10.0.0.4", "SSH", "k1"},
+	)
+	var reply errorBody
+	if code := post(t, ts.URL+"/v1/ingest?session="+id, body, &reply); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("ingest: status %d, want 413", code)
+	}
+	if want := "line 3: " + obsfile.ErrRecordTooLong.Error(); reply.Error != want || reply.Accepted != 2 {
+		t.Fatalf("ingest reply %+v, want error %q after 2 accepted", reply, want)
+	}
+	if code := post(t, ts.URL+"/v1/flush?session="+id, "", nil); code != http.StatusOK {
+		t.Fatalf("flush: status %d", code)
+	}
+	var stats statsReply
+	get(t, ts.URL+"/v1/stats?session="+id, &stats)
+	if stats.Applied != 2 || stats.Received != 2 {
+		t.Fatalf("applied %d received %d, want 2", stats.Applied, stats.Received)
+	}
+}
+
 // TestSessionCapacityAndLifecycle: the registry sheds session creation at
 // capacity with 503, frees a slot on delete, and 404s unknown ids.
 func TestSessionCapacityAndLifecycle(t *testing.T) {

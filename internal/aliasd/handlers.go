@@ -161,9 +161,10 @@ type ingestReply struct {
 // handleIngest streams NDJSON observations (the obsfile wire format, read by
 // obsfile.Decoder as obsfile.Read reads it) into the session's bounded
 // queue. A malformed record answers 400 with the decoder's "line N: <cause>"
-// text. A full queue stops mid-stream and answers 429 + Retry-After with the
-// count of records already accepted — explicit backpressure, never silent
-// drops.
+// text, and a record longer than obsfile.MaxRecordBytes answers 413 with the
+// same text. A full queue stops mid-stream and answers 429 + Retry-After.
+// Each of these replies carries the count of records already accepted —
+// explicit backpressure, never silent drops.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFrom(w, r)
 	if sess == nil {
@@ -182,7 +183,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Accepted: accepted})
+			code := http.StatusBadRequest
+			if errors.Is(err, obsfile.ErrRecordTooLong) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, errorBody{Error: err.Error(), Accepted: accepted})
 			return
 		}
 		switch err := sess.offer(o); err {

@@ -18,18 +18,20 @@ import (
 	"aliaslimit/internal/xrand"
 )
 
-// countingSession wraps a resolver session to count the Sets calls of each
-// protocol and the Merged calls, so tests can check what a view read
+// countingSession wraps a resolver session to count the per-protocol
+// snapshots (NonSingletonSets) of each protocol, the Merged calls and the
+// full Sets snapshots of any protocol, so tests can check what a view read
 // derives.
 type countingSession struct {
 	resolver.Session
-	sets   [3]atomic.Int64 // by ident.Protocol
+	sets   [3]atomic.Int64 // NonSingletonSets, by ident.Protocol
 	merged atomic.Int64
+	full   atomic.Int64 // Sets, any protocol
 }
 
-func (s *countingSession) Sets(p ident.Protocol) []alias.Set {
+func (s *countingSession) NonSingletonSets(p ident.Protocol) []alias.Set {
 	s.sets[p].Add(1)
-	return s.Session.Sets(p)
+	return s.Session.NonSingletonSets(p)
 }
 
 func (s *countingSession) Merged(groups ...[]alias.Set) []alias.Set {
@@ -37,11 +39,16 @@ func (s *countingSession) Merged(groups ...[]alias.Set) []alias.Set {
 	return s.Session.Merged(groups...)
 }
 
+func (s *countingSession) Sets(p ident.Protocol) []alias.Set {
+	s.full.Add(1)
+	return s.Session.Sets(p)
+}
+
 // calls is a snapshot of a countingSession's counters.
-type calls struct{ ssh, bgp, snmp, merged int64 }
+type calls struct{ ssh, bgp, snmp, merged, full int64 }
 
 func (s *countingSession) calls() calls {
-	return calls{s.sets[ident.SSH].Load(), s.sets[ident.BGP].Load(), s.sets[ident.SNMP].Load(), s.merged.Load()}
+	return calls{s.sets[ident.SSH].Load(), s.sets[ident.BGP].Load(), s.sets[ident.SNMP].Load(), s.merged.Load(), s.full.Load()}
 }
 
 // viewCorpus draws ingest records over a small address pool: all three
@@ -184,8 +191,9 @@ func TestViewReadsMatchFreshDerivation(t *testing.T) {
 
 // TestViewReadsDeriveOnlyTheirView: within one applied count each protocol
 // is snapshotted at most once and each merge runs at most once; a protocol
-// view takes only its own snapshot and merges nothing; and a repeated
-// /v1/stats derives nothing.
+// view takes only its own snapshot and merges nothing; a repeated /v1/stats
+// derives nothing; and no view or stats read takes a full snapshot (Sets),
+// whose one-address sets no partition uses.
 func TestViewReadsDeriveOnlyTheirView(t *testing.T) {
 	srv := NewServer(Config{newSession: func() resolver.Session {
 		return &countingSession{Session: resolver.NewSession()}
@@ -208,7 +216,8 @@ func TestViewReadsDeriveOnlyTheirView(t *testing.T) {
 			t.Fatalf("%s: status %d", label, code)
 		}
 		after := cs.calls()
-		got := calls{after.ssh - before.ssh, after.bgp - before.bgp, after.snmp - before.snmp, after.merged - before.merged}
+		got := calls{after.ssh - before.ssh, after.bgp - before.bgp, after.snmp - before.snmp,
+			after.merged - before.merged, after.full - before.full}
 		if got != delta {
 			t.Fatalf("%s: calls %+v, want %+v", label, got, delta)
 		}

@@ -98,6 +98,14 @@ func Read(r io.Reader) ([]alias.Observation, error) {
 	}
 }
 
+// MaxRecordBytes bounds the input one record may take, the whitespace before
+// it included.
+const MaxRecordBytes = 64 << 10
+
+// ErrRecordTooLong is the cause Decode reports, after the "line N: " prefix,
+// for a record longer than MaxRecordBytes.
+var ErrRecordTooLong = fmt.Errorf("record longer than %d bytes", MaxRecordBytes)
+
 // Decoder reads observations from an obsfile stream, one record per call.
 // Every reader of the wire format (Read, the resolution daemon's ingest
 // endpoint) decodes through it.
@@ -118,11 +126,23 @@ func Read(r io.Reader) ([]alias.Observation, error) {
 // end. Either way each record is checked by Parse, so every stream decodes
 // to the same observations and errors it would if encoding/json read all of
 // it.
+//
+// Each record, counted with the whitespace and blank lines before it, may
+// take at most MaxRecordBytes bytes of input: the decoder never reads further
+// than that past the end of the previous record, and fails with
+// ErrRecordTooLong instead. A canonical line is bounded by the read buffer
+// anyway; the bound keeps encoding/json from buffering a record of any
+// length.
 type Decoder struct {
 	br *bufio.Reader
-	// js decodes the stream from its first non-canonical line on; nil until
-	// then, and never reset.
-	js *json.Decoder
+	// js decodes the stream from its first non-canonical line on, reading it
+	// through lim; both nil until then, and never reset.
+	js  *json.Decoder
+	lim *recordLimit
+	// gap counts the bytes the canonical path has read since the end of the
+	// last record: trailing whitespace and blank lines, which count toward
+	// the next record's length.
+	gap int
 	// records counts the records decoded so far.
 	records int
 }
@@ -162,22 +182,58 @@ func (d *Decoder) next() (Record, error) {
 		if err == nil || err == io.EOF {
 			body := bytes.TrimRight(line, jsonSpace)
 			if len(body) == 0 {
+				// Whitespace counts toward the next record. At the bound,
+				// encoding/json would need a byte past it to find one.
+				if d.gap += len(line); d.gap >= MaxRecordBytes {
+					return Record{}, ErrRecordTooLong
+				}
 				if err != nil {
 					return Record{}, err
 				}
 				continue
 			}
 			if rec, ok := canonical(body); ok {
+				if d.gap+len(body) > MaxRecordBytes {
+					return Record{}, ErrRecordTooLong
+				}
+				d.gap = len(line) - len(body)
 				return rec, nil
 			}
 		}
 		// The pending line is copied because the next read overwrites the
-		// slice ReadSlice returned.
-		d.js = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), d.br))
+		// slice ReadSlice returned. The pending record began gap bytes
+		// before it.
+		d.lim = &recordLimit{
+			r:   io.MultiReader(bytes.NewReader(bytes.Clone(line)), d.br),
+			max: int64(MaxRecordBytes - d.gap),
+		}
+		d.js = json.NewDecoder(d.lim)
 	}
 	var rec Record
 	err := d.js.Decode(&rec)
+	d.lim.max = d.js.InputOffset() + MaxRecordBytes
 	return rec, err
+}
+
+// recordLimit hands encoding/json the input only up to offset max, which the
+// Decoder sets MaxRecordBytes past the end of the last record; a read at max
+// fails with ErrRecordTooLong.
+type recordLimit struct {
+	r io.Reader
+	// n counts the bytes handed out.
+	n, max int64
+}
+
+func (l *recordLimit) Read(p []byte) (int, error) {
+	if l.n >= l.max {
+		return 0, ErrRecordTooLong
+	}
+	if room := l.max - l.n; int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := l.r.Read(p)
+	l.n += int64(n)
+	return n, err
 }
 
 // jsonSpace is the whitespace encoding/json skips between values.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -106,15 +107,19 @@ func TestErrorsCarryLineNumbers(t *testing.T) {
 }
 
 // referenceRead is the plain decode loop: encoding/json for every record,
-// then Parse, numbering records as Decoder does. The equivalence tests and
+// reading at most MaxRecordBytes past the end of the record before, then
+// Parse, numbering records as Decoder does. The equivalence tests and
 // FuzzRead hold Read to it.
 func referenceRead(r io.Reader) ([]alias.Observation, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
+	src := &boundedReader{r: bufio.NewReader(r), limit: MaxRecordBytes}
+	dec := json.NewDecoder(src)
 	var out []alias.Observation
 	line := 0
 	for {
 		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
+		err := dec.Decode(&rec)
+		src.limit = dec.InputOffset() + MaxRecordBytes
+		if err == io.EOF {
 			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("obsfile: line %d: %w", line+1, err)
@@ -126,6 +131,22 @@ func referenceRead(r io.Reader) ([]alias.Observation, error) {
 		}
 		out = append(out, o)
 	}
+}
+
+// boundedReader is referenceRead's input: once it has handed out limit
+// bytes, it fails with ErrRecordTooLong.
+type boundedReader struct {
+	r           io.Reader
+	read, limit int64
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	if b.read == b.limit {
+		return 0, ErrRecordTooLong
+	}
+	n, err := b.r.Read(p[:min(int64(len(p)), b.limit-b.read)])
+	b.read += int64(n)
+	return n, err
 }
 
 // sameAsReference reports how Read's result on in differs from
@@ -199,6 +220,65 @@ var equivalenceCases = []struct {
 	{"missing protocol", canon1 + malformed["missing proto"] + "\n" + canon2, false},
 	{"bad json", canon1 + malformed["bad json"], false},
 	{"bad address after fallback", `{"proto":"SSH","addr":"1.0.0.2","digest":"aa"}` + "\n" + canon1 + malformed["bad addr"], false},
+}
+
+// jsonRecord returns a record of exactly n bytes that the Decoder reads
+// through encoding/json (its keys are out of canonical order).
+func jsonRecord(n int) string {
+	const head, tail = `{"proto":"SSH","addr":"1.0.0.2","digest":"`, `"}`
+	return head + strings.Repeat("d", n-len(head)-len(tail)) + tail
+}
+
+// blank returns n blank lines.
+func blank(n int) string { return strings.Repeat("\n", n) }
+
+// boundCases are streams with a record, or a run of whitespace, just inside
+// or just past MaxRecordBytes, counted from the end of the record before it;
+// tooLong says which. fast is as in equivalenceCases.
+var boundCases = []struct {
+	name          string
+	in            string
+	fast, tooLong bool
+}{
+	{"blank lines up to the bound", blank(MaxRecordBytes-len(canon1)+1) + canon1, true, false},
+	{"blank lines past the bound", blank(MaxRecordBytes-len(canon1)+2) + canon1, true, true},
+	{"whitespace below the bound", blank(MaxRecordBytes - 1), true, false},
+	{"whitespace at the bound", blank(MaxRecordBytes), true, true},
+	{"second record up to the bound", canon1 + blank(MaxRecordBytes-len(canon2)) + canon2, true, false},
+	{"second record past the bound", canon1 + blank(MaxRecordBytes-len(canon2)+1) + canon2, true, true},
+	{"json record up to the bound", jsonRecord(MaxRecordBytes), false, false},
+	{"json record past the bound", jsonRecord(MaxRecordBytes + 1), false, true},
+	{"json record after blank lines up to the bound", canon1 + blank(99) + jsonRecord(MaxRecordBytes-100), false, false},
+	{"json record after blank lines past the bound", canon1 + blank(99) + jsonRecord(MaxRecordBytes-99), false, true},
+	{"json record after a json record up to the bound", jsonRecord(100) + "\n" + jsonRecord(MaxRecordBytes-1), false, false},
+	{"json record after a json record past the bound", jsonRecord(100) + "\n" + jsonRecord(MaxRecordBytes), false, true},
+	{"line of spaces past the bound", canon1 + strings.Repeat(" ", MaxRecordBytes+1), false, true},
+}
+
+// TestRecordBound: Read fails with ErrRecordTooLong exactly on the streams
+// with a record or whitespace run past MaxRecordBytes, on the canonical path
+// and through encoding/json alike, and agrees with referenceRead on each.
+func TestRecordBound(t *testing.T) {
+	for _, tc := range boundCases {
+		in := []byte(tc.in)
+		if diff := sameAsReference(in, bytes.NewReader(in)); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+		if diff := sameAsReference(in, iotest.OneByteReader(bytes.NewReader(in))); diff != "" {
+			t.Errorf("%s, one byte per read: %s", tc.name, diff)
+		}
+		d := NewDecoder(bytes.NewReader(in))
+		var err error
+		for err == nil {
+			_, err = d.Decode()
+		}
+		if tooLong := errors.Is(err, ErrRecordTooLong); tooLong != tc.tooLong {
+			t.Errorf("%s: error %v, want ErrRecordTooLong: %t", tc.name, err, tc.tooLong)
+		}
+		if fast := d.js == nil; fast != tc.fast {
+			t.Errorf("%s: decoded on the canonical path = %t, want %t", tc.name, fast, tc.fast)
+		}
+	}
 }
 
 // TestReadMatchesReference: on every stream, canonical or not, well-formed

@@ -50,8 +50,9 @@ func protoObs(obs []alias.Observation, p ident.Protocol) []alias.Observation {
 // TestGroupBackendsMatchSortReference is the determinism gate for the
 // merge-as-you-go grouping: on the same corpus, the retired global-sort
 // implementation (alias.GroupSorted) and the session's Sets must produce
-// byte-identical alias sets per protocol, across two seeds, whether the
-// session is fed in corpus order or in reverse.
+// byte-identical alias sets per protocol, and its NonSingletonSets the
+// reference's non-singleton sets, across two seeds, whether the session is
+// fed in corpus order or in reverse.
 func TestGroupBackendsMatchSortReference(t *testing.T) {
 	for _, seed := range []uint64{5, 91} {
 		obs := determinismCorpus(seed, 5000)
@@ -65,6 +66,8 @@ func TestGroupBackendsMatchSortReference(t *testing.T) {
 			for _, p := range ident.Protocols {
 				want := alias.GroupSorted(protoObs(obs, p))
 				requireSameSets(t, fmt.Sprintf("seed %d %s proto %s", seed, order, p), want, s.Sets(p))
+				requireSameSets(t, fmt.Sprintf("seed %d %s proto %s non-singleton", seed, order, p),
+					alias.NonSingleton(want), s.NonSingletonSets(p))
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 // # Architecture
 //
 // NewSession opens a Session, the stateful handle every consumer talks to.
-// The Session contract is three methods:
+// The Session contract is four methods:
 //
 //   - Observe: consume one identifier observation, online, in any order,
 //     from any number of goroutines. Observations route to their protocol by
@@ -13,6 +13,10 @@
 //   - Sets: snapshot one protocol's observations into canonical alias sets —
 //     one set per distinct identifier, singletons included (alias.Group
 //     semantics), byte-identical regardless of arrival order.
+//   - NonSingletonSets: the same snapshot without the one-address sets
+//     (alias.NonSingleton of Sets), which it neither copies nor sorts. The
+//     daemon's views and cmd/resolve read this; the sealed analysis views
+//     still read Sets.
 //   - Merged: consolidate alias-set partitions into connected components —
 //     any two sets sharing an address collapse (alias.Merge semantics).
 //     Merged is a pure function of its arguments, independent of the
@@ -23,9 +27,10 @@
 // feeds one from a file.
 //
 // Every Observe lands in its identifier's sorted bucket immediately, so Sets
-// is a snapshot, and Merged is a union-find over an address-interning table
-// the session owns. Both emit sets in alias's canonical order, so identical
-// inputs produce byte-identical alias sets whatever the arrival order.
+// and NonSingletonSets are snapshots, and Merged is a union-find over an
+// address-interning table the session owns. All three emit sets in alias's
+// canonical order, so identical inputs produce byte-identical alias sets
+// whatever the arrival order.
 package resolver
 
 import (
@@ -53,6 +58,9 @@ type Session interface {
 	// one per distinct identifier, singletons included — alias.Group
 	// semantics.
 	Sets(p ident.Protocol) []alias.Set
+	// NonSingletonSets is alias.NonSingleton(Sets(p)) without copying or
+	// sorting the one-address sets, which carry no alias information.
+	NonSingletonSets(p ident.Protocol) []alias.Set
 	// Merged consolidates alias-set partitions: any two sets sharing an
 	// address collapse into one — alias.Merge semantics. Independent of the
 	// session's observed state.
@@ -105,6 +113,15 @@ func (s *session) Sets(p ident.Protocol) []alias.Set {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	return pg.g.Sets()
+}
+
+// NonSingletonSets implements Session like Sets, keeping only sets of two or
+// more addresses.
+func (s *session) NonSingletonSets(p ident.Protocol) []alias.Set {
+	pg := &s.groups[p]
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	return pg.g.NonSingletonSets()
 }
 
 // Merged implements Session via alias.MergeWith over the shared table.

@@ -153,10 +153,11 @@ func TestStreamConcurrentFeed(t *testing.T) {
 	}
 }
 
-// TestStreamSnapshotDuringFeed: Sets may interleave with Observe — the
-// session-safe contract the resolution daemon relies on. Every snapshot is a
-// well-formed partition, and the final snapshot matches the batch grouping.
-// Run under -race this is also the session's locking proof.
+// TestStreamSnapshotDuringFeed: Sets and NonSingletonSets may interleave
+// with Observe — the session-safe contract the resolution daemon relies on.
+// Every snapshot is a well-formed partition, and the final snapshots match
+// the batch grouping. Run under -race this is also the session's locking
+// proof.
 func TestStreamSnapshotDuringFeed(t *testing.T) {
 	obs := corpus(7, 4000)
 	want := alias.Group(obs)
@@ -171,7 +172,15 @@ func TestStreamSnapshotDuringFeed(t *testing.T) {
 	// Query mid-ingest: each snapshot must be internally consistent (sorted,
 	// canonical) even while observations keep landing.
 	for i := 0; i < 50; i++ {
-		sets := s.Sets(ident.SSH)
+		var sets []alias.Set
+		if i%2 == 0 {
+			sets = s.Sets(ident.SSH)
+		} else {
+			sets = s.NonSingletonSets(ident.SSH)
+			if slices.ContainsFunc(sets, func(set alias.Set) bool { return set.Size() < 2 }) {
+				t.Fatalf("snapshot %d: NonSingletonSets returned a singleton", i)
+			}
+		}
 		sorted := slices.Clone(sets)
 		alias.SortSets(sorted)
 		requireSameSets(t, fmt.Sprintf("snapshot %d order", i), sorted, sets)
@@ -183,6 +192,7 @@ func TestStreamSnapshotDuringFeed(t *testing.T) {
 	}
 	<-done
 	requireSameSets(t, "final snapshot", want, s.Sets(ident.SSH))
+	requireSameSets(t, "final non-singleton snapshot", alias.NonSingleton(want), s.NonSingletonSets(ident.SSH))
 }
 
 // TestCompatBackendOpensTheSession: the retired backend API the frozen

@@ -397,12 +397,13 @@ func SessionPartitions(s resolver.Session) []Partition {
 }
 
 // SessionView derives the scored partitions of one open resolver session
-// lazily: each protocol's snapshot (Sets, then NonSingleton) is taken at most
-// once, on first use, and each named partition is derived at most once from
-// those snapshots, so every partition read through one view comes from the
-// same snapshots. A reader asking for one partition pays only for that
-// partition and its inputs: a protocol partition takes one snapshot; a union
-// or the dual-stack partition takes all three and merges once.
+// lazily: each protocol's snapshot (NonSingletonSets, which never copies or
+// sorts a one-address set) is taken at most once, on first use, and each
+// named partition is derived at most once from those snapshots, so every
+// partition read through one view comes from the same snapshots. A reader
+// asking for one partition pays only for that partition and its inputs: a
+// protocol partition takes one snapshot; a union or the dual-stack partition
+// takes all three and merges once.
 //
 // Only non-singleton sets enter the filters and merges. A singleton carries
 // no alias information: family filtering leaves at most a singleton, which
@@ -423,7 +424,7 @@ type SessionView struct {
 func NewSessionView(s resolver.Session) *SessionView {
 	var protos [3]func() []alias.Set // by ident.Protocol
 	for _, p := range scoreProtos {
-		protos[p] = sync.OnceValue(func() []alias.Set { return alias.NonSingleton(s.Sets(p)) })
+		protos[p] = sync.OnceValue(func() []alias.Set { return s.NonSingletonSets(p) })
 	}
 	union := func(v4 bool) func() []alias.Set {
 		return sync.OnceValue(func() []alias.Set {
