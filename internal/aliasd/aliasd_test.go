@@ -315,6 +315,26 @@ func TestIngestRecordTooLong(t *testing.T) {
 	}
 }
 
+// TestSessionConfigTooLong: a session config body past 64 KiB answers 413
+// and creates no session, while an empty config still creates one.
+func TestSessionConfigTooLong(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+	body := `{"backend":"` + strings.Repeat("b", 1<<20) + `"}`
+	var reply errorBody
+	if code := post(t, ts.URL+"/v1/sessions", body, &reply); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB config: status %d (%s), want 413", code, reply.Error)
+	}
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	get(t, ts.URL+"/v1/sessions", &list)
+	if len(list.Sessions) != 0 {
+		t.Fatalf("an over-long config created sessions %+v", list.Sessions)
+	}
+	createTestSession(t, ts.URL, "{}")
+}
+
 // TestSessionCapacityAndLifecycle: the registry sheds session creation at
 // capacity with 503, frees a slot on delete, and 404s unknown ids.
 func TestSessionCapacityAndLifecycle(t *testing.T) {

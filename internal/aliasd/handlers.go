@@ -90,12 +90,22 @@ func (sess *Session) info() sessionInfo {
 	}
 }
 
+// maxSessionConfigBytes bounds how much of a POST /v1/sessions body the
+// config decoder reads; a session config is a handful of short fields.
+const maxSessionConfigBytes = 64 << 10
+
 // handleCreateSession registers a tenant. An empty body picks an ingest
-// session.
+// session; a config running past maxSessionConfigBytes answers 413.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var cfg SessionConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing session config: %w", err))
+	body := http.MaxBytesReader(w, r.Body, maxSessionConfigBytes)
+	if err := json.NewDecoder(body).Decode(&cfg); err != nil && err != io.EOF {
+		code := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("parsing session config: %w", err))
 		return
 	}
 	sess, err := s.createSession(cfg)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -44,8 +45,8 @@ func Scan(conn net.Conn, timeout time.Duration) (*ScanResult, error) {
 	_ = conn.SetReadDeadline(deadline)
 
 	res := &ScanResult{}
-	var buf []byte
-	tmp := make([]byte, 4096)
+	// Reads land in buf's spare capacity, which holds a whole message.
+	buf := make([]byte, 0, MaxMessageLen)
 	for {
 		// Parse every complete message currently buffered.
 		for {
@@ -76,10 +77,13 @@ func Scan(conn net.Conn, timeout time.Duration) (*ScanResult, error) {
 				return res, nil
 			}
 		}
-		n, err := conn.Read(tmp)
-		if n > 0 {
-			buf = append(buf, tmp[:n]...)
+		if len(buf) == cap(buf) {
+			// Parsed messages used up the spare room; move the unparsed
+			// tail to a fresh buffer.
+			buf = slices.Grow(buf, MaxMessageLen)
 		}
+		n, err := conn.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
 				if res.Open == nil && len(buf) == 0 {

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -143,6 +144,35 @@ func TestScanFragmentedWrites(t *testing.T) {
 	}
 	if res.Open.BGPIdentifier != 7 {
 		t.Errorf("BGPIdentifier = %d, want 7", res.Open.BGPIdentifier)
+	}
+}
+
+// TestScanPastOneBuffer sends more KEEPALIVEs than one read buffer holds
+// before the OPEN, so the scanner must carry a message that straddles the
+// buffer's end into a fresh one.
+func TestScanPastOneBuffer(t *testing.T) {
+	cfg := SpeakerConfig{ASN: 65001, RouterID: 9, HoldTime: 90, Behavior: BehaviorOpenNotify}
+	open, err := cfg.buildOpen().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notif, _ := (&Notification{Code: NotifCease, Subcode: CeaseConnectionRejected}).MarshalBinary()
+	keepalive, _ := Keepalive{}.MarshalBinary()
+	for _, n := range []int{MaxMessageLen / len(keepalive), 3 * MaxMessageLen / len(keepalive)} {
+		stream := bytes.Repeat(keepalive, n)
+		stream = append(append(stream, open...), notif...)
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			server.Write(stream)
+		}()
+		res, err := Scan(client, time.Second)
+		if err != nil {
+			t.Fatalf("%d keepalives: Scan: %v", n, err)
+		}
+		if !res.Identifiable() || res.Notification == nil || res.Open.BGPIdentifier != 9 {
+			t.Errorf("%d keepalives: OPEN and NOTIFICATION not both read: %+v", n, res)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 
 	"aliaslimit/internal/bgp"
@@ -73,8 +74,8 @@ type Identifier struct {
 func (id Identifier) Key() string { return id.Proto.String() + ":" + id.Digest }
 
 // digest canonicalises a preimage.
-func digest(proto Protocol, preimage string) Identifier {
-	sum := sha256.Sum256([]byte(preimage))
+func digest(proto Protocol, preimage []byte) Identifier {
+	sum := sha256.Sum256(preimage)
 	return Identifier{Proto: proto, Digest: hex.EncodeToString(sum[:])}
 }
 
@@ -85,7 +86,7 @@ func FromSSH(res *sshwire.ScanResult) (Identifier, bool) {
 	if !res.HasIdentifierMaterial() {
 		return Identifier{}, false
 	}
-	return digest(SSH, SSHPreimage(res)), true
+	return digest(SSH, appendSSHPreimage(nil, res)), true
 }
 
 // SSHPreimage renders the canonical identifier preimage: banner, the ten
@@ -93,11 +94,14 @@ func FromSSH(res *sshwire.ScanResult) (Identifier, bool) {
 // order), and the host key fingerprint. Exported for ablation experiments
 // and debugging.
 func SSHPreimage(res *sshwire.ScanResult) string {
+	return string(appendSSHPreimage(nil, res))
+}
+
+// appendSSHPreimage appends SSHPreimage's rendering to dst, growing dst
+// once to the exact length first.
+func appendSSHPreimage(dst []byte, res *sshwire.ScanResult) []byte {
 	k := res.KexInit
-	var sb strings.Builder
-	sb.WriteString("banner=")
-	sb.WriteString(res.Banner)
-	lists := []struct {
+	lists := [...]struct {
 		label string
 		list  []string
 	}{
@@ -112,15 +116,29 @@ func SSHPreimage(res *sshwire.ScanResult) string {
 		{"lang_cs", k.LanguagesClientToServer},
 		{"lang_sc", k.LanguagesServerToClient},
 	}
+	n := len("banner=") + len(res.Banner) + len("\x1fkey=") + len(res.HostKeyFingerprint)
 	for _, l := range lists {
-		sb.WriteByte('\x1f')
-		sb.WriteString(l.label)
-		sb.WriteByte('=')
-		sb.WriteString(strings.Join(l.list, ","))
+		n += len("\x1f=") + len(l.label) + max(len(l.list)-1, 0) // separators and commas
+		for _, name := range l.list {
+			n += len(name)
+		}
 	}
-	sb.WriteString("\x1fkey=")
-	sb.WriteString(res.HostKeyFingerprint)
-	return sb.String()
+	dst = slices.Grow(dst, n)
+	dst = append(dst, "banner="...)
+	dst = append(dst, res.Banner...)
+	for _, l := range lists {
+		dst = append(dst, '\x1f')
+		dst = append(dst, l.label...)
+		dst = append(dst, '=')
+		for i, name := range l.list {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, name...)
+		}
+	}
+	dst = append(dst, "\x1fkey="...)
+	return append(dst, res.HostKeyFingerprint...)
 }
 
 // FromSSHKeyOnly is the ablation variant using only the host key. It
@@ -132,7 +150,7 @@ func FromSSHKeyOnly(res *sshwire.ScanResult) (Identifier, bool) {
 	if res == nil || len(res.HostKeyBlob) == 0 || !res.SignatureValid {
 		return Identifier{}, false
 	}
-	return digest(SSH, "key="+res.HostKeyFingerprint), true
+	return digest(SSH, []byte("key="+res.HostKeyFingerprint)), true
 }
 
 // FromBGP extracts the paper's BGP identifier from a passive scan result.
@@ -141,7 +159,7 @@ func FromBGP(res *bgp.ScanResult) (Identifier, bool) {
 	if !res.Identifiable() {
 		return Identifier{}, false
 	}
-	return digest(BGP, BGPPreimage(res)), true
+	return digest(BGP, []byte(BGPPreimage(res))), true
 }
 
 // BGPPreimage renders the canonical BGP identifier preimage from the OPEN
@@ -172,7 +190,7 @@ func FromBGPRouterIDOnly(res *bgp.ScanResult) (Identifier, bool) {
 	if !res.Identifiable() {
 		return Identifier{}, false
 	}
-	return digest(BGP, fmt.Sprintf("id=%d", res.Open.BGPIdentifier)), true
+	return digest(BGP, fmt.Appendf(nil, "id=%d", res.Open.BGPIdentifier)), true
 }
 
 // FromSNMPEngineID extracts the baseline SNMPv3 identifier.
@@ -180,5 +198,5 @@ func FromSNMPEngineID(engineID []byte) (Identifier, bool) {
 	if len(engineID) == 0 {
 		return Identifier{}, false
 	}
-	return digest(SNMP, "engine="+hex.EncodeToString(engineID)), true
+	return digest(SNMP, []byte("engine="+hex.EncodeToString(engineID))), true
 }

@@ -233,3 +233,70 @@ func TestPreimagesHumanReadable(t *testing.T) {
 		}
 	}
 }
+
+// sshPreimageRef is the strings.Builder rendering appendSSHPreimage
+// replaced, kept as its reference.
+func sshPreimageRef(res *sshwire.ScanResult) string {
+	k := res.KexInit
+	var sb strings.Builder
+	sb.WriteString("banner=")
+	sb.WriteString(res.Banner)
+	lists := []struct {
+		label string
+		list  []string
+	}{
+		{"kex", k.KexAlgorithms},
+		{"hka", k.ServerHostKeyAlgorithms},
+		{"enc_cs", k.EncryptionClientToServer},
+		{"enc_sc", k.EncryptionServerToClient},
+		{"mac_cs", k.MACClientToServer},
+		{"mac_sc", k.MACServerToClient},
+		{"comp_cs", k.CompressionClientToServer},
+		{"comp_sc", k.CompressionServerToClient},
+		{"lang_cs", k.LanguagesClientToServer},
+		{"lang_sc", k.LanguagesServerToClient},
+	}
+	for _, l := range lists {
+		sb.WriteByte('\x1f')
+		sb.WriteString(l.label)
+		sb.WriteByte('=')
+		sb.WriteString(strings.Join(l.list, ","))
+	}
+	sb.WriteString("\x1fkey=")
+	sb.WriteString(res.HostKeyFingerprint)
+	return sb.String()
+}
+
+// TestSSHPreimageMatchesReference holds the exact-size renderer, and the
+// digest FromSSH takes of it, to the strings.Builder reference: on every
+// built-in profile, and on lists that are empty, hold empty names, or would
+// parse from a name-list with a trailing comma.
+func TestSSHPreimageMatchesReference(t *testing.T) {
+	var results []*sshwire.ScanResult
+	for _, p := range sshwire.Profiles {
+		r := sshResult(p.Banner, false, "SHA256:"+p.Name)
+		r.KexInit = p.Algorithms.KexInit(r.KexInit.Cookie)
+		results = append(results, r)
+	}
+	odd := sshResult("SSH-2.0-", false, "SHA256:")
+	odd.KexInit.KexAlgorithms = nil
+	odd.KexInit.ServerHostKeyAlgorithms = []string{}
+	odd.KexInit.EncryptionClientToServer = []string{""}
+	odd.KexInit.EncryptionServerToClient = []string{"", ""}
+	odd.KexInit.MACClientToServer = []string{"a", "", "b"}
+	odd.KexInit.MACServerToClient = []string{"hmac-sha1", ""}
+	odd.KexInit.LanguagesClientToServer = []string{"en"}
+	results = append(results, odd)
+	for _, res := range results {
+		want := sshPreimageRef(res)
+		if got := SSHPreimage(res); got != want {
+			t.Errorf("SSHPreimage = %q, reference %q", got, want)
+		}
+		if got := string(appendSSHPreimage([]byte("prefix"), res)); got != "prefix"+want {
+			t.Errorf("appendSSHPreimage after a prefix = %q", got)
+		}
+		if got, _ := FromSSH(res); got != digest(SSH, []byte(want)) {
+			t.Errorf("FromSSH = %v, want the digest of the reference preimage", got)
+		}
+	}
+}

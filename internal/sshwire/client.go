@@ -58,6 +58,10 @@ type ScanConfig struct {
 // announcing tool and version.
 const DefaultClientBanner = "SSH-2.0-AliasLimitScan_0.9"
 
+// defaultClientAlgorithms is the offer of a Scan whose config names none.
+// Scan only reads it.
+var defaultClientAlgorithms = DefaultClientAlgorithms()
+
 // scannerKey is the client's X25519 key, drawn once per process and shared
 // by every Scan. The scanner never derives session keys, and the fresh
 // cookie each Scan puts in I_C makes every exchange hash unique, so a
@@ -80,12 +84,12 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 	}
 	emptyAlgos := len(cfg.Algorithms.Kex) == 0 && len(cfg.Algorithms.HostKey) == 0
 	if emptyAlgos {
-		cfg.Algorithms = DefaultClientAlgorithms()
+		cfg.Algorithms = defaultClientAlgorithms
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
 
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	serverBanner, err := ReadBanner(br)
 	if err != nil {
 		return nil, fmt.Errorf("sshwire: reading banner: %w", err)

@@ -3,6 +3,8 @@ package sshwire
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/base64"
 	"encoding/binary"
 	"net"
 	"net/netip"
@@ -290,6 +292,12 @@ func TestFingerprintFormat(t *testing.T) {
 	}
 	if fp != Fingerprint([]byte("some blob")) {
 		t.Error("fingerprint not deterministic")
+	}
+	for _, blob := range [][]byte{nil, []byte("some blob"), MarshalEd25519PublicKey(make([]byte, 32))} {
+		sum := sha256.Sum256(blob)
+		if got, want := Fingerprint(blob), "SHA256:"+base64.RawStdEncoding.EncodeToString(sum[:]); got != want {
+			t.Errorf("Fingerprint(%x) = %q, want %q", blob, got, want)
+		}
 	}
 }
 

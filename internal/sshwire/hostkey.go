@@ -11,7 +11,8 @@ import (
 // MarshalEd25519PublicKey encodes a host public key in the ssh-ed25519 blob
 // format (RFC 8709 §4): string "ssh-ed25519", string key.
 func MarshalEd25519PublicKey(pub ed25519.PublicKey) []byte {
-	out := AppendString(nil, []byte(HostKeyEd25519))
+	out := make([]byte, 0, 4+len(HostKeyEd25519)+4+len(pub))
+	out = AppendString(out, []byte(HostKeyEd25519))
 	return AppendString(out, pub)
 }
 
@@ -52,7 +53,8 @@ func ParseEd25519PublicKey(blob []byte) (ed25519.PublicKey, error) {
 // MarshalEd25519Signature encodes a signature in SSH signature-blob format:
 // string "ssh-ed25519", string signature.
 func MarshalEd25519Signature(sig []byte) []byte {
-	out := AppendString(nil, []byte(HostKeyEd25519))
+	out := make([]byte, 0, 4+len(HostKeyEd25519)+4+len(sig))
+	out = AppendString(out, []byte(HostKeyEd25519))
 	return AppendString(out, sig)
 }
 
@@ -78,7 +80,8 @@ func ParseSignatureBlob(blob []byte) (algo string, sig []byte, err error) {
 // form the alias pipeline uses for the key half of the SSH identifier.
 func Fingerprint(blob []byte) string {
 	sum := sha256.Sum256(blob)
-	return "SHA256:" + base64.RawStdEncoding.EncodeToString(sum[:])
+	var buf [64]byte // "SHA256:" and 43 base64 characters
+	return string(base64.RawStdEncoding.AppendEncode(append(buf[:0], "SHA256:"...), sum[:]))
 }
 
 // GenerateEd25519 deterministically derives a host key pair from the given

@@ -15,19 +15,25 @@ import (
 //
 // where V_* are the identification strings without CRLF, I_* the full
 // KEXINIT payloads, K_S the host key blob, Q_* the 32-byte public points and
-// K the shared secret interpreted as a positive mpint.
+// K the shared secret interpreted as a positive mpint. The fields stream into
+// one hash, so no buffer holds the whole preimage.
 func exchangeHash(vc, vs string, ic, is, ks, qc, qs, k []byte) []byte {
-	var buf []byte
-	buf = AppendString(buf, []byte(vc))
-	buf = AppendString(buf, []byte(vs))
-	buf = AppendString(buf, ic)
-	buf = AppendString(buf, is)
-	buf = AppendString(buf, ks)
-	buf = AppendString(buf, qc)
-	buf = AppendString(buf, qs)
-	buf = AppendMpint(buf, k)
-	sum := sha256.Sum256(buf)
-	return sum[:]
+	h := sha256.New()
+	// buf holds V_C and V_S, then K_S, Q_C, Q_S and K, with their length
+	// prefixes; a run too long for it spills to the heap. The KEXINIT
+	// payloads go to the hash directly.
+	var buf [512]byte
+	b := append(AppendUint32(buf[:0], uint32(len(vc))), vc...)
+	b = append(AppendUint32(b, uint32(len(vs))), vs...)
+	h.Write(AppendUint32(b, uint32(len(ic))))
+	h.Write(ic)
+	h.Write(AppendUint32(buf[:0], uint32(len(is))))
+	h.Write(is)
+	b = AppendString(buf[:0], ks)
+	b = AppendString(b, qc)
+	b = AppendString(b, qs)
+	h.Write(AppendMpint(b, k))
+	return h.Sum(nil)
 }
 
 // generateX25519 creates an ephemeral key pair from the given entropy source.
@@ -55,7 +61,8 @@ func x25519Shared(priv *ecdh.PrivateKey, peerPoint []byte) ([]byte, error) {
 
 // marshalECDHInit builds the SSH_MSG_KEX_ECDH_INIT payload.
 func marshalECDHInit(qc []byte) []byte {
-	out := []byte{MsgKexECDHInit}
+	out := make([]byte, 0, 1+4+len(qc))
+	out = append(out, MsgKexECDHInit)
 	return AppendString(out, qc)
 }
 
@@ -76,7 +83,8 @@ func parseECDHInit(payload []byte) (qc []byte, err error) {
 
 // marshalECDHReply builds the SSH_MSG_KEX_ECDH_REPLY payload.
 func marshalECDHReply(ks, qs, sig []byte) []byte {
-	out := []byte{MsgKexECDHReply}
+	out := make([]byte, 0, 1+4+len(ks)+4+len(qs)+4+len(sig))
+	out = append(out, MsgKexECDHReply)
 	out = AppendString(out, ks)
 	out = AppendString(out, qs)
 	return AppendString(out, sig)

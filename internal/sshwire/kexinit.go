@@ -1,7 +1,10 @@
 package sshwire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // KexInit is the SSH_MSG_KEXINIT payload (RFC 4253 §7.1). The ten name-lists
@@ -30,10 +33,16 @@ type KexInit struct {
 
 // Marshal encodes the message payload, including the leading message number.
 func (k *KexInit) Marshal() []byte {
-	out := []byte{MsgKexInit}
+	lists := k.nameLists()
+	n := 1 + len(k.Cookie) + 1 + 4 // message number, cookie, flag, reserved
+	for _, list := range lists {
+		n += 4 + nameListLen(*list)
+	}
+	out := make([]byte, 0, n)
+	out = append(out, MsgKexInit)
 	out = append(out, k.Cookie[:]...)
-	for _, list := range k.nameLists() {
-		out = AppendNameList(out, list)
+	for _, list := range lists {
+		out = AppendNameList(out, *list)
 	}
 	if k.FirstKexPacketFollows {
 		out = append(out, 1)
@@ -44,22 +53,25 @@ func (k *KexInit) Marshal() []byte {
 }
 
 // nameLists returns the ten lists in wire order.
-func (k *KexInit) nameLists() [][]string {
-	return [][]string{
-		k.KexAlgorithms,
-		k.ServerHostKeyAlgorithms,
-		k.EncryptionClientToServer,
-		k.EncryptionServerToClient,
-		k.MACClientToServer,
-		k.MACServerToClient,
-		k.CompressionClientToServer,
-		k.CompressionServerToClient,
-		k.LanguagesClientToServer,
-		k.LanguagesServerToClient,
+func (k *KexInit) nameLists() [10]*[]string {
+	return [10]*[]string{
+		&k.KexAlgorithms,
+		&k.ServerHostKeyAlgorithms,
+		&k.EncryptionClientToServer,
+		&k.EncryptionServerToClient,
+		&k.MACClientToServer,
+		&k.MACServerToClient,
+		&k.CompressionClientToServer,
+		&k.CompressionServerToClient,
+		&k.LanguagesClientToServer,
+		&k.LanguagesServerToClient,
 	}
 }
 
-// ParseKexInit decodes an SSH_MSG_KEXINIT payload (with message number).
+// ParseKexInit decodes an SSH_MSG_KEXINIT payload (with message number). An
+// empty name-list decodes to nil; otherwise every comma separates two names,
+// so "a,,b" holds three and "a," two. All names share one copy of the
+// lists' bytes and one backing array.
 func ParseKexInit(payload []byte) (*KexInit, error) {
 	if len(payload) < 1 || payload[0] != MsgKexInit {
 		return nil, fmt.Errorf("%w: not a KEXINIT", ErrBadPacket)
@@ -71,31 +83,47 @@ func ParseKexInit(payload []byte) (*KexInit, error) {
 	var k KexInit
 	copy(k.Cookie[:], b[:16])
 	b = b[16:]
-	lists := make([][]string, 10)
-	var err error
-	for i := range lists {
-		lists[i], b, err = ReadNameList(b)
+
+	// First pass: bound each list within b and count the names.
+	var spans [10][2]int
+	rest, count := b, 0
+	for i := range spans {
+		s, r, err := ReadString(rest)
 		if err != nil {
 			return nil, fmt.Errorf("sshwire: KEXINIT name-list %d: %w", i, err)
 		}
+		end := len(b) - len(r)
+		spans[i] = [2]int{end - len(s), end}
+		if len(s) > 0 {
+			count += bytes.Count(s, []byte{','}) + 1
+		}
+		rest = r
 	}
-	k.KexAlgorithms = lists[0]
-	k.ServerHostKeyAlgorithms = lists[1]
-	k.EncryptionClientToServer = lists[2]
-	k.EncryptionServerToClient = lists[3]
-	k.MACClientToServer = lists[4]
-	k.MACServerToClient = lists[5]
-	k.CompressionClientToServer = lists[6]
-	k.CompressionServerToClient = lists[7]
-	k.LanguagesClientToServer = lists[8]
-	k.LanguagesServerToClient = lists[9]
-	if len(b) < 5 {
+	if len(rest) < 5 {
 		return nil, ErrShortBuffer
 	}
-	k.FirstKexPacketFollows = b[0] != 0
-	k.Reserved, _, err = ReadUint32(b[1:])
-	if err != nil {
-		return nil, err
+	k.FirstKexPacketFollows = rest[0] != 0
+	k.Reserved = binary.BigEndian.Uint32(rest[1:])
+
+	// Second pass: slice every name from one string copy of the lists.
+	text := string(b[:len(b)-len(rest)])
+	names := make([]string, 0, count)
+	for i, list := range k.nameLists() {
+		s := text[spans[i][0]:spans[i][1]]
+		if s == "" {
+			continue
+		}
+		first := len(names)
+		for {
+			j := strings.IndexByte(s, ',')
+			if j < 0 {
+				break
+			}
+			names = append(names, s[:j])
+			s = s[j+1:]
+		}
+		names = append(names, s)
+		*list = names[first:len(names):len(names)]
 	}
 	return &k, nil
 }

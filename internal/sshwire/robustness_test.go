@@ -13,7 +13,7 @@ import (
 )
 
 // TestParseKexInitNeverPanics feeds arbitrary payloads to the KEXINIT
-// decoder.
+// decoder, which must also agree with the reference decoder on each.
 func TestParseKexInitNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		defer func() {
@@ -21,9 +21,8 @@ func TestParseKexInitNeverPanics(t *testing.T) {
 				t.Fatalf("ParseKexInit panicked on %x: %v", b, r)
 			}
 		}()
-		_, _ = ParseKexInit(b)
-		payload := append([]byte{MsgKexInit}, b...)
-		_, _ = ParseKexInit(payload)
+		checkParseKexInit(t, b)
+		checkParseKexInit(t, append([]byte{MsgKexInit}, b...))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -83,7 +82,8 @@ func TestKexBlobParsersNeverPanic(t *testing.T) {
 	}
 }
 
-// TestMutatedKexInit mutates every byte of a valid KEXINIT payload.
+// TestMutatedKexInit mutates every byte of a valid KEXINIT payload; the
+// decoder must not panic and must agree with the reference decoder.
 func TestMutatedKexInit(t *testing.T) {
 	var cookie [16]byte
 	base := Profiles[0].Algorithms.KexInit(cookie).Marshal()
@@ -96,7 +96,7 @@ func TestMutatedKexInit(t *testing.T) {
 					t.Fatalf("ParseKexInit panicked with byte %d flipped: %v", pos, r)
 				}
 			}()
-			_, _ = ParseKexInit(mut)
+			checkParseKexInit(t, mut)
 		}()
 	}
 }

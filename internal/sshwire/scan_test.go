@@ -203,3 +203,112 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// recordConn is a wireConn that keeps every byte written to it.
+type recordConn struct {
+	wireConn
+	sent *bytes.Buffer
+}
+
+func (c recordConn) Write(p []byte) (int, error) { return c.sent.Write(p) }
+
+// ecdhReplies parses what a server sent, its banner and then packets, and
+// counts the ECDH_REPLY messages.
+func ecdhReplies(t *testing.T, sent []byte, banner string) int {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(sent))
+	if got, err := sshwire.ReadBanner(br); err != nil || got != banner {
+		t.Fatalf("server banner %q, %v", got, err)
+	}
+	n := 0
+	for {
+		payload, err := sshwire.ReadPacket(br)
+		if err != nil {
+			return n
+		}
+		if len(payload) > 0 && payload[0] == sshwire.MsgKexECDHReply {
+			n++
+		}
+	}
+}
+
+// readMeaningful reads packets from br, skipping empty and SSH_MSG_IGNORE
+// ones, as the server does.
+func readMeaningful(br *bufio.Reader) ([]byte, error) {
+	for {
+		p, err := sshwire.ReadPacket(br)
+		if err != nil || (len(p) > 0 && p[0] != sshwire.MsgIgnore) {
+			return p, err
+		}
+	}
+}
+
+// firstCommon is RFC 4253's negotiation rule: the first client algorithm
+// the server also offers.
+func firstCommon(client, server []string) string {
+	for _, c := range client {
+		for _, s := range server {
+			if c == s {
+				return c
+			}
+		}
+	}
+	return ""
+}
+
+// mayReply reports whether client bytes in earn an ECDH_REPLY from a server
+// offering algos: a banner, then a KEXINIT that negotiates curve25519-sha256
+// and ssh-ed25519, then an ECDH_INIT carrying exactly one 32-byte point.
+func mayReply(in []byte, algos sshwire.Algorithms) bool {
+	br := bufio.NewReader(bytes.NewReader(in))
+	if _, err := sshwire.ReadBanner(br); err != nil {
+		return false
+	}
+	p, err := readMeaningful(br)
+	if err != nil {
+		return false
+	}
+	k, err := sshwire.ParseKexInit(p)
+	if err != nil {
+		return false
+	}
+	switch firstCommon(k.KexAlgorithms, algos.Kex) {
+	case sshwire.KexCurve25519, sshwire.KexCurve25519LibSSH:
+	default:
+		return false
+	}
+	if firstCommon(k.ServerHostKeyAlgorithms, algos.HostKey) != sshwire.HostKeyEd25519 {
+		return false
+	}
+	p, err = readMeaningful(br)
+	if err != nil || len(p) == 0 || p[0] != sshwire.MsgKexECDHInit {
+		return false
+	}
+	qc, rest, err := sshwire.ReadString(p[1:])
+	return err == nil && len(qc) == 32 && len(rest) == 0
+}
+
+// FuzzServe runs the simulated server against arbitrary client bytes. No
+// input may panic or hang it, and it writes at most one ECDH_REPLY: only
+// after a KEXINIT that negotiates curve25519-sha256 and ssh-ed25519 and an
+// ECDH_INIT with a 32-byte point.
+func FuzzServe(f *testing.F) {
+	key := newHostKey(f)
+	_, _, transcript := scanGenuine(f, key)
+	for i := 0; i <= 16; i++ {
+		f.Add(transcript[:len(transcript)*i/16])
+	}
+	p := sshwire.Profiles[0]
+	srv := sshwire.NewServer(sshwire.ServerConfig{Banner: p.Banner, Algorithms: p.Algorithms, HostKey: key})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var sent bytes.Buffer
+		srv.Serve(recordConn{newWireConn(in), &sent}, netsim.ServeContext{LocalAddr: netip.MustParseAddr("192.0.2.1")})
+		replies := ecdhReplies(t, sent.Bytes(), p.Banner)
+		if replies > 1 {
+			t.Errorf("server wrote %d ECDH_REPLY messages", replies)
+		}
+		if replies == 1 && !mayReply(in, p.Algorithms) {
+			t.Errorf("server replied to client bytes %q that do not earn a key exchange", in)
+		}
+	})
+}

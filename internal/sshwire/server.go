@@ -38,6 +38,8 @@ type ServerConfig struct {
 // Server is a netsim service handler speaking the plaintext phase of SSH.
 type Server struct {
 	cfg ServerConfig
+	// ks is the host key blob K_S every connection presents.
+	ks []byte
 }
 
 // NewServer returns a handler for cfg.
@@ -48,7 +50,8 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 5 * time.Second
 	}
-	return &Server{cfg: cfg}
+	ks := MarshalEd25519PublicKey(cfg.HostKey.Public().(ed25519.PublicKey))
+	return &Server{cfg: cfg, ks: ks}
 }
 
 // Config returns the server configuration (ground-truth bookkeeping).
@@ -70,7 +73,7 @@ func (s *Server) Serve(conn net.Conn, sc netsim.ServeContext) {
 		algos = s.cfg.AlgorithmsFor(sc.LocalAddr)
 	}
 
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	if err := WriteBanner(conn, banner); err != nil {
 		return
 	}
@@ -125,11 +128,10 @@ func (s *Server) Serve(conn net.Conn, sc netsim.ServeContext) {
 	}
 	qs := eph.PublicKey().Bytes()
 
-	ks := MarshalEd25519PublicKey(s.cfg.HostKey.Public().(ed25519.PublicKey))
-	h := exchangeHash(clientBanner, banner, clientKexInit, serverKexInit, ks, qc, qs, shared)
+	h := exchangeHash(clientBanner, banner, clientKexInit, serverKexInit, s.ks, qc, qs, shared)
 	sigBlob := MarshalEd25519Signature(ed25519.Sign(s.cfg.HostKey, h))
 
-	if err := WritePacket(conn, marshalECDHReply(ks, qs, sigBlob)); err != nil {
+	if err := WritePacket(conn, marshalECDHReply(s.ks, qs, sigBlob)); err != nil {
 		return
 	}
 	if err := WritePacket(conn, []byte{MsgNewKeys}); err != nil {

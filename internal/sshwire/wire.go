@@ -17,6 +17,7 @@ package sshwire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +50,10 @@ const (
 	blockSize = 8
 	// minPadding is the minimum padding length (RFC 4253 §6).
 	minPadding = 4
+	// readBufferSize sizes the buffered reader of each connection, scanner
+	// or server. ReadPacket and ReadBanner copy out every byte they return,
+	// so a small buffer costs only more reads of a long packet.
+	readBufferSize = 512
 )
 
 // Errors returned by the codec.
@@ -74,7 +79,26 @@ func AppendString(dst []byte, s []byte) []byte {
 
 // AppendNameList appends an SSH name-list: a string of comma-separated names.
 func AppendNameList(dst []byte, names []string) []byte {
-	return AppendString(dst, []byte(strings.Join(names, ",")))
+	dst = AppendUint32(dst, uint32(nameListLen(names)))
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, name...)
+	}
+	return dst
+}
+
+// nameListLen is the length of names joined by commas.
+func nameListLen(names []string) int {
+	n := 0
+	for _, name := range names {
+		n += len(name)
+	}
+	if len(names) > 1 {
+		n += len(names) - 1
+	}
+	return n
 }
 
 // AppendMpint appends an SSH mpint: two's-complement big-endian with a
@@ -117,18 +141,6 @@ func ReadString(b []byte) (s []byte, rest []byte, err error) {
 	return rest[:n], rest[n:], nil
 }
 
-// ReadNameList decodes an SSH name-list from the front of b.
-func ReadNameList(b []byte) (names []string, rest []byte, err error) {
-	s, rest, err := ReadString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(s) == 0 {
-		return nil, rest, nil
-	}
-	return strings.Split(string(s), ","), rest, nil
-}
-
 // --- Binary packet protocol (RFC 4253 §6), plaintext phase only ---
 
 // WritePacket frames payload into an unencrypted SSH packet and writes it.
@@ -144,11 +156,10 @@ func WritePacket(w io.Writer, payload []byte) error {
 	if pad < minPadding {
 		pad += blockSize
 	}
-	buf := make([]byte, 0, 5+len(payload)+pad)
-	buf = AppendUint32(buf, uint32(1+len(payload)+pad))
-	buf = append(buf, byte(pad))
-	buf = append(buf, payload...)
-	buf = append(buf, make([]byte, pad)...)
+	buf := make([]byte, 5+len(payload)+pad) // the padding stays zero
+	binary.BigEndian.PutUint32(buf, uint32(1+len(payload)+pad))
+	buf[4] = byte(pad)
+	copy(buf[5:], payload)
 	_, err := w.Write(buf)
 	return err
 }
@@ -182,7 +193,8 @@ func WriteBanner(w io.Writer, banner string) error {
 	if !strings.HasPrefix(banner, "SSH-") {
 		return fmt.Errorf("%w: %q", ErrBadBanner, banner)
 	}
-	_, err := io.WriteString(w, banner+"\r\n")
+	line := make([]byte, 0, len(banner)+2)
+	_, err := w.Write(append(append(line, banner...), '\r', '\n'))
 	return err
 }
 
@@ -205,19 +217,20 @@ func ReadBanner(r *bufio.Reader) (string, error) {
 	return "", fmt.Errorf("%w: no SSH- line within 32 lines", ErrBadBanner)
 }
 
-// readLine reads a CRLF- or LF-terminated line without the terminator.
+// readLine reads a CRLF- or LF-terminated line without the terminator. The
+// line collects in a stack buffer, so only the returned string is allocated.
 func readLine(r *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for sb.Len() <= MaxBannerLen {
+	var buf [MaxBannerLen + 1]byte
+	line := buf[:0]
+	for len(line) <= MaxBannerLen {
 		b, err := r.ReadByte()
 		if err != nil {
 			return "", err
 		}
 		if b == '\n' {
-			s := sb.String()
-			return strings.TrimSuffix(s, "\r"), nil
+			return string(bytes.TrimSuffix(line, []byte("\r"))), nil
 		}
-		sb.WriteByte(b)
+		line = append(line, b)
 	}
 	return "", fmt.Errorf("%w: line too long", ErrBadBanner)
 }

@@ -48,9 +48,9 @@ func TestNameListRoundTrip(t *testing.T) {
 	}
 	for _, names := range cases {
 		enc := AppendNameList(nil, names)
-		got, rest, err := ReadNameList(enc)
+		got, rest, err := readNameList(enc)
 		if err != nil || len(rest) != 0 {
-			t.Fatalf("ReadNameList(%v): %v", names, err)
+			t.Fatalf("readNameList(%v): %v", names, err)
 		}
 		if strings.Join(got, ",") != strings.Join(names, ",") {
 			t.Errorf("round trip %v -> %v", names, got)
