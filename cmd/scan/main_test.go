@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"strings"
@@ -10,8 +12,18 @@ import (
 	"aliaslimit/internal/obsfile"
 )
 
+// tinyScanSHA256 pins the SHA-256 of each vantage's stdout for TestRunTinyScan
+// (seed 2, scale 0.05, 16 workers). Collection is deterministic at any
+// worker count, so a change to the scan front that moves one observation
+// byte fails here.
+var tinyScanSHA256 = map[string]string{
+	"active": "9fe00578db530823e9e2b48c41051662c005276b0810b7c315fc26bf996e359e",
+	"censys": "d8d571a783a14682c2b34f9c639af3504b6ac8e437c4ce3223ed9e6cc69000e2",
+}
+
 // TestRunTinyScan exercises flag parsing and a tiny end-to-end collection for
-// both vantage points, checking the emitted JSONL parses back.
+// both vantage points, checking the emitted JSONL parses back and matches
+// its pinned digest.
 func TestRunTinyScan(t *testing.T) {
 	for _, vantage := range []string{"active", "censys"} {
 		vantage := vantage
@@ -31,6 +43,10 @@ func TestRunTinyScan(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), "emitted") {
 				t.Fatalf("missing summary on stderr: %s", stderr.String())
+			}
+			sum := sha256.Sum256(stdout.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tinyScanSHA256[vantage] {
+				t.Fatalf("stdout SHA-256 %s, pinned %s", got, tinyScanSHA256[vantage])
 			}
 		})
 	}

@@ -51,10 +51,25 @@ func requireSameDataset(t *testing.T, label string, want, got *Dataset) {
 	}
 }
 
+// requireAscending fails unless each protocol's observations are strictly
+// ascending by address: one observation per address, in address order.
+func requireAscending(t *testing.T, ds *Dataset) {
+	t.Helper()
+	for p, obs := range ds.Obs {
+		for i := 1; i < len(obs); i++ {
+			if !obs[i-1].Addr.Less(obs[i].Addr) {
+				t.Fatalf("%s %v: observation %d (%v) does not follow %v",
+					ds.Name, p, i, obs[i].Addr, obs[i-1].Addr)
+			}
+		}
+	}
+}
+
 // TestCollectActiveDeterministic is the race-focused pipeline test: for two
 // world seeds, the concurrent streaming pipeline must produce Datasets
 // byte-identical to the sequential baseline (Parallelism=1) and to itself on
-// a re-run, across different worker counts. Run under -race this also
+// a re-run, across different worker counts, and each protocol's observations
+// must be strictly ascending by address. Run under -race this also
 // exercises the netsim/topo concurrency contract with all three protocol
 // sweeps in flight at once.
 func TestCollectActiveDeterministic(t *testing.T) {
@@ -69,6 +84,7 @@ func TestCollectActiveDeterministic(t *testing.T) {
 			if len(baseline.Obs) == 0 {
 				t.Fatal("sequential CollectActive yielded no observations")
 			}
+			requireAscending(t, baseline)
 			for _, opts := range []ScanOptions{
 				{Workers: 8},                  // full protocol overlap
 				{Workers: 64},                 // same, different worker count
