@@ -159,8 +159,9 @@ func BenchmarkFigure6(b *testing.B) {
 // (Parallelism=1: one protocol sweep at a time) against the fully pipelined
 // collector (all three protocol sweeps concurrent, SYN results streaming into
 // the service-scan pools). On a multi-core machine the pipelined variant is
-// the wall-clock win the ISSUE demands; both produce byte-identical Datasets
-// (TestCollectActiveDeterministic asserts this under -race).
+// the wall-clock win; both produce byte-identical Datasets
+// (TestCollectActiveDeterministic asserts this under -race). It reports
+// bytes and allocations per collection.
 func BenchmarkCollectActive(b *testing.B) {
 	cfg := topo.Default()
 	cfg.Scale = 0.25
@@ -177,6 +178,7 @@ func BenchmarkCollectActive(b *testing.B) {
 		{"pipelined", experiments.ScanOptions{Workers: 128}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var obs int
 			for i := 0; i < b.N; i++ {
 				ds, err := experiments.CollectActive(w, bc.opts)

@@ -368,23 +368,26 @@ func randomPartitions(seed uint64) [][]Set {
 	return parts
 }
 
-// TestSingletonIdentities pins the two identities that let the scored
+// TestSingletonIdentities pins the identities that let the scored
 // partitions be derived from non-singleton sets alone: dropping singletons
 // first changes neither "family filter, then NonSingleton" nor "merge, then
-// DualStack".
+// DualStack", and a merge of non-singleton sets holds only non-singleton
+// sets, so NonSingleton after such a merge is the identity.
 func TestSingletonIdentities(t *testing.T) {
 	var withSingletons, withDual int
 	for seed := uint64(1); seed <= 500; seed++ {
 		parts := randomPartitions(seed)
 		ns := make([][]Set, len(parts))
+		var famNS [2][][]Set
 		for i, p := range parts {
 			ns[i] = NonSingleton(p)
 			if len(ns[i]) < len(p) {
 				withSingletons++
 			}
-			for _, v4 := range []bool{true, false} {
+			for fi, v4 := range []bool{true, false} {
 				sameSets(t, NonSingleton(FilterFamily(p, v4)), NonSingleton(FilterFamily(ns[i], v4)),
 					fmt.Sprintf("seed %d partition %d v4=%v: FilterFamily", seed, i, v4))
+				famNS[fi] = append(famNS[fi], NonSingleton(FilterFamily(p, v4)))
 			}
 		}
 		dual := DualStack(Merge(parts...))
@@ -392,6 +395,10 @@ func TestSingletonIdentities(t *testing.T) {
 			withDual++
 		}
 		sameSets(t, dual, DualStack(Merge(ns...)), fmt.Sprintf("seed %d: DualStack(Merge)", seed))
+		for _, in := range append(famNS[:], ns) {
+			merged := Merge(in...)
+			sameSets(t, NonSingleton(merged), merged, fmt.Sprintf("seed %d: NonSingleton(Merge)", seed))
+		}
 	}
 	// The generator must exercise both sides of each identity.
 	if withSingletons < 1000 || withDual < 400 {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,16 +22,18 @@ import (
 
 // ObservationSink receives identifier observations the moment the scan
 // pipeline extracts them — while the SYN sweep and later grabs are still in
-// flight — so the observation log can record them as they arrive. Worker
-// pools call Observe concurrently with no ordering guarantee, so
-// implementations must be concurrency-safe and order-insensitive.
+// flight. Every sweep hands each observation to its campaign's sink exactly
+// once: the in-RAM collector, the observation log, or both, plus any
+// caller's tap. Worker pools call Observe concurrently with no ordering
+// guarantee, so implementations must be concurrency-safe and
+// order-insensitive.
 type ObservationSink interface {
 	Observe(p ident.Protocol, o alias.Observation)
 }
 
 // TeeSink fans one observation stream out to several sinks — how a campaign
-// feeds both its own per-dataset sink and the shared union sink. Nil members
-// are skipped.
+// feeds the caller's tap, the observation log and the in-RAM collector from
+// one sweep. Nil members are skipped.
 func TeeSink(sinks ...ObservationSink) ObservationSink {
 	return teeSink(sinks)
 }
@@ -55,20 +59,14 @@ type ScanOptions struct {
 	// Parallelism bounds how many per-protocol sweeps (SSH, BGP, SNMPv3) run
 	// concurrently within one collection. 0 runs all protocols at once; 1
 	// recovers the sequential baseline. Datasets are byte-identical at any
-	// setting: every sweep collects into its own shard and the shards merge
-	// in fixed protocol order.
+	// setting: the collector sorts each protocol's observations by address
+	// once the sweeps end.
 	Parallelism int
 	// Sink, when non-nil, is fed every extracted observation live from the
-	// scan worker goroutines. The Dataset contents are unaffected: the sink
-	// is a tap, not a detour. EnvSeries installs the observation log here.
+	// scan worker goroutines, alongside the campaign's own sink (the
+	// collector of an in-RAM dataset, or the observation log). The Dataset
+	// contents are unaffected: the sink is a tap, not a detour.
 	Sink ObservationSink
-	// DiscardObs turns the tap into the only output: scan workers deliver
-	// every observation to Sink and accumulate nothing, so the returned
-	// Dataset carries empty Obs slices and collection memory stays
-	// O(workers) instead of O(observations). This is the scan front of the
-	// out-of-core path — the sink writes to the durable log and sealing
-	// later replays it. Requires a non-nil Sink.
-	DiscardObs bool
 }
 
 // simGrabTimeout bounds one service grab against the simulated fabric. The
@@ -93,6 +91,47 @@ func (o ScanOptions) withDefaults() ScanOptions {
 	return o
 }
 
+// collector is the in-RAM campaign sink: it gathers each protocol's
+// observations as the sweeps emit them, and builds the finished dataset once
+// they end.
+type collector struct {
+	mu  [numProto]sync.Mutex
+	obs [numProto][]alias.Observation
+}
+
+// Observe implements ObservationSink.
+func (c *collector) Observe(p ident.Protocol, o alias.Observation) {
+	c.mu[p].Lock()
+	c.obs[p] = append(c.obs[p], o)
+	c.mu[p].Unlock()
+}
+
+// dataset sorts each protocol's observations by address (digest breaking
+// ties), so the dataset is the same whatever order the workers emitted in,
+// and builds it.
+func (c *collector) dataset(name string) *Dataset {
+	for p := range c.obs {
+		slices.SortFunc(c.obs[p], func(a, b alias.Observation) int {
+			if d := a.Addr.Compare(b.Addr); d != 0 {
+				return d
+			}
+			return strings.Compare(a.ID.Digest, b.ID.Digest)
+		})
+	}
+	return newDataset(name, c.obs)
+}
+
+// collect runs one campaign's sweeps into a fresh collector and returns the
+// finished dataset.
+func collect(name string, opts ScanOptions, sweep func(ScanOptions) error) (*Dataset, error) {
+	c := &collector{}
+	opts.Sink = TeeSink(opts.Sink, c)
+	if err := sweep(opts); err != nil {
+		return nil, err
+	}
+	return c.dataset(name), nil
+}
+
 // CollectActive runs the paper's active measurement from the single research
 // vantage point: ZMap-style SYN sweeps on 22 and 179 over the IPv4 universe
 // and the IPv6 hitlist, ZGrab-style service scans of the responsive
@@ -104,37 +143,7 @@ func (o ScanOptions) withDefaults() ScanOptions {
 // while the sweep is still in flight. The world is only read: see the
 // concurrency contract on topo.World.
 func CollectActive(w *topo.World, opts ScanOptions) (*Dataset, error) {
-	opts = opts.withDefaults()
-	v := w.Fabric.Vantage(topo.VantageActive)
-
-	v6targets := hitlist.Sample(w.V6Bound(), w.Cfg.HitlistCoverage, w.Cfg.Seed)
-	targets := append(append([]netip.Addr(nil), w.V4Universe()...), v6targets...)
-
-	var sshObs, bgpObs, snmpObs []alias.Observation
-	g := newGroup(opts.Parallelism)
-	g.Go(func() (err error) {
-		sshObs, err = scanSSH(v, targets, opts)
-		return err
-	})
-	g.Go(func() (err error) {
-		bgpObs, err = scanBGP(v, targets, opts)
-		return err
-	})
-	g.Go(func() error {
-		snmpObs = scanSNMP(v, targets, opts)
-		return nil
-	})
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-
-	// Deterministic merge order: fixed protocol sequence, each shard already
-	// in sorted target order.
-	ds := NewDataset("Active")
-	ds.AddAll(ident.SSH, sshObs)
-	ds.AddAll(ident.BGP, bgpObs)
-	ds.AddAll(ident.SNMP, snmpObs)
-	return ds, nil
+	return collect("Active", opts, func(o ScanOptions) error { return sweepActive(w, o) })
 }
 
 // CollectCensys models the Censys snapshot: a distributed (unfiltered-label)
@@ -143,129 +152,94 @@ func CollectActive(w *topo.World, opts ScanOptions) (*Dataset, error) {
 // reports SSH on tens of thousands of non-standard ports; the paper filters
 // those out, which is modelled here as a synthetic excluded count.
 func CollectCensys(w *topo.World, opts ScanOptions) (*Dataset, error) {
-	opts = opts.withDefaults()
-	v := w.Fabric.Vantage(topo.VantageCensys)
-
-	var sshObs, bgpObs []alias.Observation
-	g := newGroup(opts.Parallelism)
-	g.Go(func() (err error) {
-		sshObs, err = scanSSH(v, w.V4Universe(), opts)
-		return err
-	})
-	g.Go(func() (err error) {
-		bgpObs, err = scanBGP(v, w.V4Universe(), opts)
-		return err
-	})
-	if err := g.Wait(); err != nil {
+	ds, err := collect("Censys", opts, func(o ScanOptions) error { return sweepCensys(w, o) })
+	if err != nil {
 		return nil, err
 	}
-
-	ds := NewDataset("Censys")
-	ds.AddAll(ident.SSH, sshObs)
-	ds.AddAll(ident.BGP, bgpObs)
-	// The paper: Censys finds an additional 5.6M SSH IPs on 60,806
-	// non-standard ports (~23% of its port-22 population) — found, counted,
-	// and excluded.
-	ds.NonStandardPortSSH = len(ds.Obs[ident.SSH]) * 23 / 100
+	ds.NonStandardPortSSH = nonStandardPortSSH(ds)
 	return ds, nil
 }
 
-// scanSSH runs the two-phase SSH scan and extracts identifiers. The SYN sweep
-// streams into the banner grabs; the returned observations are in sorted
-// target order.
-func scanSSH(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) ([]alias.Observation, error) {
-	open, done, err := zmaplite.ScanStream(v, zmaplite.Config{
-		Targets: targets, Port: 22, Seed: opts.Seed, Workers: opts.Workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ssh sweep: %w", err)
-	}
-	mod := &zgrab.SSHModule{Timeout: simGrabTimeout}
-	zopts := zgrab.Options{Workers: opts.Workers, DialTimeout: simGrabTimeout}
-	emit := emitIdent(opts.Sink, ident.SSH, func(data any) (ident.Identifier, bool) {
-		return ident.FromSSH(data.(*sshwire.ScanResult))
-	})
-	if opts.DiscardObs {
-		zgrab.RunStreamDiscard(v, open, mod, zopts, emit)
-		<-done
-		return nil, nil
-	}
-	grabs := zgrab.RunStreamEmit(v, open, mod, zopts, emit)
-	<-done
-	var obs []alias.Observation
-	for _, g := range zgrab.Successes(grabs) {
-		res := g.Data.(*sshwire.ScanResult)
-		if id, ok := ident.FromSSH(res); ok {
-			obs = append(obs, alias.Observation{Addr: g.Target, ID: id})
-		}
-	}
-	return obs, nil
+// nonStandardPortSSH models the paper's Censys exclusion: an additional 5.6M
+// SSH IPs on 60,806 non-standard ports, ~23% of its port-22 population —
+// found, counted, and excluded.
+func nonStandardPortSSH(censys *Dataset) int {
+	return len(censys.addrs[ident.SSH]) * 23 / 100
 }
 
-// emitIdent adapts an ObservationSink into a zgrab completion tap: each
-// successful grab has its identifier extracted and streamed to the sink as
-// it completes. A nil sink disables the tap entirely.
-func emitIdent(sink ObservationSink, p ident.Protocol, extract func(any) (ident.Identifier, bool)) func(zgrab.Grab) {
-	if sink == nil {
+// sweepActive runs the active campaign's three protocol sweeps, handing
+// every observation to opts.Sink once.
+func sweepActive(w *topo.World, opts ScanOptions) error {
+	opts = opts.withDefaults()
+	v := w.Fabric.Vantage(topo.VantageActive)
+
+	v6targets := hitlist.Sample(w.V6Bound(), w.Cfg.HitlistCoverage, w.Cfg.Seed)
+	targets := append(append([]netip.Addr(nil), w.V4Universe()...), v6targets...)
+
+	g := newGroup(opts.Parallelism)
+	g.Go(func() error { return scanSSH(v, targets, opts) })
+	g.Go(func() error { return scanBGP(v, targets, opts) })
+	g.Go(func() error {
+		scanSNMP(v, targets, opts)
 		return nil
+	})
+	return g.Wait()
+}
+
+// sweepCensys runs the Censys campaign's SSH and BGP sweeps over the IPv4
+// universe, handing every observation to opts.Sink once.
+func sweepCensys(w *topo.World, opts ScanOptions) error {
+	opts = opts.withDefaults()
+	v := w.Fabric.Vantage(topo.VantageCensys)
+
+	g := newGroup(opts.Parallelism)
+	g.Go(func() error { return scanSSH(v, w.V4Universe(), opts) })
+	g.Go(func() error { return scanBGP(v, w.V4Universe(), opts) })
+	return g.Wait()
+}
+
+// scanSSH runs the two-phase SSH scan on TCP/22.
+func scanSSH(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) error {
+	return scanTCP(v, targets, 22, 0, &zgrab.SSHModule{Timeout: simGrabTimeout},
+		func(data any) (ident.Identifier, bool) { return ident.FromSSH(data.(*sshwire.ScanResult)) }, opts)
+}
+
+// scanBGP runs the two-phase passive BGP scan on TCP/179.
+func scanBGP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) error {
+	return scanTCP(v, targets, 179, 1, &zgrab.BGPModule{Timeout: simGrabTimeout},
+		func(data any) (ident.Identifier, bool) { return ident.FromBGP(data.(*bgp.ScanResult)) }, opts)
+}
+
+// scanTCP runs one two-phase TCP scan: the SYN sweep of port (its scan order
+// seeded by opts.Seed+seedOff) streams responsive addresses into the
+// module's grabs, and the identifier extract finds in each successful grab
+// goes to opts.Sink as the grab completes.
+func scanTCP(v *netsim.Vantage, targets []netip.Addr, port uint16, seedOff uint64, mod zgrab.Module,
+	extract func(any) (ident.Identifier, bool), opts ScanOptions) error {
+	open, done, err := zmaplite.ScanStream(v, zmaplite.Config{
+		Targets: targets, Port: port, Seed: opts.Seed + seedOff, Workers: opts.Workers,
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: %s sweep: %w", mod.Name(), err)
 	}
-	return func(g zgrab.Grab) {
+	zopts := zgrab.Options{Port: port, Workers: opts.Workers, DialTimeout: simGrabTimeout}
+	zgrab.RunStream(v, open, mod, zopts, func(g zgrab.Grab) {
 		if !g.OK() {
 			return
 		}
 		if id, ok := extract(g.Data); ok {
-			sink.Observe(p, alias.Observation{Addr: g.Target, ID: id})
+			opts.Sink.Observe(id.Proto, alias.Observation{Addr: g.Target, ID: id})
 		}
-	}
-}
-
-// scanBGP runs the two-phase passive BGP scan and extracts identifiers,
-// streaming the sweep into the OPEN collection like scanSSH.
-func scanBGP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) ([]alias.Observation, error) {
-	open, done, err := zmaplite.ScanStream(v, zmaplite.Config{
-		Targets: targets, Port: 179, Seed: opts.Seed + 1, Workers: opts.Workers,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bgp sweep: %w", err)
-	}
-	mod := &zgrab.BGPModule{Timeout: simGrabTimeout}
-	zopts := zgrab.Options{Workers: opts.Workers, DialTimeout: simGrabTimeout}
-	emit := emitIdent(opts.Sink, ident.BGP, func(data any) (ident.Identifier, bool) {
-		return ident.FromBGP(data.(*bgp.ScanResult))
-	})
-	if opts.DiscardObs {
-		zgrab.RunStreamDiscard(v, open, mod, zopts, emit)
-		<-done
-		return nil, nil
-	}
-	grabs := zgrab.RunStreamEmit(v, open, mod, zopts, emit)
 	<-done
-	var obs []alias.Observation
-	for _, g := range zgrab.Successes(grabs) {
-		res := g.Data.(*bgp.ScanResult)
-		if id, ok := ident.FromBGP(res); ok {
-			obs = append(obs, alias.Observation{Addr: g.Target, ID: id})
-		}
-	}
-	return obs, nil
+	return nil
 }
 
-// scanSNMP sweeps targets with engine-discovery probes (UDP; no SYN phase).
-// Workers fill a per-target result table indexed by target position, so the
-// returned observations are in target order no matter how the probes
-// interleave — the arrival-order nondeterminism of the previous
-// channel-funnel implementation is gone.
-func scanSNMP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) []alias.Observation {
-	type slot struct {
-		id ident.Identifier
-		ok bool
-	}
-	// In discard mode the sink is the only output, so the O(targets) result
-	// table is never allocated.
-	var slots []slot
-	if !opts.DiscardObs {
-		slots = make([]slot, len(targets))
-	}
+// scanSNMP sweeps targets with engine-discovery probes (UDP; no SYN phase),
+// handing each identifier to opts.Sink as its probe completes. A probe's
+// request IDs derive from its target's position, so the probes are the same
+// however the workers interleave.
+func scanSNMP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) {
 	idx := make(chan int, opts.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -277,14 +251,8 @@ func scanSNMP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) []alias
 				if !ok || err != nil {
 					continue
 				}
-				if id, idOK := ident.FromSNMPEngineID(res.EngineID); idOK {
-					if slots != nil {
-						slots[i] = slot{id: id, ok: true}
-					}
-					if opts.Sink != nil {
-						opts.Sink.Observe(ident.SNMP,
-							alias.Observation{Addr: targets[i], ID: id})
-					}
+				if id, ok := ident.FromSNMPEngineID(res.EngineID); ok {
+					opts.Sink.Observe(ident.SNMP, alias.Observation{Addr: targets[i], ID: id})
 				}
 			}
 		}()
@@ -294,12 +262,4 @@ func scanSNMP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) []alias
 	}
 	close(idx)
 	wg.Wait()
-
-	var obs []alias.Observation
-	for i, s := range slots {
-		if s.ok {
-			obs = append(obs, alias.Observation{Addr: targets[i], ID: s.id})
-		}
-	}
-	return obs
 }

@@ -3,168 +3,180 @@
 // points (active, Censys), extracts identifiers, runs the alias/dual-stack
 // inference, and renders the same rows and curves the paper reports.
 //
-// # The sealed-Dataset invariant
+// # The finished-Dataset invariant
 //
-// Collection and analysis are strictly phased. While a Dataset is being
-// collected it is mutable and uncached. BuildEnv seals every dataset before
-// returning its Env; from that point the observations are immutable, the
-// mutating methods panic, and all derived views — identifier groups, family
-// and non-singleton filters, address universes, merged partitions, the
-// MIDAR verification run — are memoized under sync.Once and shared by every
-// table, figure, and facade accessor (see views.go). Cached views are
-// shared slices and must be treated as read-only. Because the views are
-// concurrency-safe and the one clock-mutating computation (the MIDAR run)
-// is keyed and executed once, Env.RenderAll can generate every artifact in
-// parallel with output byte-identical to a sequential render.
+// Collection and analysis are strictly phased. Every sweep hands each
+// observation once to its campaign's sink, and a Dataset is built complete
+// when the sweeps end — by the in-RAM collector, by Union, by ReplayEnv, or
+// by the stream seal pass. Nothing appends to a Dataset afterwards. All
+// derived views — identifier groups, family and non-singleton filters,
+// address universes, merged partitions, the MIDAR verification run — are
+// memoized under sync.Once and shared by every table, figure, and facade
+// accessor (see views.go). Cached views are shared slices and must be
+// treated as read-only. Because the views are concurrency-safe and the one
+// clock-mutating computation (the MIDAR run) is keyed and executed once,
+// Env.RenderAll can generate every artifact in parallel with output
+// byte-identical to a sequential render.
 package experiments
 
 import (
 	"net/netip"
-	"sort"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
+	"aliaslimit/internal/resolver"
 )
 
 // Dataset is one source's scan yield: identifier observations per protocol,
 // IPv4 and IPv6 mixed (family splits happen at analysis time, as in the
-// paper's tables).
-//
-// A Dataset has two phases. During collection it is mutable: Add/AddAll
-// append observations. Seal flips it into the immutable analysis phase:
-// mutation panics, and every derived view (identifier groups, family
-// filters, address universes, merged partitions) is computed once and
-// cached — see views.go. BuildEnv seals all three datasets before returning.
+// paper's tables). It is immutable once built, and every derived view
+// (identifier groups, family filters, address universes, merged partitions)
+// is computed once and cached — see views.go.
 type Dataset struct {
 	// Name is the source label ("Active", "Censys", "Union").
 	Name string
-	// Obs maps protocol to its identifier observations. Read-only after
-	// Seal.
+	// Obs maps protocol to its identifier observations, each campaign's
+	// sorted by address; a union lists its parts' observations in part
+	// order. A stream-collected dataset leaves Obs empty: its observations
+	// live in the log, and EachObs reads them. Read-only.
 	Obs map[ident.Protocol][]alias.Observation
 	// NonStandardPortSSH counts SSH services found on non-default ports
 	// and excluded from analysis (the paper drops Censys's 5.6M of them).
 	NonStandardPortSSH int
 
-	views *datasetViews
-	// stream, when set, marks an out-of-core dataset: Obs is empty and the
-	// observations live in one folded epoch of the observation log. The
-	// address universes and EachObs route through it; see stream.go.
+	// addrs holds each protocol's sorted distinct addresses, both families
+	// mixed, filled when the dataset is built.
+	addrs [numProto][]netip.Addr
+	views datasetViews
+	// stream, when set, marks an out-of-core dataset: its observations live
+	// in one folded epoch of the observation log, and the seal pass that
+	// built it already fed its session. See stream.go.
 	stream *streamSource
 }
 
-// NewDataset returns an empty dataset.
-func NewDataset(name string) *Dataset {
-	return &Dataset{Name: name, Obs: make(map[ident.Protocol][]alias.Observation)}
+// emptyDataset starts a dataset with its own resolver session; the
+// constructors fill it before anyone reads it.
+func emptyDataset(name string) *Dataset {
+	d := &Dataset{Name: name, Obs: make(map[ident.Protocol][]alias.Observation)}
+	d.views.session = resolver.NewSession()
+	return d
 }
 
-// Add appends one observation. Panics if the dataset is sealed.
-func (d *Dataset) Add(p ident.Protocol, o alias.Observation) {
-	d.mustBeUnsealed()
-	d.Obs[p] = append(d.Obs[p], o)
-}
-
-// AddAll appends a batch of observations, preserving order. Collection
-// shards built concurrently merge through AddAll in a fixed protocol
-// sequence, which is what keeps Datasets byte-identical across Parallelism
-// and Workers settings.
-func (d *Dataset) AddAll(p ident.Protocol, obs []alias.Observation) {
-	d.mustBeUnsealed()
-	if len(obs) == 0 {
-		return
-	}
-	d.Obs[p] = append(d.Obs[p], obs...)
-}
-
-// Addrs returns the distinct responsive addresses for a protocol, optionally
-// filtered to one family (v4=true/false; pass nil for both), sorted. On a
-// sealed dataset the universe is derived once and shared — treat the result
-// as read-only.
-func (d *Dataset) Addrs(p ident.Protocol, v4 *bool) []netip.Addr {
-	f := func() []netip.Addr {
-		if d.stream != nil {
-			return filterFam(d.stream.addrs[p], v4)
-		}
-		return distinctAddrs(d.Obs[p], v4)
-	}
-	if v := d.views; v != nil {
-		return v.addrs[p][selIdx(v4)].get(f)
-	}
-	return f()
-}
-
-// AllAddrs returns the distinct addresses across every protocol (Table 1's
-// union row), optionally family-filtered. Cached and shared once sealed —
-// treat the result as read-only.
-func (d *Dataset) AllAddrs(v4 *bool) []netip.Addr {
-	f := func() []netip.Addr {
-		if d.stream != nil {
-			var merged []netip.Addr
-			for _, p := range ident.Protocols {
-				merged = mergeAddrs(merged, d.stream.addrs[p])
-			}
-			return filterFam(merged, v4)
-		}
-		var all []alias.Observation
-		for _, p := range ident.Protocols {
-			all = append(all, d.Obs[p]...)
-		}
-		return distinctAddrs(all, v4)
-	}
-	if v := d.views; v != nil {
-		return v.allAddrs[selIdx(v4)].get(f)
-	}
-	return f()
-}
-
-// distinctAddrs derives a sorted, de-duplicated address universe from
-// observations, optionally filtered to one family.
-func distinctAddrs(obs []alias.Observation, v4 *bool) []netip.Addr {
-	seen := make(map[netip.Addr]bool, len(obs))
-	out := make([]netip.Addr, 0, len(obs))
-	for _, o := range obs {
-		if v4 != nil && o.Addr.Is4() != *v4 {
+// newDataset builds an in-RAM dataset from each protocol's observations,
+// sorted by address. Its session is fed from Obs on first use.
+func newDataset(name string, obs [numProto][]alias.Observation) *Dataset {
+	d := emptyDataset(name)
+	for _, p := range ident.Protocols {
+		if len(obs[p]) == 0 {
 			continue
 		}
-		if !seen[o.Addr] {
-			seen[o.Addr] = true
-			out = append(out, o.Addr)
+		d.Obs[p] = obs[p]
+		for _, o := range obs[p] {
+			d.addrs[p] = appendAddr(d.addrs[p], o.Addr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return d
+}
+
+// Union merges several datasets into one named dataset: each protocol's
+// observations are the parts' in part order, and its addresses the merge of
+// theirs. Duplicate observations collapse during grouping.
+func Union(name string, parts ...*Dataset) *Dataset {
+	out := emptyDataset(name)
+	for _, part := range parts {
+		if part == nil {
+			continue
+		}
+		for _, p := range ident.Protocols {
+			if obs := part.Obs[p]; len(obs) > 0 {
+				out.Obs[p] = append(out.Obs[p], obs...)
+			}
+			out.addrs[p] = mergeAddrs(out.addrs[p], part.addrs[p])
+		}
+		out.NonStandardPortSSH += part.NonStandardPortSSH
+	}
 	return out
 }
 
-// Sets groups a protocol's observations into alias sets (all sizes). Cached
-// and shared once sealed — treat the result as read-only. Sealed datasets
-// group through their resolver session: a stream-sealed session already
-// holds the dataset's observations, otherwise the sealed observations stream
-// in here, once, on first use.
-func (d *Dataset) Sets(p ident.Protocol) []alias.Set {
-	if v := d.views; v != nil {
-		return v.groups[p].get(func() []alias.Set {
-			if !v.fed {
-				for _, o := range d.Obs[p] {
-					v.session.Observe(o)
-				}
-			}
-			return v.session.Sets(p)
-		})
-	}
-	return alias.Group(d.Obs[p])
+// Addrs returns the distinct responsive addresses for a protocol, optionally
+// filtered to one family (v4=true/false; pass nil for both), sorted. The
+// universe is derived once and shared — treat the result as read-only.
+func (d *Dataset) Addrs(p ident.Protocol, v4 *bool) []netip.Addr {
+	return d.views.addrs[p][selIdx(v4)].get(func() []netip.Addr {
+		return filterFam(d.addrs[p], v4)
+	})
 }
 
-// Union merges several datasets into one named dataset; duplicate
-// observations collapse during grouping.
-func Union(name string, parts ...*Dataset) *Dataset {
-	out := NewDataset(name)
-	for _, p := range parts {
-		if p == nil {
-			continue
+// AllAddrs returns the distinct addresses across every protocol (Table 1's
+// union row), optionally family-filtered. Cached and shared — treat the
+// result as read-only.
+func (d *Dataset) AllAddrs(v4 *bool) []netip.Addr {
+	return d.views.allAddrs[selIdx(v4)].get(func() []netip.Addr {
+		var merged []netip.Addr
+		for _, p := range ident.Protocols {
+			merged = mergeAddrs(merged, d.addrs[p])
 		}
-		for proto, obs := range p.Obs {
-			out.Obs[proto] = append(out.Obs[proto], obs...)
+		return filterFam(merged, v4)
+	})
+}
+
+// Sets groups a protocol's observations into alias sets (all sizes) through
+// the dataset's resolver session. Cached and shared — treat the result as
+// read-only. An in-RAM dataset's observations stream into the session here,
+// once, on first use; a stream-collected dataset's session already holds
+// them.
+func (d *Dataset) Sets(p ident.Protocol) []alias.Set {
+	return d.views.groups[p].get(func() []alias.Set {
+		if d.stream == nil {
+			for _, o := range d.Obs[p] {
+				d.views.session.Observe(o)
+			}
 		}
-		out.NonStandardPortSSH += p.NonStandardPortSSH
+		return d.views.session.Sets(p)
+	})
+}
+
+// appendAddr extends a sorted distinct address list with the next address
+// of a sorted run — consecutive-dedup is enough, no hash set needed.
+func appendAddr(addrs []netip.Addr, a netip.Addr) []netip.Addr {
+	if n := len(addrs); n > 0 && addrs[n-1] == a {
+		return addrs
+	}
+	return append(addrs, a)
+}
+
+// mergeAddrs merges two sorted distinct address lists into one.
+func mergeAddrs(a, b []netip.Addr) []netip.Addr {
+	out := make([]netip.Addr, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j]); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// filterFam narrows a sorted address list to one family; nil keeps both.
+func filterFam(addrs []netip.Addr, v4 *bool) []netip.Addr {
+	if v4 == nil {
+		return addrs
+	}
+	out := make([]netip.Addr, 0, len(addrs))
+	for _, a := range addrs {
+		if a.Is4() == *v4 {
+			out = append(out, a)
+		}
 	}
 	return out
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Env is a fully measured environment: the world plus the two datasets and
-// their union — everything the tables and figures read from. BuildEnv seals
-// the datasets, so every analysis view is computed once and shared; see
-// views.go for the caching contract.
+// their union — everything the tables and figures read from. The datasets
+// are finished when the Env is built, so every analysis view is computed
+// once and shared; see views.go for the caching contract.
 type Env struct {
 	// World is the synthetic Internet.
 	World *topo.World
@@ -73,8 +73,9 @@ type Options struct {
 	EpochDigest func(*Epoch) (string, error)
 	// StreamCollect selects the out-of-core collection path: scan sinks
 	// write straight into a per-protocol obslog spill (Log when set, else a
-	// temporary writer) and accumulate nothing in RAM, and sealing replays
-	// the folded epoch through the resolver sessions in bounded batches.
+	// temporary writer) and accumulate nothing in RAM, and the datasets are
+	// built by replaying the folded epoch through their resolver sessions
+	// in one bounded pass per shard.
 	// Alias sets are byte-identical to the in-RAM path; peak memory is
 	// O(alias-set output + arena), not O(observations). Raw Dataset.Obs
 	// reads are empty in this mode — analyses iterate through

@@ -188,10 +188,10 @@ func TestInferenceRecallSSH(t *testing.T) {
 
 func TestTable3UnionDoublesSNMP(t *testing.T) {
 	e := testEnv(t)
-	ssh := alias.NonSingleton(e.Both.FamilySets(ident.SSH, true))
-	bgpSets := alias.NonSingleton(e.Both.FamilySets(ident.BGP, true))
-	snmp := alias.NonSingleton(e.Active.FamilySets(ident.SNMP, true))
-	union := alias.NonSingleton(alias.Merge(ssh, bgpSets, snmp))
+	ssh := e.Both.NonSingletonFamilySets(ident.SSH, true)
+	bgpSets := e.Both.NonSingletonFamilySets(ident.BGP, true)
+	snmp := e.Active.NonSingletonFamilySets(ident.SNMP, true)
+	union := alias.Merge(ssh, bgpSets, snmp)
 	if len(union) < 2*len(snmp) {
 		t.Errorf("union sets (%d) should be at least double SNMPv3 alone (%d)",
 			len(union), len(snmp))

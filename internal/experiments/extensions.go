@@ -49,12 +49,12 @@ func MultiVantage(w *topo.World, maxVantages int, opts ScanOptions) ([]VantageCo
 	var out []VantageCoverage
 	for k := 0; k < maxVantages; k++ {
 		v := w.Fabric.Vantage(topo.AuxVantage(k))
-		ds := NewDataset(topo.AuxVantage(k))
-		obs, err := scanSSH(v, w.V4Universe(), opts)
+		ds, err := collect(topo.AuxVantage(k), opts, func(o ScanOptions) error {
+			return scanSSH(v, w.V4Universe(), o)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: vantage %d: %w", k, err)
 		}
-		ds.AddAll(ident.SSH, obs)
 		newIPs := 0
 		for _, o := range ds.Obs[ident.SSH] {
 			if !seen[o.Addr] {
@@ -121,20 +121,17 @@ func Stability(w *topo.World, gap time.Duration, churnFrac float64, opts ScanOpt
 	opts = opts.withDefaults()
 	v := w.Fabric.Vantage(topo.VantageActive)
 
-	first := NewDataset("t0")
-	obs0, err := scanSSH(v, w.V4Universe(), opts)
+	scan := func(o ScanOptions) error { return scanSSH(v, w.V4Universe(), o) }
+	first, err := collect("t0", opts, scan)
 	if err != nil {
 		return nil, err
 	}
-	first.AddAll(ident.SSH, obs0)
 	w.Clock.Advance(gap)
 	w.ApplyChurn(churnFrac, 7001)
-	second := NewDataset("t1")
-	obs1, err := scanSSH(v, w.V4Universe(), opts)
+	second, err := collect("t1", opts, scan)
 	if err != nil {
 		return nil, err
 	}
-	second.AddAll(ident.SSH, obs1)
 
 	firstID := make(map[netip.Addr]string)
 	for _, o := range first.Obs[ident.SSH] {

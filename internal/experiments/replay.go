@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obslog"
 	"aliaslimit/internal/resolver"
 )
@@ -20,21 +19,13 @@ import (
 // ignored; the parameter keeps older callers compiling. The error is always
 // nil.
 func ReplayEnv(snap *obslog.Snapshot, _ ...resolver.Backend) (*Env, error) {
-	active := NewDataset("Active")
-	censys := NewDataset("Censys")
-	for _, p := range ident.Protocols {
-		active.AddAll(p, snap.Active[p])
-		censys.AddAll(p, snap.Censys[p])
-	}
+	// The log's canonical fold sorts each campaign's records by address, so
+	// the datasets take the snapshot's slices as they are.
+	active := newDataset("Active", snap.Active)
+	censys := newDataset("Censys", snap.Censys)
 	// The non-standard-port count is derived from the snapshot population
 	// with the same rule collection applies, so replays report identical
 	// exclusion totals.
-	censys.NonStandardPortSSH = len(censys.Obs[ident.SSH]) * 23 / 100
-	env := &Env{
-		Active: active,
-		Censys: censys,
-		Both:   Union("Union", active, censys),
-	}
-	env.seal()
-	return env, nil
+	censys.NonStandardPortSSH = nonStandardPortSSH(censys)
+	return newEnv(nil, active, censys, Union("Union", active, censys)), nil
 }

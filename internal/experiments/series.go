@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obslog"
 	"aliaslimit/internal/topo"
 )
@@ -173,25 +172,25 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 
 	activeOpts, censysOpts := s.opts.Scan, s.opts.Scan
 	lg := s.opts.Log
-	var counter *obsCounter
 	if s.opts.StreamCollect {
 		// Out-of-core collection: the log (the caller's, or a temporary
-		// spill) is the only place observations land — scan workers discard
-		// everything after the sinks have seen it. The counting sink keeps
-		// the Censys SSH population size for the non-standard-port model.
+		// spill) is the only place observations land.
 		var err error
 		if lg, err = s.ensureSpill(); err != nil {
 			return nil, err
 		}
-		activeOpts.DiscardObs, censysOpts.DiscardObs = true, true
-		counter = &obsCounter{}
-		censysOpts.Sink = TeeSink(censysOpts.Sink, counter)
 	}
 	if lg != nil {
-		// Durable runs additionally tee every observation into the log,
-		// campaign-tagged so replay can rebuild the asymmetric dataset split.
+		// The log records every observation campaign-tagged, so replay can
+		// rebuild the asymmetric dataset split.
 		activeOpts.Sink = TeeSink(activeOpts.Sink, lg.Sink(obslog.SourceActive))
 		censysOpts.Sink = TeeSink(censysOpts.Sink, lg.Sink(obslog.SourceCensys))
+	}
+	var activeC, censysC *collector
+	if !s.opts.StreamCollect {
+		activeC, censysC = &collector{}, &collector{}
+		activeOpts.Sink = TeeSink(activeOpts.Sink, activeC)
+		censysOpts.Sink = TeeSink(censysOpts.Sink, censysC)
 	}
 
 	var stats EpochStats
@@ -201,8 +200,7 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		stats.EpochChurnStats = w.ApplyEpochChurn(s.opts.EpochChurn, e)
 	}
 
-	censys, err := CollectCensys(w, censysOpts)
-	if err != nil {
+	if err := sweepCensys(w, censysOpts); err != nil {
 		return nil, err
 	}
 	w.Clock.Advance(s.opts.SnapshotGap)
@@ -210,37 +208,26 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		// Odd round numbers; epoch-boundary renumbering uses the even ones.
 		stats.IntraChurned = w.ApplyChurn(s.opts.ChurnFraction, 2*e+1)
 	}
-	active, err := CollectActive(w, activeOpts)
-	if err != nil {
+	if err := sweepActive(w, activeOpts); err != nil {
 		return nil, err
 	}
-	if counter != nil {
-		// The batch path derives this from len(Obs[SSH]); stream mode
-		// counted the same grabs as they flowed past.
-		censys.NonStandardPortSSH = counter.count(ident.SSH) * 23 / 100
-	}
-	env := &Env{
-		World:  w,
-		Active: active,
-		Censys: censys,
-		Both:   Union("Union", active, censys),
-	}
+	var env *Env
 	if s.opts.StreamCollect {
-		// Fold the epoch into its canonical on-disk segment, bind the
-		// datasets to it, and seal by replaying the segment in bounded
-		// batches (see stream.go). The fold precedes the manifest commit so
-		// the EpochDigest hook below can read the sealed views.
-		env.Active.stream = &streamSource{log: lg, epoch: e, active: true}
-		env.Censys.stream = &streamSource{log: lg, epoch: e, censys: true}
-		env.Both.stream = &streamSource{log: lg, epoch: e, active: true, censys: true}
+		// Fold the epoch into its canonical on-disk segment and build the
+		// datasets from it in one bounded pass per shard (see stream.go).
+		// The fold precedes the manifest commit so the EpochDigest hook
+		// below can read the views.
 		if err := lg.FoldEpoch(e); err != nil {
 			return nil, fmt.Errorf("experiments: folding epoch %d: %w", e, err)
 		}
-		if err := env.sealStreamed(); err != nil {
+		var err error
+		if env, err = streamEnv(w, lg, e); err != nil {
 			return nil, fmt.Errorf("experiments: sealing epoch %d: %w", e, err)
 		}
 	} else {
-		env.seal()
+		active, censys := activeC.dataset("Active"), censysC.dataset("Censys")
+		censys.NonStandardPortSSH = nonStandardPortSSH(censys)
+		env = newEnv(w, active, censys, Union("Union", active, censys))
 	}
 	ep := &Epoch{Env: env, Stats: stats, Truth: w.Truth.Snapshot()}
 	if lg != nil {

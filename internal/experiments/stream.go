@@ -1,13 +1,13 @@
 package experiments
 
-// Out-of-core collection. In StreamCollect mode the scan workers' sinks
-// write every observation straight into a per-protocol obslog spill and
-// accumulate nothing (ScanOptions.DiscardObs), so the Datasets carry empty
-// Obs slices; sealing is then a bounded replay pass that streams the folded
-// epoch segment through the resolver sessions and derives the address
-// universes in one pass per shard. Peak collection memory is O(alias-set
-// output + arena + readahead), not O(observations) — the property the
-// megascale-x100 preset depends on.
+// Out-of-core collection. In StreamCollect mode the observation log is each
+// campaign's only sink: the scan workers hand every observation to its
+// per-protocol spill and keep nothing, so the Datasets carry empty Obs
+// slices. Once the epoch is folded, one bounded pass per shard builds the
+// three datasets: it streams the folded segment through their resolver
+// sessions and derives their address universes. Peak collection memory is
+// O(alias-set output + arena + readahead), not O(observations) — the
+// property the megascale-x100 preset depends on.
 //
 // The replay invariant: the log's canonical epoch fold orders records by
 // (source, address, digest) and drops exact duplicates, and resolver
@@ -17,29 +17,12 @@ package experiments
 
 import (
 	"io"
-	"net/netip"
-	"sync/atomic"
 
 	"aliaslimit/internal/alias"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obslog"
-	"aliaslimit/internal/resolver"
+	"aliaslimit/internal/topo"
 )
-
-// obsCounter is a counting ObservationSink: stream mode tees it onto the
-// Censys scan sink so the non-standard-port model (a fixed fraction of the
-// SSH population) still has its population size after the grabs themselves
-// were discarded. Counts match len(Dataset.Obs[p]) of an in-RAM run because
-// the tap fires under exactly the condition the batch path keeps a grab.
-type obsCounter struct {
-	n [numProto]atomic.Int64
-}
-
-// Observe implements ObservationSink.
-func (c *obsCounter) Observe(p ident.Protocol, _ alias.Observation) { c.n[p].Add(1) }
-
-// count returns how many observations the protocol delivered.
-func (c *obsCounter) count(p ident.Protocol) int { return int(c.n[p].Load()) }
 
 // streamSource backs a stream-collected Dataset: its observations live in
 // one folded epoch of the observation log, not in RAM. It references the
@@ -51,11 +34,6 @@ type streamSource struct {
 	epoch  int
 	active bool // dataset includes SourceActive records
 	censys bool // dataset includes SourceCensys records
-
-	// addrs holds the per-protocol sorted distinct address universes (both
-	// families mixed), derived during the seal replay pass — the only
-	// per-observation state a streamed dataset keeps resident.
-	addrs [numProto][]netip.Addr
 }
 
 // reader opens a bounded-readahead reader over the dataset's epoch segment.
@@ -108,83 +86,37 @@ func (d *Dataset) EachObs(p ident.Protocol, fn func(alias.Observation)) error {
 	return nil
 }
 
-// appendAddr extends a sorted distinct address list with the next address
-// of a sorted run — the log's canonical order makes consecutive-dedup
-// sufficient, no hash set needed.
-func appendAddr(addrs []netip.Addr, a netip.Addr) []netip.Addr {
-	if n := len(addrs); n > 0 && addrs[n-1] == a {
-		return addrs
+// streamEnv builds an epoch's three datasets from its folded log segment:
+// one bounded pass per shard streams every record into its campaign's
+// session and the union's, and derives each dataset's address universe on
+// the way — the only per-observation state a streamed dataset keeps
+// resident. A read error aborts the build, so no dataset is ever built from
+// a defective segment.
+func streamEnv(w *topo.World, lg *obslog.Writer, epoch int) (*Env, error) {
+	streamed := func(name string, active, censys bool) *Dataset {
+		d := emptyDataset(name)
+		d.stream = &streamSource{log: lg, epoch: epoch, active: active, censys: censys}
+		return d
 	}
-	return append(addrs, a)
-}
-
-// mergeAddrs merges two sorted distinct address lists into one.
-func mergeAddrs(a, b []netip.Addr) []netip.Addr {
-	out := make([]netip.Addr, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := a[i].Compare(b[j]); {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// filterFam narrows a sorted address list to one family; nil keeps both.
-func filterFam(addrs []netip.Addr, v4 *bool) []netip.Addr {
-	if v4 == nil {
-		return addrs
-	}
-	out := make([]netip.Addr, 0, len(addrs))
-	for _, a := range addrs {
-		if a.Is4() == *v4 {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// sealStreamed is seal's out-of-core counterpart: instead of adopting
-// in-RAM observations, it replays the epoch's folded log segments through
-// fresh resolver sessions in one bounded pass per shard, deriving the address
-// universes along the way. Every dataset seals with its session marked fed,
-// so the empty Obs slices are never replayed into it.
-func (e *Env) sealStreamed() error {
-	e.session = resolver.NewSession()
-	activeSes, censysSes, unionSes := resolver.NewSession(), resolver.NewSession(), resolver.NewSession()
+	env := newEnv(w, streamed("Active", true, false), streamed("Censys", false, true), streamed("Union", true, true))
 	for _, p := range ident.Protocols {
-		if err := e.streamSealPass(p, activeSes, censysSes, unionSes); err != nil {
-			return err
+		if err := env.streamPass(p); err != nil {
+			return nil, err
 		}
 	}
-	e.Active.sealFed(activeSes)
-	e.Censys.sealFed(censysSes)
-	e.Both.sealFed(unionSes)
-	return nil
+	env.Censys.NonStandardPortSSH = nonStandardPortSSH(env.Censys)
+	env.Both.NonStandardPortSSH = env.Censys.NonStandardPortSSH
+	return env, nil
 }
 
-// streamSealPass replays one shard's folded epoch segment: every record
-// streams into its dataset's session and the union session, and the pass
-// derives the three datasets' sorted distinct address universes for the
-// protocol. A read error aborts the seal — no partial dataset is ever sealed
-// from a defective segment.
-func (e *Env) streamSealPass(p ident.Protocol, activeSes, censysSes, unionSes resolver.Session) error {
+// streamPass replays one shard's folded epoch segment into the datasets'
+// sessions and address universes.
+func (e *Env) streamPass(p ident.Protocol) error {
 	r, err := e.Both.stream.reader(p)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	var act, cen []netip.Addr
 	for {
 		src, o, err := r.Next()
 		if err == io.EOF {
@@ -193,17 +125,14 @@ func (e *Env) streamSealPass(p ident.Protocol, activeSes, censysSes, unionSes re
 		if err != nil {
 			return err
 		}
+		ds := e.Active
 		if src == obslog.SourceCensys {
-			cen = appendAddr(cen, o.Addr)
-			censysSes.Observe(o)
-		} else {
-			act = appendAddr(act, o.Addr)
-			activeSes.Observe(o)
+			ds = e.Censys
 		}
-		unionSes.Observe(o)
+		ds.addrs[p] = appendAddr(ds.addrs[p], o.Addr)
+		ds.views.session.Observe(o)
+		e.Both.views.session.Observe(o)
 	}
-	e.Active.stream.addrs[p] = act
-	e.Censys.stream.addrs[p] = cen
-	e.Both.stream.addrs[p] = mergeAddrs(act, cen)
+	e.Both.addrs[p] = mergeAddrs(e.Active.addrs[p], e.Censys.addrs[p])
 	return nil
 }

@@ -11,13 +11,13 @@ import (
 	"aliaslimit/internal/topo"
 )
 
-// This file is the memoized analysis layer. A Dataset is sealed once
-// collection completes; from then on every derived view — identifier groups,
-// family filters, non-singleton filters, address universes, merged
-// partitions — is computed at most once and shared by every table, figure,
-// and facade accessor. All views are computed under sync.Once, so concurrent
-// artifact generation (Env.RenderAll) is safe and deterministic: the first
-// caller computes, everyone else reads.
+// This file is the memoized analysis layer. A Dataset is finished when it
+// is built; from then on every derived view — identifier groups, family
+// filters, non-singleton filters, address universes, merged partitions — is
+// computed at most once and shared by every table, figure, and facade
+// accessor. All views are computed under sync.Once, so concurrent artifact
+// generation (Env.RenderAll) is safe and deterministic: the first caller
+// computes, everyone else reads.
 //
 // Returned slices are shared views: callers must treat them as read-only.
 
@@ -60,10 +60,8 @@ func (m *memo[T]) get(f func() T) T {
 type datasetViews struct {
 	groups   [numProto]memo[[]alias.Set]     // Group per protocol
 	nsAll    [numProto]memo[[]alias.Set]     // NonSingleton(Group)
-	fam      [numProto][2]memo[[]alias.Set]  // FilterFamily(Group)
-	famNS    [numProto][2]memo[[]alias.Set]  // NonSingleton(FilterFamily)
-	merged   [2]memo[[]alias.Set]            // per-family merge of the three famNS
-	mergedNS [2]memo[[]alias.Set]            // NonSingleton(merged)
+	famNS    [numProto][2]memo[[]alias.Set]  // NonSingleton(FilterFamily(nsAll))
+	mergedNS [2]memo[[]alias.Set]            // per-family merge of the three famNS
 	addrs    [numProto][3]memo[[]netip.Addr] // per-protocol address universes
 	allAddrs [3]memo[[]netip.Addr]           // cross-protocol address universes
 
@@ -71,95 +69,37 @@ type datasetViews struct {
 	// dataset's views routes through; sessions are concurrency-safe, so no
 	// extra serialisation is needed here.
 	session resolver.Session
-	// fed records that session already holds every observation of the
-	// dataset (stream collection replays the folded log into it while
-	// sealing), so Sets never feeds the sealed Obs slices into it.
-	fed bool
-}
-
-// Seal freezes the dataset for analysis with a fresh resolver session:
-// mutation panics from here on, and derived views are cached. Sealing twice
-// is a no-op.
-func (d *Dataset) Seal() {
-	if d.views == nil {
-		d.views = &datasetViews{session: resolver.NewSession()}
-	}
-}
-
-// sealFed is Seal with a session that already holds every observation of
-// the dataset (see datasetViews.fed).
-func (d *Dataset) sealFed(s resolver.Session) {
-	if d.views == nil {
-		d.views = &datasetViews{session: s, fed: true}
-	}
-}
-
-// Sealed reports whether the dataset has been sealed.
-func (d *Dataset) Sealed() bool { return d.views != nil }
-
-// mustBeUnsealed guards the mutating methods.
-func (d *Dataset) mustBeUnsealed() {
-	if d.views != nil {
-		panic("experiments: dataset " + d.Name + " is sealed; collection must complete before analysis")
-	}
 }
 
 // NonSingletonSets returns the protocol's non-singleton identifier groups
 // (both families).
 func (d *Dataset) NonSingletonSets(p ident.Protocol) []alias.Set {
-	f := func() []alias.Set { return alias.NonSingleton(d.Sets(p)) }
-	if v := d.views; v != nil {
-		return v.nsAll[p].get(f)
-	}
-	return f()
+	return d.views.nsAll[p].get(func() []alias.Set { return alias.NonSingleton(d.Sets(p)) })
 }
 
-// FamilySets returns the protocol's identifier groups filtered to one
-// address family (all sizes).
-func (d *Dataset) FamilySets(p ident.Protocol, v4 bool) []alias.Set {
-	f := func() []alias.Set { return alias.FilterFamily(d.Sets(p), v4) }
-	if v := d.views; v != nil {
-		return v.fam[p][famIdx(v4)].get(f)
-	}
-	return f()
-}
-
-// NonSingletonFamilySets returns the non-singleton subset of FamilySets —
-// the unit every per-protocol table cell counts.
+// NonSingletonFamilySets returns the protocol's identifier groups filtered
+// to one address family, keeping those still of two or more addresses — the
+// unit every per-protocol table cell counts. It filters NonSingletonSets: a
+// singleton filters to at most a singleton, so the result is the same as
+// filtering every group (alias.TestSingletonIdentities).
 func (d *Dataset) NonSingletonFamilySets(p ident.Protocol, v4 bool) []alias.Set {
-	f := func() []alias.Set { return alias.NonSingleton(d.FamilySets(p, v4)) }
-	if v := d.views; v != nil {
-		return v.famNS[p][famIdx(v4)].get(f)
-	}
-	return f()
+	return d.views.famNS[p][famIdx(v4)].get(func() []alias.Set {
+		return alias.NonSingleton(alias.FilterFamily(d.NonSingletonSets(p), v4))
+	})
 }
 
-// MergedFamily returns the dataset's cross-protocol union partition for one
-// family: the merge of its three per-protocol non-singleton views.
-func (d *Dataset) MergedFamily(v4 bool) []alias.Set {
-	f := func() []alias.Set {
-		ssh := d.NonSingletonFamilySets(ident.SSH, v4)
-		bgpS := d.NonSingletonFamilySets(ident.BGP, v4)
-		snmp := d.NonSingletonFamilySets(ident.SNMP, v4)
-		if v := d.views; v != nil {
-			return v.session.Merged(ssh, bgpS, snmp)
-		}
-		return alias.Merge(ssh, bgpS, snmp)
-	}
-	if v := d.views; v != nil {
-		return v.merged[famIdx(v4)].get(f)
-	}
-	return f()
-}
-
-// MergedFamilyNonSingleton filters MergedFamily to sets of two or more
-// addresses.
+// MergedFamilyNonSingleton returns the dataset's cross-protocol union
+// partition for one family: the merge of its three per-protocol
+// non-singleton views. A merge of non-singleton sets holds only
+// non-singleton sets.
 func (d *Dataset) MergedFamilyNonSingleton(v4 bool) []alias.Set {
-	f := func() []alias.Set { return alias.NonSingleton(d.MergedFamily(v4)) }
-	if v := d.views; v != nil {
-		return v.mergedNS[famIdx(v4)].get(f)
-	}
-	return f()
+	return d.views.mergedNS[famIdx(v4)].get(func() []alias.Set {
+		return d.views.session.Merged(
+			d.NonSingletonFamilySets(ident.SSH, v4),
+			d.NonSingletonFamilySets(ident.BGP, v4),
+			d.NonSingletonFamilySets(ident.SNMP, v4),
+		)
+	})
 }
 
 // envViews caches the cross-dataset derivations: the canonical union
@@ -167,7 +107,6 @@ func (d *Dataset) MergedFamilyNonSingleton(v4 bool) []alias.Set {
 // scan, as the paper combines them), the all-family dual-stack merge, and
 // the MIDAR verification runs.
 type envViews struct {
-	unionFam   [2]memo[[]alias.Set]
 	unionFamNS [2]memo[[]alias.Set]
 	dualMerged memo[[]alias.Set]
 	dualStack  memo[[]alias.Set]
@@ -192,15 +131,12 @@ type MIDARResult struct {
 	Tally midar.Tally
 }
 
-// seal freezes all three datasets after in-RAM collection. Each dataset gets
-// its own session (and the env keeps one for the cross-dataset merges), so
-// the concurrent render paths keep the merge parallelism the per-dataset
-// tables used to provide.
-func (e *Env) seal() {
-	e.session = resolver.NewSession()
-	e.Active.Seal()
-	e.Censys.Seal()
-	e.Both.Seal()
+// newEnv assembles an environment from its finished datasets, with a fresh
+// resolver session for the cross-dataset merges. Each dataset holds its own
+// session, so the concurrent render paths keep the merge parallelism the
+// per-dataset tables used to provide.
+func newEnv(w *topo.World, active, censys, both *Dataset) *Env {
+	return &Env{World: w, Active: active, Censys: censys, Both: both, session: resolver.NewSession()}
 }
 
 // Close runs the environment's cleanup hook once — for a facade-built Env,
@@ -216,24 +152,18 @@ func (e *Env) Close() error {
 	return err
 }
 
-// UnionFamilySets returns the canonical cross-protocol union partition for
-// one family: SSH and BGP from the union dataset, SNMPv3 from the active
-// scan (its single source), merged.
-func (e *Env) UnionFamilySets(v4 bool) []alias.Set {
-	return e.views.unionFam[famIdx(v4)].get(func() []alias.Set {
+// UnionFamilyNonSingleton returns the canonical cross-protocol union
+// partition for one family — the paper's headline union alias-set count:
+// SSH and BGP from the union dataset, SNMPv3 from the active scan (its
+// single source), merged. A merge of non-singleton sets holds only
+// non-singleton sets.
+func (e *Env) UnionFamilyNonSingleton(v4 bool) []alias.Set {
+	return e.views.unionFamNS[famIdx(v4)].get(func() []alias.Set {
 		return e.session.Merged(
 			e.Both.NonSingletonFamilySets(ident.SSH, v4),
 			e.Both.NonSingletonFamilySets(ident.BGP, v4),
 			e.Active.NonSingletonFamilySets(ident.SNMP, v4),
 		)
-	})
-}
-
-// UnionFamilyNonSingleton filters UnionFamilySets to non-singleton sets —
-// the paper's headline union alias-set count.
-func (e *Env) UnionFamilyNonSingleton(v4 bool) []alias.Set {
-	return e.views.unionFamNS[famIdx(v4)].get(func() []alias.Set {
-		return alias.NonSingleton(e.UnionFamilySets(v4))
 	})
 }
 

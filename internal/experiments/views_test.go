@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +12,30 @@ import (
 	"aliaslimit/internal/topo"
 )
 
+// refAddrs is the reference address universe: the distinct addresses of
+// obs, optionally of one family, sorted.
+func refAddrs(obs []alias.Observation, v4 *bool) []netip.Addr {
+	seen := make(map[netip.Addr]bool)
+	var out []netip.Addr
+	for _, o := range obs {
+		if (v4 == nil || o.Addr.Is4() == *v4) && !seen[o.Addr] {
+			seen[o.Addr] = true
+			out = append(out, o.Addr)
+		}
+	}
+	slices.SortFunc(out, netip.Addr.Compare)
+	return out
+}
+
 // TestSealedViewsMatchDirect asserts the memoization contract: every cached
-// view on a sealed dataset is identical to the direct recomputation from the
+// view of a built dataset is identical to the direct recomputation from the
 // raw observations, and stays identical on repeated access.
 func TestSealedViewsMatchDirect(t *testing.T) {
 	e := testEnv(t)
 	for _, ds := range []*Dataset{e.Active, e.Censys, e.Both} {
-		if !ds.Sealed() {
-			t.Fatalf("dataset %s not sealed by BuildEnv", ds.Name)
-		}
+		var all []alias.Observation
 		for _, p := range ident.Protocols {
+			all = append(all, ds.Obs[p]...)
 			direct := alias.Group(ds.Obs[p])
 			if !reflect.DeepEqual(ds.Sets(p), direct) {
 				t.Errorf("%s %s: cached Sets != direct Group", ds.Name, p)
@@ -28,28 +44,30 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 				t.Errorf("%s %s: cached NonSingletonSets diverges", ds.Name, p)
 			}
 			for _, v4 := range []bool{true, false} {
-				fam := alias.FilterFamily(direct, v4)
-				if !reflect.DeepEqual(ds.FamilySets(p, v4), fam) {
-					t.Errorf("%s %s v4=%v: cached FamilySets diverges", ds.Name, p, v4)
-				}
-				if !reflect.DeepEqual(ds.NonSingletonFamilySets(p, v4), alias.NonSingleton(fam)) {
+				want := alias.NonSingleton(alias.FilterFamily(direct, v4))
+				if !reflect.DeepEqual(ds.NonSingletonFamilySets(p, v4), want) {
 					t.Errorf("%s %s v4=%v: cached NonSingletonFamilySets diverges", ds.Name, p, v4)
 				}
 			}
 			for _, sel := range []*bool{nil, V4, V6} {
-				if !reflect.DeepEqual(ds.Addrs(p, sel), distinctAddrs(ds.Obs[p], sel)) {
-					t.Errorf("%s %s: cached Addrs diverges", ds.Name, p)
+				if got, want := ds.Addrs(p, sel), refAddrs(ds.Obs[p], sel); !slices.Equal(got, want) {
+					t.Errorf("%s %s: cached Addrs diverges (%d addresses, want %d)", ds.Name, p, len(got), len(want))
 				}
 			}
 		}
+		for _, sel := range []*bool{nil, V4, V6} {
+			if got, want := ds.AllAddrs(sel), refAddrs(all, sel); !slices.Equal(got, want) {
+				t.Errorf("%s: cached AllAddrs diverges (%d addresses, want %d)", ds.Name, len(got), len(want))
+			}
+		}
 		for _, v4 := range []bool{true, false} {
-			direct := alias.Merge(
+			direct := alias.NonSingleton(alias.Merge(
 				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SSH]), v4)),
 				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.BGP]), v4)),
 				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SNMP]), v4)),
-			)
-			if !reflect.DeepEqual(ds.MergedFamily(v4), direct) {
-				t.Errorf("%s v4=%v: cached MergedFamily != direct Merge", ds.Name, v4)
+			))
+			if !reflect.DeepEqual(ds.MergedFamilyNonSingleton(v4), direct) {
+				t.Errorf("%s v4=%v: cached MergedFamilyNonSingleton != direct Merge", ds.Name, v4)
 			}
 		}
 		// Second read returns the same view (memoized, not recomputed).
@@ -61,15 +79,12 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 	}
 
 	for _, v4 := range []bool{true, false} {
-		direct := alias.Merge(
+		direct := alias.NonSingleton(alias.Merge(
 			alias.NonSingleton(alias.FilterFamily(alias.Group(e.Both.Obs[ident.SSH]), v4)),
 			alias.NonSingleton(alias.FilterFamily(alias.Group(e.Both.Obs[ident.BGP]), v4)),
 			alias.NonSingleton(alias.FilterFamily(alias.Group(e.Active.Obs[ident.SNMP]), v4)),
-		)
-		if !reflect.DeepEqual(e.UnionFamilySets(v4), direct) {
-			t.Errorf("v4=%v: cached UnionFamilySets != direct", v4)
-		}
-		if !reflect.DeepEqual(e.UnionFamilyNonSingleton(v4), alias.NonSingleton(direct)) {
+		))
+		if !reflect.DeepEqual(e.UnionFamilyNonSingleton(v4), direct) {
 			t.Errorf("v4=%v: cached UnionFamilyNonSingleton != direct", v4)
 		}
 	}
@@ -81,20 +96,6 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 	if !reflect.DeepEqual(e.DualStackSets(), directDual) {
 		t.Error("cached DualStackSets != direct recomputation")
 	}
-}
-
-// TestSealedDatasetRejectsMutation asserts the sealed-Dataset invariant.
-func TestSealedDatasetRejectsMutation(t *testing.T) {
-	ds := NewDataset("t")
-	ds.Add(ident.SSH, alias.Observation{})
-	ds.Seal()
-	ds.Seal() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Error("Add on a sealed dataset did not panic")
-		}
-	}()
-	ds.Add(ident.SSH, alias.Observation{})
 }
 
 // buildTwinEnvs constructs two identical environments from one seed.

@@ -140,10 +140,9 @@ type epochView struct {
 	// ids maps address → identifier digest per protocol, latest observation
 	// within the epoch winning (active scan over Censys snapshot).
 	ids [3]map[netip.Addr]string
-	// all / ns are the epoch's cross-protocol union partitions per family
-	// (famIdx: 0 = v4, 1 = v6), all sizes and non-singleton respectively.
-	all [2][]alias.Set
-	ns  [2][]alias.Set
+	// ns is the epoch's cross-protocol union partition per family
+	// (0 = v4, 1 = v6); every set in it has two or more addresses.
+	ns [2][]alias.Set
 }
 
 // RunLongitudinal runs the named preset over opts.Epochs snapshot rounds on
@@ -374,7 +373,6 @@ func newEpochView(env *experiments.Env) (*epochView, error) {
 		v.ids[i] = m
 	}
 	for fi, v4 := range []bool{true, false} {
-		v.all[fi] = env.UnionFamilySets(v4)
 		v.ns[fi] = env.UnionFamilyNonSingleton(v4)
 	}
 	return v, nil
@@ -429,7 +427,7 @@ func survival(views []*epochView) (int, []*SurvivalPoint) {
 	for e, v := range views {
 		comp := make(map[netip.Addr]int)
 		idx := 0
-		for _, fam := range v.all {
+		for _, fam := range v.ns {
 			for _, s := range fam {
 				for _, a := range s.Addrs {
 					comp[a] = idx
@@ -490,7 +488,7 @@ func naiveUnion(views []*epochView) []alias.Set {
 		for _, v := range views {
 			inputs = append(inputs, v.ns[fi])
 		}
-		merged = append(merged, alias.NonSingleton(alias.Merge(inputs...))...)
+		merged = append(merged, alias.Merge(inputs...)...)
 	}
 	return merged
 }
@@ -591,7 +589,7 @@ func mergeAssignments(assign [3]map[netip.Addr]string) []alias.Set {
 		for _, sets := range perProto {
 			inputs = append(inputs, alias.NonSingleton(alias.FilterFamily(sets, v4)))
 		}
-		merged = append(merged, alias.NonSingleton(alias.Merge(inputs...))...)
+		merged = append(merged, alias.Merge(inputs...)...)
 	}
 	return merged
 }

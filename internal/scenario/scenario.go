@@ -428,11 +428,11 @@ func NewSessionView(s resolver.Session) *SessionView {
 	}
 	union := func(v4 bool) func() []alias.Set {
 		return sync.OnceValue(func() []alias.Set {
-			return alias.NonSingleton(s.Merged(
+			return s.Merged(
 				alias.NonSingleton(alias.FilterFamily(protos[ident.SSH](), v4)),
 				alias.NonSingleton(alias.FilterFamily(protos[ident.BGP](), v4)),
 				alias.NonSingleton(alias.FilterFamily(protos[ident.SNMP](), v4)),
-			))
+			)
 		})
 	}
 	dual := sync.OnceValue(func() []alias.Set {

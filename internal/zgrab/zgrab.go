@@ -63,53 +63,35 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
-// Run scans every target with the module and returns one Grab per target, in
-// target order (sorted by address) for reproducible downstream processing. It
-// is the batch form of RunStream.
+// Run scans every target with the module and returns one Grab per target,
+// sorted by address for reproducible downstream processing. It gathers
+// RunStream's grabs into a slice.
 func Run(d Dialer, targets []netip.Addr, m Module, opts Options) []Grab {
 	ch := make(chan netip.Addr, len(targets))
 	for _, t := range targets {
 		ch <- t
 	}
 	close(ch)
-	return RunStream(d, ch, m, opts)
+	var mu sync.Mutex
+	grabs := make([]Grab, 0, len(targets))
+	RunStream(d, ch, m, opts, func(g Grab) {
+		mu.Lock()
+		grabs = append(grabs, g)
+		mu.Unlock()
+	})
+	sort.Slice(grabs, func(i, j int) bool { return grabs[i].Target.Less(grabs[j].Target) })
+	return grabs
 }
 
 // RunStream scans targets as they arrive on the channel, so a phase-1 sweep
 // (zmaplite.ScanStream) can feed responsive addresses into banner grabs while
-// the sweep is still in flight. It returns once targets is closed and every
-// grab has completed. Each worker accumulates grabs in a private shard; the
-// shards merge and sort by target address at the end, so the returned slice
-// is byte-identical to Run over the same target set regardless of arrival
-// order or worker count.
-func RunStream(d Dialer, targets <-chan netip.Addr, m Module, opts Options) []Grab {
-	return RunStreamEmit(d, targets, m, opts, nil)
-}
-
-// RunStreamEmit is RunStream with a completion tap: emit (when non-nil) is
-// invoked for every grab the moment it completes, from the worker goroutine
-// that performed it — while later grabs and the phase-1 sweep are still in
-// flight. With multiple workers the calls are concurrent and carry no
-// ordering guarantee, so emit must be safe for concurrent use and
-// order-insensitive; the returned slice is unchanged by the tap. It is how
-// the collection sinks (the observation log) consume observations online
-// instead of waiting for the sorted batch.
-func RunStreamEmit(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit func(Grab)) []Grab {
-	return runStream(d, targets, m, opts, emit, true)
-}
-
-// RunStreamDiscard is RunStreamEmit without the accumulated result slice:
-// every grab is delivered to emit and then dropped, so resident memory is
-// O(workers) regardless of target count. It is the scan front of the
-// out-of-core collection path, where the tap writes observations to the
-// durable log and nothing downstream wants the sorted batch.
-func RunStreamDiscard(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit func(Grab)) {
-	runStream(d, targets, m, opts, emit, false)
-}
-
-// runStream is the shared worker pool behind the stream entry points; keep
-// selects whether per-worker shards accumulate grabs for the sorted merge.
-func runStream(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit func(Grab), keep bool) []Grab {
+// the sweep is still in flight. Each grab goes to emit the moment it
+// completes, from the worker goroutine that performed it, and is not kept:
+// resident memory is O(workers) whatever the target count. With several
+// workers the calls are concurrent and carry no ordering guarantee, so emit
+// must be safe for concurrent use and order-insensitive. RunStream returns
+// once targets is closed and every grab has been emitted.
+func RunStream(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit func(Grab)) {
 	port := opts.Port
 	if port == 0 {
 		port = m.DefaultPort()
@@ -123,34 +105,17 @@ func runStream(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit
 		dialTimeout = 3 * time.Second
 	}
 
-	shards := make([][]Grab, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard *[]Grab) {
+		go func() {
 			defer wg.Done()
 			for t := range targets {
-				g := scanOne(d, t, port, m, dialTimeout)
-				if emit != nil {
-					emit(g)
-				}
-				if keep {
-					*shard = append(*shard, g)
-				}
+				emit(scanOne(d, t, port, m, dialTimeout))
 			}
-		}(&shards[w])
+		}()
 	}
 	wg.Wait()
-	if !keep {
-		return nil
-	}
-
-	var grabs []Grab
-	for _, s := range shards {
-		grabs = append(grabs, s...)
-	}
-	sort.Slice(grabs, func(i, j int) bool { return grabs[i].Target.Less(grabs[j].Target) })
-	return grabs
 }
 
 // scanOne dials and runs the module against a single target.

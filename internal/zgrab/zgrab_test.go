@@ -3,6 +3,7 @@ package zgrab
 import (
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +93,43 @@ func TestRunSSHModule(t *testing.T) {
 		if !grabs[i-1].Target.Less(grabs[i].Target) {
 			t.Fatal("grabs not sorted")
 		}
+	}
+}
+
+// TestRunStreamEmitsEachGrabOnce feeds targets through a channel, as a
+// phase-1 sweep does, and checks that each one reaches emit exactly once,
+// answered or not.
+func TestRunStreamEmitsEachGrabOnce(t *testing.T) {
+	f, sshAddrs, bgpAddrs := fixture(t)
+	targets := append(append([]netip.Addr(nil), sshAddrs...), bgpAddrs...)
+	ch := make(chan netip.Addr)
+	go func() {
+		for _, a := range targets {
+			ch <- a
+		}
+		close(ch)
+	}()
+	var mu sync.Mutex
+	seen := make(map[netip.Addr]int)
+	ok := 0
+	RunStream(f.Vantage("t"), ch, &SSHModule{Timeout: time.Second}, Options{Workers: 3}, func(g Grab) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[g.Target]++
+		if g.OK() {
+			ok++
+		}
+	})
+	if len(seen) != len(targets) {
+		t.Fatalf("emitted %d distinct targets, want %d", len(seen), len(targets))
+	}
+	for _, a := range targets {
+		if seen[a] != 1 {
+			t.Errorf("%s emitted %d times, want 1", a, seen[a])
+		}
+	}
+	if ok != len(sshAddrs) {
+		t.Errorf("%d successful grabs, want %d (the SSH hosts)", ok, len(sshAddrs))
 	}
 }
 
