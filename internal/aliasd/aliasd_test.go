@@ -465,6 +465,28 @@ func TestWorldSession(t *testing.T) {
 	}
 }
 
+// TestWorldSessionIgnoresConcurrencyFields: a world session body that still
+// carries the retired workers and parallelism fields gets 201, however large
+// their values — they once sized a channel and crashed the daemon — and the
+// daemon keeps serving.
+func TestWorldSessionIgnoresConcurrencyFields(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	defer ts.Close()
+
+	var info sessionInfo
+	body := `{"world":true,"scale":0.01,"workers":4611686018427387904,"parallelism":4611686018427387904}`
+	if code := post(t, ts.URL+"/v1/sessions", body, &info); code != http.StatusCreated {
+		t.Fatalf("world session create: status %d, want 201", code)
+	}
+	var stats statsReply
+	if code := get(t, ts.URL+"/v1/stats?session="+info.ID, &stats); code != http.StatusOK || len(stats.SetsDigest) != 64 {
+		t.Fatalf("world stats: status %d, %+v", code, stats)
+	}
+	if code := get(t, ts.URL+"/v1/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after the world session: status %d", code)
+	}
+}
+
 // TestScenarioEndpoints: the catalog lists presets, runs are memoized per
 // option tuple, and bad parameters are rejected.
 func TestScenarioEndpoints(t *testing.T) {

@@ -41,9 +41,6 @@ type LoadOptions struct {
 	// BENCH_baseline.json header values, so reports feed the compare gate.
 	Scale float64
 	Seed  uint64
-	// Workers / Parallelism tune corpus collection.
-	Workers     int
-	Parallelism int
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -155,11 +152,7 @@ func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 	tc.Scale = opts.Scale
 	env, err := experiments.BuildEnv(experiments.Options{
 		Topo: tc,
-		Scan: experiments.ScanOptions{
-			Workers:     opts.Workers,
-			Seed:        opts.Seed,
-			Parallelism: opts.Parallelism,
-		},
+		Scan: experiments.ScanOptions{Seed: opts.Seed},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("aliasd: building corpus world: %w", err)

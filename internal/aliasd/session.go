@@ -42,9 +42,6 @@ type SessionConfig struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Scale sizes the world; 0 picks 0.05. Ignored unless World.
 	Scale float64 `json:"scale,omitempty"`
-	// Workers / Parallelism tune the world's collection phase.
-	Workers     int `json:"workers,omitempty"`
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // ingestItem is one queued unit of work: an observation, or a flush marker
@@ -162,11 +159,7 @@ func buildWorld(cfg SessionConfig) (*experiments.Env, error) {
 	tc.Scale = cfg.Scale
 	return experiments.BuildEnv(experiments.Options{
 		Topo: tc,
-		Scan: experiments.ScanOptions{
-			Workers:     cfg.Workers,
-			Seed:        tc.Seed,
-			Parallelism: cfg.Parallelism,
-		},
+		Scan: experiments.ScanOptions{Seed: tc.Seed},
 	})
 }
 
