@@ -427,8 +427,12 @@ func TestWorldSession(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}).Handler())
 	defer ts.Close()
 
+	// The body still carries the retired workers and parallelism fields,
+	// which once sized a channel and crashed the daemon at these values:
+	// they are ignored, and the daemon keeps serving.
 	var info sessionInfo
-	if code := post(t, ts.URL+"/v1/sessions", `{"world":true,"seed":7,"scale":0.05}`, &info); code != http.StatusCreated {
+	body := `{"world":true,"seed":7,"scale":0.05,"workers":4611686018427387904,"parallelism":4611686018427387904}`
+	if code := post(t, ts.URL+"/v1/sessions", body, &info); code != http.StatusCreated {
 		t.Fatalf("world session create: status %d", code)
 	}
 	if !info.World || info.Scale != 0.05 {
@@ -462,28 +466,6 @@ func TestWorldSession(t *testing.T) {
 	// Out-of-range world scales are rejected up front.
 	if code := post(t, ts.URL+"/v1/sessions", `{"world":true,"scale":5}`, nil); code != http.StatusBadRequest {
 		t.Fatal("oversized world scale accepted")
-	}
-}
-
-// TestWorldSessionIgnoresConcurrencyFields: a world session body that still
-// carries the retired workers and parallelism fields gets 201, however large
-// their values — they once sized a channel and crashed the daemon — and the
-// daemon keeps serving.
-func TestWorldSessionIgnoresConcurrencyFields(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}).Handler())
-	defer ts.Close()
-
-	var info sessionInfo
-	body := `{"world":true,"scale":0.01,"workers":4611686018427387904,"parallelism":4611686018427387904}`
-	if code := post(t, ts.URL+"/v1/sessions", body, &info); code != http.StatusCreated {
-		t.Fatalf("world session create: status %d, want 201", code)
-	}
-	var stats statsReply
-	if code := get(t, ts.URL+"/v1/stats?session="+info.ID, &stats); code != http.StatusOK || len(stats.SetsDigest) != 64 {
-		t.Fatalf("world stats: status %d, %+v", code, stats)
-	}
-	if code := get(t, ts.URL+"/v1/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz after the world session: status %d", code)
 	}
 }
 

@@ -123,14 +123,12 @@ func (d *Dataset) AllAddrs(v4 *bool) []netip.Addr {
 // Sets groups a protocol's observations into alias sets (all sizes) through
 // the dataset's resolver session. Cached and shared — treat the result as
 // read-only. An in-RAM dataset's observations stream into the session here,
-// once, on first use; a stream-collected dataset's session already holds
-// them.
+// once, on first use; a stream-collected dataset has empty Obs and a
+// session its seal pass already fed.
 func (d *Dataset) Sets(p ident.Protocol) []alias.Set {
 	return d.views.groups[p].get(func() []alias.Set {
-		if d.stream == nil {
-			for _, o := range d.Obs[p] {
-				d.views.session.Observe(o)
-			}
+		for _, o := range d.Obs[p] {
+			d.views.session.Observe(o)
 		}
 		return d.views.session.Sets(p)
 	})

@@ -20,12 +20,11 @@ import (
 // nil.
 func ReplayEnv(snap *obslog.Snapshot, _ ...resolver.Backend) (*Env, error) {
 	// The log's canonical fold sorts each campaign's records by address, so
-	// the datasets take the snapshot's slices as they are.
+	// the datasets take the snapshot's slices as they are. newEnv derives
+	// the non-standard-port count from the snapshot population with the
+	// rule collection applies, so replays report identical exclusion
+	// totals.
 	active := newDataset("Active", snap.Active)
 	censys := newDataset("Censys", snap.Censys)
-	// The non-standard-port count is derived from the snapshot population
-	// with the same rule collection applies, so replays report identical
-	// exclusion totals.
-	censys.NonStandardPortSSH = nonStandardPortSSH(censys)
 	return newEnv(nil, active, censys, Union("Union", active, censys)), nil
 }

@@ -20,18 +20,28 @@ func logSeriesOpts(t *testing.T, dir string) (SeriesOptions, *obslog.Writer) {
 	return opts, lg
 }
 
-// viewsFingerprint summarises every world-independent partition view of an
-// environment, for comparing a disk replay against the in-RAM original.
+// viewsFingerprint summarises every world-independent view of an
+// environment — each dataset's partitions, address universes and
+// non-standard-port count, the unions and the dual-stack sets — for
+// comparing a disk replay against the in-RAM original.
 func viewsFingerprint(env *Env) map[string]interface{} {
 	fp := map[string]interface{}{
 		"union-v4": env.UnionFamilyNonSingleton(true),
 		"union-v6": env.UnionFamilyNonSingleton(false),
 		"dual":     env.DualStackSets(),
 	}
-	for _, p := range ident.Protocols {
-		fp["active-"+p.String()] = env.Active.Sets(p)
-		fp["censys-"+p.String()] = env.Censys.Sets(p)
-		fp["both-"+p.String()] = env.Both.Sets(p)
+	sels := map[string]*bool{"all": nil, "v4": V4, "v6": V6}
+	for _, ds := range []*Dataset{env.Active, env.Censys, env.Both} {
+		fp[ds.Name+"-nonstd-ssh"] = ds.NonStandardPortSSH
+		for sel, v4 := range sels {
+			fp[ds.Name+"-addrs-"+sel] = ds.AllAddrs(v4)
+		}
+		for _, p := range ident.Protocols {
+			fp[ds.Name+"-"+p.String()] = ds.Sets(p)
+			for sel, v4 := range sels {
+				fp[ds.Name+"-"+p.String()+"-addrs-"+sel] = ds.Addrs(p, v4)
+			}
+		}
 	}
 	return fp
 }

@@ -226,7 +226,6 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		}
 	} else {
 		active, censys := activeC.dataset("Active"), censysC.dataset("Censys")
-		censys.NonStandardPortSSH = nonStandardPortSSH(censys)
 		env = newEnv(w, active, censys, Union("Union", active, censys))
 	}
 	ep := &Epoch{Env: env, Stats: stats, Truth: w.Truth.Snapshot()}

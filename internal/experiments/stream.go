@@ -98,21 +98,19 @@ func streamEnv(w *topo.World, lg *obslog.Writer, epoch int) (*Env, error) {
 		d.stream = &streamSource{log: lg, epoch: epoch, active: active, censys: censys}
 		return d
 	}
-	env := newEnv(w, streamed("Active", true, false), streamed("Censys", false, true), streamed("Union", true, true))
+	active, censys, both := streamed("Active", true, false), streamed("Censys", false, true), streamed("Union", true, true)
 	for _, p := range ident.Protocols {
-		if err := env.streamPass(p); err != nil {
+		if err := streamPass(p, active, censys, both); err != nil {
 			return nil, err
 		}
 	}
-	env.Censys.NonStandardPortSSH = nonStandardPortSSH(env.Censys)
-	env.Both.NonStandardPortSSH = env.Censys.NonStandardPortSSH
-	return env, nil
+	return newEnv(w, active, censys, both), nil
 }
 
 // streamPass replays one shard's folded epoch segment into the datasets'
 // sessions and address universes.
-func (e *Env) streamPass(p ident.Protocol) error {
-	r, err := e.Both.stream.reader(p)
+func streamPass(p ident.Protocol, active, censys, both *Dataset) error {
+	r, err := both.stream.reader(p)
 	if err != nil {
 		return err
 	}
@@ -125,14 +123,14 @@ func (e *Env) streamPass(p ident.Protocol) error {
 		if err != nil {
 			return err
 		}
-		ds := e.Active
+		ds := active
 		if src == obslog.SourceCensys {
-			ds = e.Censys
+			ds = censys
 		}
 		ds.addrs[p] = appendAddr(ds.addrs[p], o.Addr)
 		ds.views.session.Observe(o)
-		e.Both.views.session.Observe(o)
+		both.views.session.Observe(o)
 	}
-	e.Both.addrs[p] = mergeAddrs(e.Active.addrs[p], e.Censys.addrs[p])
+	both.addrs[p] = mergeAddrs(active.addrs[p], censys.addrs[p])
 	return nil
 }

@@ -132,10 +132,13 @@ type MIDARResult struct {
 }
 
 // newEnv assembles an environment from its finished datasets, with a fresh
-// resolver session for the cross-dataset merges. Each dataset holds its own
-// session, so the concurrent render paths keep the merge parallelism the
-// per-dataset tables used to provide.
+// resolver session for the cross-dataset merges, and sets the Censys
+// non-standard-port exclusion on the Censys dataset and the union. Each
+// dataset holds its own session, so the concurrent render paths keep the
+// merge parallelism the per-dataset tables used to provide.
 func newEnv(w *topo.World, active, censys, both *Dataset) *Env {
+	censys.NonStandardPortSSH = nonStandardPortSSH(censys)
+	both.NonStandardPortSSH = censys.NonStandardPortSSH
 	return &Env{World: w, Active: active, Censys: censys, Both: both, session: resolver.NewSession()}
 }
 
