@@ -37,8 +37,9 @@ func TestCIPerfbenchJob(t *testing.T) {
 
 // TestCIFuzzJob pins the CI job that fuzzes the obsfile decoder against its
 // encoding/json reference, the SSH scanner against arbitrary server bytes,
-// the simulated SSH server against arbitrary client bytes and the obslog
-// EpochReader against arbitrary shard bytes: it must run FuzzRead, FuzzScan,
+// the simulated SSH server against arbitrary client bytes, the obslog
+// EpochReader against arbitrary shard bytes and the BGP scanner against
+// arbitrary speaker bytes: it must run FuzzRead, both FuzzScan targets,
 // FuzzServe and FuzzEpochReader for a bounded time on every event, and keep
 // each package's failing input as an artifact. Only the upload steps
 // may carry an if:, so that they run when a fuzz step fails.
@@ -61,10 +62,12 @@ func TestCIFuzzJob(t *testing.T) {
 		"run: go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sshwire",
 		"run: go test -run '^$' -fuzz '^FuzzServe$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sshwire",
 		"run: go test -run '^$' -fuzz '^FuzzEpochReader$' -fuzztime 30s -fuzzminimizetime 2s ./internal/obslog",
+		"run: go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s -fuzzminimizetime 2s ./internal/bgp",
 		"uses: actions/upload-artifact@v4",
 		"path: internal/obsfile/testdata/fuzz",
 		"path: internal/sshwire/testdata/fuzz",
 		"path: internal/obslog/testdata/fuzz",
+		"path: internal/bgp/testdata/fuzz",
 	} {
 		if !strings.Contains(job, want) {
 			t.Errorf("fuzz job missing %q:\n%s", want, job)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aliaslimit/internal/obsfile"
+	"aliaslimit/internal/scenario"
 )
 
 // post sends a request body and decodes the JSON reply into out (skipped
@@ -421,10 +422,13 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestWorldSession: a world-backed tenant serves sealed views and the AS
-// aggregation, refuses ingest, and reports a scorecard-comparable digest.
+// TestWorldSession: a world-backed tenant serves sealed views, each
+// /v1/sets body in the reference encoding of the env's scored partition,
+// and the AS aggregation, refuses ingest, and reports a scorecard-comparable
+// digest.
 func TestWorldSession(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}).Handler())
+	srv := NewServer(Config{})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// The body still carries the retired workers and parallelism fields,
@@ -447,6 +451,14 @@ func TestWorldSession(t *testing.T) {
 	get(t, ts.URL+"/v1/stats?session="+info.ID, &stats)
 	if len(stats.SetsDigest) != 64 || stats.Sets["ssh"] == 0 || stats.Sets["union-v4"] == 0 {
 		t.Fatalf("world stats = %+v", stats)
+	}
+	sess, err := srv.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := byName(scenario.ScoredPartitions(sess.env))
+	for _, view := range scenario.PartitionNames {
+		checkView(t, ts.URL, info.ID, view, want)
 	}
 
 	var av asviewReply
@@ -519,8 +531,26 @@ func TestScenarioEndpoints(t *testing.T) {
 	if code := get(t, ts.URL+"/v1/scenarios/baseline?epochs=1", nil); code != http.StatusBadRequest {
 		t.Fatal("epochs=1 accepted")
 	}
+	if code := get(t, ts.URL+"/v1/scenarios/baseline?epochs=1000000", nil); code != http.StatusBadRequest {
+		t.Fatal("epochs=1000000 accepted")
+	}
 	if code := get(t, ts.URL+"/v1/scenarios/baseline?scale=99", nil); code != http.StatusBadRequest {
 		t.Fatal("oversized scenario scale accepted")
+	}
+
+	// The scale cap holds for the world a run would build, asked for or
+	// the preset's own: under a cap of 0.01, baseline's quick world (0.08)
+	// and its full world (0.2) are refused too.
+	capped := httptest.NewServer(NewServer(Config{MaxScale: 0.01}).Handler())
+	defer capped.Close()
+	for _, query := range []string{"?scale=0.08", "", "?quick=0", "?epochs=3"} {
+		var refused errorBody
+		if code := get(t, capped.URL+"/v1/scenarios/baseline"+query, &refused); code != http.StatusBadRequest {
+			t.Fatalf("baseline%s under a 0.01 cap: status %d, want 400", query, code)
+		}
+		if !strings.Contains(refused.Error, "scale") {
+			t.Fatalf("baseline%s refusal does not name the scale: %q", query, refused.Error)
+		}
 	}
 	var refused errorBody
 	if code := get(t, ts.URL+"/v1/scenarios/baseline?backend=distributed", &refused); code != http.StatusBadRequest {

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
+	"aliaslimit/internal/alias"
 	"aliaslimit/internal/asview"
 	"aliaslimit/internal/obsfile"
 	"aliaslimit/internal/resolver"
@@ -246,7 +249,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 
 // handleSets serves one named alias-set partition (one of
 // scenario.PartitionNames) as sorted address lists. It derives only that
-// partition, once per applied count.
+// partition, once per applied count, and appends the reply's bytes directly.
 func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFrom(w, r)
 	if sess == nil {
@@ -259,20 +262,82 @@ func (s *Server) handleSets(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown view %q (have: %v)", name, scenario.PartitionNames))
 		return
 	}
-	out := make([][]string, len(sets))
+	buf := replyBufs.Get().(*[]byte)
+	*buf = appendSetsReply((*buf)[:0], sess.ID, name, sets)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf) // a failed write means the client left; there is no one to tell
+	replyBufs.Put(buf)
+}
+
+// replyBufs recycles /v1/sets reply buffers between requests; a Write never
+// keeps the slice it is given.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendSetsReply appends the /v1/sets reply to dst: the bytes writeJSON
+// gives the object {"session", "view", "count", "sets"}, with encoding/json's
+// sorted keys, its two-space indent with one address per line, [] for an
+// empty list and the trailing newline, but with no reflection and no string
+// per address.
+func appendSetsReply(dst []byte, session, view string, sets []alias.Set) []byte {
+	dst = append(dst, "{\n  \"count\": "...)
+	dst = strconv.AppendInt(dst, int64(len(sets)), 10)
+	dst = append(dst, ",\n  \"session\": "...)
+	dst = appendJSONString(dst, session)
+	dst = append(dst, ",\n  \"sets\": ["...)
 	for i, set := range sets {
-		addrs := make([]string, len(set.Addrs))
-		for j, a := range set.Addrs {
-			addrs[j] = a.String()
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		out[i] = addrs
+		dst = append(dst, "\n    ["...)
+		for j, a := range set.Addrs {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n      "...)
+			dst = appendAddr(dst, a)
+		}
+		if len(set.Addrs) > 0 {
+			dst = append(dst, "\n    "...)
+		}
+		dst = append(dst, ']')
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"session": sess.ID,
-		"view":    name,
-		"count":   len(out),
-		"sets":    out,
-	})
+	if len(sets) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	dst = append(dst, "],\n  \"view\": "...)
+	dst = appendJSONString(dst, view)
+	return append(dst, "\n}\n"...)
+}
+
+// appendAddr appends a valid address as encoding/json quotes its String().
+// Without a zone that text is digits, hex letters, dots and colons, which
+// JSON copies as they are; a zone came from outside the program and may
+// hold anything, so it takes the quoting path.
+func appendAddr(dst []byte, a netip.Addr) []byte {
+	if a.Zone() != "" {
+		return appendJSONString(dst, a.String())
+	}
+	dst = append(dst, '"')
+	dst = a.AppendTo(dst)
+	return append(dst, '"')
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Printable
+// ASCII other than a quote, a backslash and the HTML characters <, > and &
+// is copied as it is; a string holding any other byte goes through
+// json.Marshal, which escapes it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			q, _ := json.Marshal(s)
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // statsReply is the stats endpoint's payload: counters plus the canonical
@@ -396,8 +461,16 @@ type scenarioRun struct {
 	err  error
 }
 
+// maxScenarioEpochs bounds a longitudinal run's epochs. A run outlives the
+// request that started it, even a timed-out one, so an unbounded count could
+// keep a CPU busy and its result growing for good. The repository's own
+// longitudinal runs use at most 5.
+const maxScenarioEpochs = 10
+
 // handleScenarioRun executes (or replays) one preset on demand. Quick mode
-// is the default; epochs >= 2 selects a longitudinal run.
+// is the default; epochs from 2 to maxScenarioEpochs select a longitudinal
+// run. A run whose world would exceed Config.MaxScale, at the scale asked
+// for or at the preset's own, answers 400.
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	q := r.URL.Query()
@@ -415,7 +488,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("scale"); v != "" {
 		scale, err := strconv.ParseFloat(v, 64)
-		if err != nil || scale <= 0 || scale > s.cfg.MaxScale {
+		if err != nil || !(scale > 0) { // NaN too
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("scale %q out of range (0, %v]", v, s.cfg.MaxScale))
 			return
@@ -430,15 +503,21 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	epochs := 0
 	if v := q.Get("epochs"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 {
+		if err != nil || n < 2 || n > maxScenarioEpochs {
 			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("bad epochs %q (longitudinal runs need >= 2)", v))
+				fmt.Errorf("bad epochs %q (longitudinal runs take 2 to %d)", v, maxScenarioEpochs))
 			return
 		}
 		epochs = n
 	}
-	if _, ok := scenario.Lookup(name); !ok {
+	p, ok := scenario.Lookup(name)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown scenario %q", name))
+		return
+	}
+	if scale := p.WorldScale(opts); scale > s.cfg.MaxScale {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("scenario %s would build a world at scale %v, over the cap of %v", name, scale, s.cfg.MaxScale))
 		return
 	}
 

@@ -1,8 +1,10 @@
 package aliasd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,8 +72,8 @@ func viewCorpus(seed uint64, n int) [][3]string {
 }
 
 // reference derives the scored partitions of recs through a fresh resolver
-// session: each view as the address lists /v1/sets returns, and the digest.
-func reference(t *testing.T, recs [][3]string) (map[string][][]string, string) {
+// session, by view name, and their digest.
+func reference(t *testing.T, recs [][3]string) (map[string][]alias.Set, string) {
 	t.Helper()
 	obs := make([]alias.Observation, len(recs))
 	for i, r := range recs {
@@ -85,25 +87,24 @@ func reference(t *testing.T, recs [][3]string) (map[string][][]string, string) {
 }
 
 // referenceObs is reference over observations already parsed.
-func referenceObs(t *testing.T, obs []alias.Observation) (map[string][][]string, string) {
+func referenceObs(t *testing.T, obs []alias.Observation) (map[string][]alias.Set, string) {
 	t.Helper()
 	s := resolver.NewSession()
 	for _, o := range obs {
 		s.Observe(o)
 	}
 	parts := scenario.SessionPartitions(s)
-	views := make(map[string][][]string, len(parts))
-	for _, p := range parts {
-		lists := make([][]string, len(p.Sets))
-		for i, set := range p.Sets {
-			for _, a := range set.Addrs {
-				lists[i] = append(lists[i], a.String())
-			}
-		}
-		views[p.Name] = lists
-	}
 	digest, _ := scenario.DigestPartitions(parts)
-	return views, digest
+	return byName(parts), digest
+}
+
+// byName indexes partitions by name.
+func byName(parts []scenario.Partition) map[string][]alias.Set {
+	views := make(map[string][]alias.Set, len(parts))
+	for _, p := range parts {
+		views[p.Name] = p.Sets
+	}
+	return views
 }
 
 // setsReply is the /v1/sets payload.
@@ -124,15 +125,38 @@ func ingestFlush(t *testing.T, base, id string, recs [][3]string) {
 	}
 }
 
-// checkView asserts that one /v1/sets read equals the reference partition.
-func checkView(t *testing.T, base, id, view string, want map[string][][]string) {
+// checkView asserts that one /v1/sets read equals the reference partition:
+// decoded, as address strings, and as raw bytes, which must be the reference
+// encoding's, with its status and Content-Type.
+func checkView(t *testing.T, base, id, view string, want map[string][]alias.Set) {
 	t.Helper()
-	var got setsReply
-	if code := get(t, base+"/v1/sets?session="+id+"&view="+view, &got); code != http.StatusOK {
-		t.Fatalf("view %s: status %d", view, code)
+	resp, err := http.Get(base + "/v1/sets?session=" + id + "&view=" + view)
+	if err != nil {
+		t.Fatalf("view %s: %v", view, err)
 	}
-	if got.View != view || got.Count != len(want[view]) || fmt.Sprint(got.Sets) != fmt.Sprint(want[view]) {
-		t.Fatalf("view %s = %d sets %v, want %d sets %v", view, got.Count, got.Sets, len(want[view]), want[view])
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("view %s: reading reply: %v", view, err)
+	}
+	var got setsReply
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("view %s: decoding reply: %v", view, err)
+	}
+	lists := make([][]string, len(want[view]))
+	for i, set := range want[view] {
+		for _, a := range set.Addrs {
+			lists[i] = append(lists[i], a.String())
+		}
+	}
+	if got.View != view || got.Count != len(lists) || fmt.Sprint(got.Sets) != fmt.Sprint(lists) {
+		t.Fatalf("view %s = %d sets %v, want %d sets %v", view, got.Count, got.Sets, len(lists), lists)
+	}
+	ref := referenceSetsReply(id, view, want[view])
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != ref.Code || ct != ref.Header().Get("Content-Type") ||
+		!bytes.Equal(body, ref.Body.Bytes()) {
+		t.Fatalf("view %s: status %d, %s:\n%s\nwant the reference status %d, %s:\n%s",
+			view, resp.StatusCode, ct, body, ref.Code, ref.Header().Get("Content-Type"), ref.Body)
 	}
 }
 
@@ -148,23 +172,54 @@ func checkStats(t *testing.T, base, id, want string) {
 	}
 }
 
+// zonedRecords are ingest records whose IPv6 zones /v1/sets must escape as
+// encoding/json does: HTML characters, a quote, a backslash, a tab, U+2028
+// and U+FFFD, each of which obsLines's %q writes as JSON reads it. The
+// records share identifiers, so the zoned addresses reach the ssh, bgp,
+// union-v6 and dualstack views.
+var zonedRecords = [][3]string{
+	{`fe80::1%<a&b>`, "SSH", "zone-1"},
+	{`fe80::1%q"\`, "SSH", "zone-1"},
+	{"fe80::2%\t\u2028", "BGP", "zone-2"},
+	{"fe80::2%\ufffd", "BGP", "zone-2"},
+	{"10.0.9.9", "SSH", "zone-1"},
+}
+
+// hasZone reports whether any set holds an address with a zone.
+func hasZone(sets []alias.Set) bool {
+	for _, set := range sets {
+		for _, a := range set.Addrs {
+			if a.Zone() != "" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestViewReadsMatchFreshDerivation: whatever order a session's views are
 // read in — each view first, last and in between, or the stats first — every
 // /v1/sets response equals the same partition of SessionPartitions over a
-// fresh batch session fed the same observations, and /v1/stats reports its
-// digest, at each of two applied counts.
+// fresh batch session fed the same observations, byte for byte in the
+// reference encoding, and /v1/stats reports its digest, at each of two
+// applied counts.
 func TestViewReadsMatchFreshDerivation(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}).Handler())
 	defer ts.Close()
-	corpus := viewCorpus(5, 400)
+	corpus := append(viewCorpus(5, 400), zonedRecords...)
 	stages := [][][3]string{corpus[:len(corpus)/2], corpus}
-	wants := make([]map[string][][]string, len(stages))
+	wants := make([]map[string][]alias.Set, len(stages))
 	digests := make([]string, len(stages))
 	for i, recs := range stages {
 		wants[i], digests[i] = reference(t, recs)
 	}
 	if len(wants[0]["dualstack"]) == 0 || len(wants[1]["snmpv3"]) == 0 {
 		t.Fatal("corpus lacks dual-stack or SNMPv3 sets")
+	}
+	for _, view := range []string{"ssh", "bgp", "union-v6", "dualstack"} {
+		if !hasZone(wants[1][view]) {
+			t.Fatalf("no zoned address reaches the %s view", view)
+		}
 	}
 
 	names := scenario.PartitionNames

@@ -48,12 +48,16 @@ func Scan(conn net.Conn, timeout time.Duration) (*ScanResult, error) {
 	// Reads land in buf's spare capacity, which holds a whole message.
 	buf := make([]byte, 0, MaxMessageLen)
 	for {
-		// Parse every complete message currently buffered.
+		// Parse every whole message currently buffered. One whose header
+		// says it is whole and that still fails to parse is malformed, even
+		// when its body is too short for its type: waiting would only buffer
+		// whatever the speaker sends next.
 		for {
-			msg, n, err := Parse(buf)
-			if errors.Is(err, ErrShortMessage) {
+			h, err := ParseHeader(buf)
+			if errors.Is(err, ErrShortMessage) || err == nil && len(buf) < int(h.Length) {
 				break // need more bytes
 			}
+			msg, n, err := Parse(buf)
 			if err != nil {
 				return res, err
 			}

@@ -2,12 +2,27 @@ package bgp
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"aliaslimit/internal/netsim"
 )
+
+// wireConn is a net.Conn whose speaker sends the bytes of r and then
+// closes; writes vanish and deadlines are ignored.
+type wireConn struct{ r *bytes.Reader }
+
+func (c wireConn) Read(p []byte) (int, error)     { return c.r.Read(p) }
+func (wireConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (wireConn) Close() error                     { return nil }
+func (wireConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (wireConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (wireConn) SetDeadline(time.Time) error      { return nil }
+func (wireConn) SetReadDeadline(time.Time) error  { return nil }
+func (wireConn) SetWriteDeadline(time.Time) error { return nil }
 
 // runSpeaker wires a speaker to one end of a pipe and scans the other end.
 func runSpeaker(t *testing.T, cfg SpeakerConfig, timeout time.Duration) *ScanResult {
@@ -174,6 +189,55 @@ func TestScanPastOneBuffer(t *testing.T) {
 			t.Errorf("%d keepalives: OPEN and NOTIFICATION not both read: %+v", n, res)
 		}
 	}
+}
+
+// TestScanMalformedWholeMessage: a message whose header says it is whole
+// but whose body is too short for its type fails the scan at once, instead
+// of being taken for a partial read and waited on until the deadline.
+func TestScanMalformedWholeMessage(t *testing.T) {
+	shortOpen := append(marshalHeader(nil, 5, TypeOpen), Version4, 0, 1, 0, 90)
+	truncatedCap, _ := figure2Open().MarshalBinary()
+	truncatedCap[HeaderLen+11] = 7 // the first capability claims 7 value bytes
+	for name, msg := range map[string][]byte{"short OPEN body": shortOpen, "truncated capability": truncatedCap} {
+		client, server := net.Pipe()
+		go server.Write(msg)
+		res, err := Scan(client, 2*time.Second)
+		server.Close()
+		if !errors.Is(err, ErrShortMessage) || res.Identifiable() {
+			t.Errorf("%s: Scan = %+v, %v; want ErrShortMessage and no OPEN", name, res, err)
+		}
+	}
+}
+
+// FuzzScan runs Scan over a connection whose speaker sends the fuzz input,
+// seeded with the paper's Figure 2 OPEN and NOTIFICATION and every
+// truncation of them. No input may panic or hang the scan, and an OPEN it
+// returns must re-encode with MarshalBinary to OpenLen bytes that parse back
+// to an equal OPEN.
+func FuzzScan(f *testing.F) {
+	open, _ := figure2Open().MarshalBinary()
+	notif, _ := (&Notification{Code: NotifCease, Subcode: CeaseConnectionRejected}).MarshalBinary()
+	stream := append(open, notif...)
+	for n := 0; n <= len(stream); n++ {
+		f.Add(stream[:n])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		res, _ := Scan(wireConn{bytes.NewReader(in)}, time.Second)
+		if res.Open == nil {
+			return
+		}
+		enc, err := res.Open.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", res.Open, err)
+		}
+		if len(enc) != int(res.OpenLen) {
+			t.Fatalf("re-encoded OPEN is %d bytes, OpenLen %d", len(enc), res.OpenLen)
+		}
+		msg, n, err := Parse(enc)
+		if err != nil || n != len(enc) || !reflect.DeepEqual(msg, res.Open) {
+			t.Fatalf("re-encoded OPEN parses to %+v (%d bytes, %v), want %+v", msg, n, err, res.Open)
+		}
+	})
 }
 
 func TestSpeakerCapabilityShape(t *testing.T) {

@@ -187,6 +187,19 @@ func Run(name string, opts Options) (*Result, error) {
 	return runPreset(p, opts)
 }
 
+// WorldScale is the scale of the world a run of p with opts builds: an
+// explicit opts.Scale, else the preset's quick or full scale.
+func (p Preset) WorldScale(opts Options) float64 {
+	switch {
+	case opts.Scale > 0:
+		return opts.Scale
+	case opts.Quick:
+		return p.QuickScale
+	default:
+		return p.Scale
+	}
+}
+
 // resolveConfig turns a preset and run options into the world configuration,
 // also reporting whether the quick (CI-sized) variant was selected.
 func resolveConfig(p Preset, opts Options) (cfg topo.Config, quick bool) {
@@ -197,14 +210,7 @@ func resolveConfig(p Preset, opts Options) (cfg topo.Config, quick bool) {
 	// An explicit Scale overrides Quick entirely (sizing and sampling), as
 	// the Options doc promises.
 	quick = opts.Quick && opts.Scale <= 0
-	switch {
-	case opts.Scale > 0:
-		cfg.Scale = opts.Scale
-	case quick:
-		cfg.Scale = p.QuickScale
-	default:
-		cfg.Scale = p.Scale
-	}
+	cfg.Scale = p.WorldScale(opts)
 	if p.Tune != nil {
 		p.Tune(&cfg)
 	}

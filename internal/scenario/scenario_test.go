@@ -140,6 +140,24 @@ func TestSessionPartitionsMatchScored(t *testing.T) {
 	}
 }
 
+// TestWorldScaleIsConfigScale: Preset.WorldScale, which the daemon checks
+// against its scale cap, is the scale resolveConfig builds the world at, for
+// every preset with an explicit scale, the quick variant and the full one.
+func TestWorldScaleIsConfigScale(t *testing.T) {
+	for _, p := range Presets() {
+		for _, opts := range []Options{{Scale: 0.03}, {Scale: 0.03, Quick: true}, {Quick: true}, {}} {
+			cfg, _ := resolveConfig(p, opts)
+			if got := p.WorldScale(opts); got != cfg.Scale {
+				t.Errorf("%s %+v: WorldScale %v, world built at %v", p.Name, opts, got, cfg.Scale)
+			}
+		}
+	}
+	if p, _ := Lookup("megascale-x10"); p.WorldScale(Options{}) != 10 || p.WorldScale(Options{Quick: true}) != 0.5 {
+		t.Errorf("megascale-x10 scales %v and %v, want 10 and 0.5",
+			p.WorldScale(Options{}), p.WorldScale(Options{Quick: true}))
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run("lossy", tinyOpts)
 	if err != nil {
