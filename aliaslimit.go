@@ -78,7 +78,11 @@ type Common struct {
 	// measurement (~60k addresses); 0 picks the entry point's default
 	// (0.25 for Run, the preset's own scale for scenarios).
 	Scale float64
-	// Workers bounds scan concurrency; 0 picks 256.
+	// Workers is the goroutine count of each scan pool (SYN sweep, grabs,
+	// SNMPv3 probes). 0 picks 4 × GOMAXPROCS: the simulated fabric has no
+	// round trips for a wider pool to hide. A value above 4096 is refused
+	// with an error before any sweep starts. Results are byte-identical at
+	// any setting.
 	Workers int
 	// Parallelism bounds how many per-protocol sweeps run concurrently
 	// during collection; 0 overlaps all protocols, 1 recovers the

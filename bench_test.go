@@ -158,10 +158,11 @@ func BenchmarkFigure6(b *testing.B) {
 // BenchmarkCollectActive compares the sequential collection baseline
 // (Parallelism=1: one protocol sweep at a time) against the fully pipelined
 // collector (all three protocol sweeps concurrent, SYN results streaming into
-// the service-scan pools). On a multi-core machine the pipelined variant is
-// the wall-clock win; both produce byte-identical Datasets
-// (TestCollectActiveDeterministic asserts this under -race). It reports
-// bytes and allocations per collection.
+// the service-scan pools), both at the default scan width (4 × GOMAXPROCS).
+// pipelined-256 keeps the width that was the default before, so one run
+// shows what the narrower pools save. All three produce byte-identical
+// Datasets (TestCollectActiveDeterministic asserts this under -race). It
+// reports bytes and allocations per collection.
 func BenchmarkCollectActive(b *testing.B) {
 	cfg := topo.Default()
 	cfg.Scale = 0.25
@@ -174,8 +175,9 @@ func BenchmarkCollectActive(b *testing.B) {
 		name string
 		opts experiments.ScanOptions
 	}{
-		{"sequential", experiments.ScanOptions{Workers: 128, Parallelism: 1}},
-		{"pipelined", experiments.ScanOptions{Workers: 128}},
+		{"sequential", experiments.ScanOptions{Parallelism: 1}},
+		{"pipelined", experiments.ScanOptions{}},
+		{"pipelined-256", experiments.ScanOptions{Workers: 256}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"aliaslimit"
+	"aliaslimit/internal/experiments"
 )
 
 // errBadFlags marks argument errors the flag package has already reported;
@@ -88,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	scale := fs.Float64("scale", 0.25, "world scale (1.0 ≈ 1:1000 of the paper's Internet)")
 	seed := fs.Uint64("seed", 1, "world seed")
-	workers := fs.Int("workers", 256, "scan concurrency")
+	workers := fs.Int("workers", 0, fmt.Sprintf("goroutines per scan pool (0 = 4 × GOMAXPROCS; at most %d)", experiments.MaxWorkers))
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them in bounded batches — identical tables, peak memory O(alias-set output) instead of O(observations)")
 	table := fs.String("table", "", "regenerate a single table (1-6)")

@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.25, "world scale (1.0 ≈ 1:1000 of the paper's Internet)")
 	seed := fs.Uint64("seed", 1, "world seed")
 	vantage := fs.String("vantage", "active", "vantage point: active or censys")
-	workers := fs.Int("workers", 256, "scan concurrency")
+	workers := fs.Int("workers", 0, fmt.Sprintf("goroutines per scan pool (0 = 4 × GOMAXPROCS; at most %d)", experiments.MaxWorkers))
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

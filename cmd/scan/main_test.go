@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"strconv"
 	"strings"
 	"testing"
 
+	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/obsfile"
 )
 
@@ -62,6 +64,13 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-scale", "not-a-number"}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
 		t.Fatalf("bad -scale: want errBadFlags, got %v", err)
 	}
+	// A width this large used to overflow a channel size in the SYN sweep
+	// and crash; it must be refused before any pool starts.
+	const huge = "4611686018427387904"
+	err := run([]string{"-scale", "0.01", "-workers", huge}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), huge) {
+		t.Fatalf("-workers %s: got %v, want an error naming the value", huge, err)
+	}
 }
 
 // TestRunHelp checks -h surfaces as flag.ErrHelp (a clean exit, not a
@@ -73,5 +82,8 @@ func TestRunHelp(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-vantage") {
 		t.Fatalf("usage text missing from stderr: %s", stderr.String())
+	}
+	if max := strconv.Itoa(experiments.MaxWorkers); !strings.Contains(stderr.String(), max) {
+		t.Fatalf("-workers help does not name the ceiling %s: %s", max, stderr.String())
 	}
 }

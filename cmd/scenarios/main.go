@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"aliaslimit/internal/atomicio"
+	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/scenario"
 )
 
@@ -68,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quick := fs.Bool("quick", false, "CI-sized worlds (each preset's quick scale)")
 	seed := fs.Uint64("seed", 0, "world seed (0 keeps the default)")
 	scale := fs.Float64("scale", 0, "world scale override (0 keeps the preset scale)")
-	workers := fs.Int("workers", 0, "scan concurrency (0 = default 256)")
+	workers := fs.Int("workers", 0, fmt.Sprintf("goroutines per scan pool (0 = 4 × GOMAXPROCS; at most %d)", experiments.MaxWorkers))
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once)")
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -52,7 +53,9 @@ func (t teeSink) Observe(p ident.Protocol, o alias.Observation) {
 
 // ScanOptions tune the collection phase.
 type ScanOptions struct {
-	// Workers bounds service-scan concurrency; 0 picks 256.
+	// Workers is the goroutine count of each sweep's pools (the SYN sweep,
+	// the grabs and the SNMPv3 probes); 0 picks 4 × GOMAXPROCS, and a
+	// value above MaxWorkers is refused.
 	Workers int
 	// Seed drives scan-order permutations.
 	Seed uint64
@@ -74,21 +77,38 @@ type ScanOptions struct {
 // collection), but in the simulation no peer ever legitimately makes the
 // scanner wait: every handler either writes or closes. The timeout is purely
 // an anti-hang backstop, so it sits far above any plausible goroutine
-// starvation — with three protocol sweeps and hundreds of workers sharing few
-// cores (worse under -race), a short wall-clock deadline can drop a
-// legitimately answered grab and silently break Dataset determinism.
+// starvation: an explicit Workers may still run thousands of goroutines per
+// pool across three concurrent sweeps on few cores (slower still under
+// -race), and a short wall-clock deadline can then drop a legitimately
+// answered grab and silently break Dataset determinism.
 const simGrabTimeout = 2 * time.Minute
 
-// withDefaults fills unset fields.
-func (o ScanOptions) withDefaults() ScanOptions {
+// MaxWorkers is the widest Workers a sweep accepts. Each pool starts that
+// many goroutines and sizes channel buffers and per-worker tallies by it,
+// so a far larger value only spends memory, and an absurd one overflows a
+// channel size.
+const MaxWorkers = 4096
+
+// withDefaults fills unset fields and refuses a Workers above MaxWorkers.
+//
+// The fabric answers without wall-clock latency, so a wide pool hides no
+// round trips: it only adds goroutine stacks and scheduling. The default of
+// 4 × GOMAXPROCS keeps every CPU busy while a few workers wait on a
+// simulated peer's goroutine; at the old default of 256 per pool, goroutine
+// stacks alone held several MiB at the collection peak (ARCHITECTURE.md,
+// "Collection: one scan front"). Datasets do not depend on the width.
+func (o ScanOptions) withDefaults() (ScanOptions, error) {
+	if o.Workers > MaxWorkers {
+		return o, fmt.Errorf("experiments: %d scan workers is above the limit of %d", o.Workers, MaxWorkers)
+	}
 	if o.Workers <= 0 {
-		o.Workers = 256
+		o.Workers = 4 * runtime.GOMAXPROCS(0)
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
 	// Parallelism 0 stays 0 (unbounded): every protocol sweep overlaps.
-	return o
+	return o, nil
 }
 
 // collector is the in-RAM campaign sink: it gathers each protocol's
@@ -170,7 +190,10 @@ func nonStandardPortSSH(censys *Dataset) int {
 // sweepActive runs the active campaign's three protocol sweeps, handing
 // every observation to opts.Sink once.
 func sweepActive(w *topo.World, opts ScanOptions) error {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
 	v := w.Fabric.Vantage(topo.VantageActive)
 
 	v6targets := hitlist.Sample(w.V6Bound(), w.Cfg.HitlistCoverage, w.Cfg.Seed)
@@ -189,7 +212,10 @@ func sweepActive(w *topo.World, opts ScanOptions) error {
 // sweepCensys runs the Censys campaign's SSH and BGP sweeps over the IPv4
 // universe, handing every observation to opts.Sink once.
 func sweepCensys(w *topo.World, opts ScanOptions) error {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
 	v := w.Fabric.Vantage(topo.VantageCensys)
 
 	g := newGroup(opts.Parallelism)

@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"aliaslimit/internal/topo"
@@ -86,6 +89,8 @@ func TestCollectActiveDeterministic(t *testing.T) {
 			}
 			requireAscending(t, baseline)
 			for _, opts := range []ScanOptions{
+				{},                            // the shipped width, 4 × GOMAXPROCS
+				{Workers: 1},                  // one goroutine per pool
 				{Workers: 8},                  // full protocol overlap
 				{Workers: 64},                 // same, different worker count
 				{Workers: 32, Parallelism: 2}, // bounded overlap
@@ -117,9 +122,55 @@ func TestCollectCensysDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential CollectCensys: %v", err)
 	}
-	got, err := CollectCensys(w, ScanOptions{Workers: 32})
-	if err != nil {
-		t.Fatalf("concurrent CollectCensys: %v", err)
+	for _, opts := range []ScanOptions{{}, {Workers: 1}, {Workers: 32}} {
+		label := fmt.Sprintf("censys workers=%d", opts.Workers)
+		got, err := CollectCensys(w, opts)
+		if err != nil {
+			t.Fatalf("%s: CollectCensys: %v", label, err)
+		}
+		requireSameDataset(t, label, baseline, got)
 	}
-	requireSameDataset(t, "censys", baseline, got)
+}
+
+// TestScanWidthDefault pins the width a zero Workers gets: four workers per
+// CPU the scheduler may use.
+func TestScanWidthDefault(t *testing.T) {
+	o, err := ScanOptions{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * runtime.GOMAXPROCS(0); o.Workers != want {
+		t.Fatalf("default Workers = %d, want 4 × GOMAXPROCS = %d", o.Workers, want)
+	}
+	for _, n := range []int{1, 256, MaxWorkers} {
+		if o, err := (ScanOptions{Workers: n}).withDefaults(); err != nil || o.Workers != n {
+			t.Errorf("Workers %d: got %d, %v", n, o.Workers, err)
+		}
+	}
+}
+
+// TestScanWidthCeiling checks that a Workers above MaxWorkers is refused
+// with an error naming it, before a sweep starts a pool of that width.
+func TestScanWidthCeiling(t *testing.T) {
+	cfg := topo.Default()
+	cfg.Scale = 0.01
+	w, err := topo.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{MaxWorkers + 1, 1 << 62} {
+		_, err := CollectActive(w, ScanOptions{Workers: n})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("Workers %d: got error %v, want one naming the value", n, err)
+		}
+	}
+	if _, err := MultiVantage(w, 1, ScanOptions{Workers: MaxWorkers + 1}); err == nil {
+		t.Error("MultiVantage accepted a width above MaxWorkers")
+	}
+	if _, err := Stability(w, 0, 0, ScanOptions{Workers: MaxWorkers + 1}); err == nil {
+		t.Error("Stability accepted a width above MaxWorkers")
+	}
+	if _, err := NewEnvSeries(SeriesOptions{Options: Options{Scan: ScanOptions{Workers: MaxWorkers + 1}}}); err == nil {
+		t.Error("NewEnvSeries accepted a width above MaxWorkers")
+	}
 }

@@ -43,7 +43,10 @@ func MultiVantage(w *topo.World, maxVantages int, opts ScanOptions) ([]VantageCo
 	if maxVantages <= 0 || maxVantages > topo.AuxVantages {
 		maxVantages = topo.AuxVantages
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	seen := make(map[netip.Addr]bool)
 	var combined []alias.Observation
 	var out []VantageCoverage
@@ -118,7 +121,10 @@ func (r StabilityResult) PersistenceRate() float64 {
 // churn, rescans, and compares identifiers per address — the paper's
 // "consistency and stability" question made operational.
 func Stability(w *topo.World, gap time.Duration, churnFrac float64, opts ScanOptions) (*StabilityResult, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	v := w.Fabric.Vantage(topo.VantageActive)
 
 	scan := func(o ScanOptions) error { return scanSSH(v, w.V4Universe(), o) }

@@ -80,8 +80,12 @@ type Epoch struct {
 }
 
 // NewEnvSeries builds the world (and installs the fault policy) without
-// measuring anything; call Advance once per epoch.
+// measuring anything; call Advance once per epoch. Scan options a sweep
+// would refuse are refused here, before the world is built.
 func NewEnvSeries(opts SeriesOptions) (*EnvSeries, error) {
+	if _, err := opts.Scan.withDefaults(); err != nil {
+		return nil, err
+	}
 	cfg := opts.Topo
 	if cfg.Scale == 0 {
 		cfg = topo.Default()

@@ -71,7 +71,7 @@ func (e *dialError) Temporary() bool { return false }
 
 // Fabric is the simulated Internet: a binding of interface addresses to
 // devices plus the probe and dial machinery. All methods are safe for
-// concurrent use; scans run with hundreds of goroutines.
+// concurrent use: every worker of every scan pool calls in at once.
 type Fabric struct {
 	clock Clock
 
@@ -195,8 +195,8 @@ func (f *Fabric) Vantage(label string) *Vantage {
 //
 // Concurrency contract: a Vantage is immutable after creation and every
 // method is safe for concurrent use — the collection pipeline drives one
-// Vantage from hundreds of goroutines across several protocol sweeps at
-// once. Probe and dial paths only read fabric bindings (under the fabric's
+// Vantage from the workers of several protocol sweeps at once, as many as
+// the caller's scan width asks for. Probe and dial paths only read fabric bindings (under the fabric's
 // RWMutex) and immutable device configuration; the sole mutable state they
 // touch is each device's lock-guarded IPID counter.
 type Vantage struct {

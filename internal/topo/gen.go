@@ -21,9 +21,10 @@ import (
 // daemon's few-second deadline defends against stalled peers; on the fabric
 // every client drives the exchange promptly or closes, so the deadline is
 // purely an anti-hang backstop. It sits far above plausible goroutine
-// starvation: with the concurrent collection pipeline (three protocol sweeps
-// × hundreds of workers, worse under -race) the default 5 s can expire on a
-// starved but healthy handshake and nondeterministically lose an
+// starvation: the default scan width is small, but an explicit one may run
+// thousands of workers per pool across three concurrent protocol sweeps on
+// few cores (slower still under -race), and the default 5 s can then expire
+// on a starved but healthy handshake and nondeterministically lose an
 // observation.
 const simHandshakeTimeout = 2 * time.Minute
 
