@@ -38,9 +38,10 @@ func TestCIPerfbenchJob(t *testing.T) {
 // TestCIFuzzJob pins the CI job that fuzzes the obsfile decoder against its
 // encoding/json reference, the SSH scanner against arbitrary server bytes,
 // the simulated SSH server against arbitrary client bytes, the obslog
-// EpochReader against arbitrary shard bytes and the BGP scanner against
-// arbitrary speaker bytes: it must run FuzzRead, both FuzzScan targets,
-// FuzzServe and FuzzEpochReader for a bounded time on every event, and keep
+// EpochReader against arbitrary shard bytes, the BGP scanner against
+// arbitrary speaker bytes and the SNMPv3 parser and agent against arbitrary
+// datagrams: it must run FuzzRead, both FuzzScan targets, FuzzServe,
+// FuzzEpochReader and FuzzParse for a bounded time on every event, and keep
 // each package's failing input as an artifact. Only the upload steps
 // may carry an if:, so that they run when a fuzz step fails.
 func TestCIFuzzJob(t *testing.T) {
@@ -63,11 +64,13 @@ func TestCIFuzzJob(t *testing.T) {
 		"run: go test -run '^$' -fuzz '^FuzzServe$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sshwire",
 		"run: go test -run '^$' -fuzz '^FuzzEpochReader$' -fuzztime 30s -fuzzminimizetime 2s ./internal/obslog",
 		"run: go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s -fuzzminimizetime 2s ./internal/bgp",
+		"run: go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 30s -fuzzminimizetime 2s ./internal/snmpv3",
 		"uses: actions/upload-artifact@v4",
 		"path: internal/obsfile/testdata/fuzz",
 		"path: internal/sshwire/testdata/fuzz",
 		"path: internal/obslog/testdata/fuzz",
 		"path: internal/bgp/testdata/fuzz",
+		"path: internal/snmpv3/testdata/fuzz",
 	} {
 		if !strings.Contains(job, want) {
 			t.Errorf("fuzz job missing %q:\n%s", want, job)

@@ -206,11 +206,22 @@ func Parse(b []byte) (*Message, error) {
 	if m.EngineTime, usm, err = readIntField(usm); err != nil {
 		return nil, fmt.Errorf("snmpv3: engine time: %w", err)
 	}
-	user, _, err := expectTLV(usm, tagOctetString)
+	user, usm, err := expectTLV(usm, tagOctetString)
 	if err != nil {
 		return nil, fmt.Errorf("snmpv3: user name: %w", err)
 	}
 	m.UserName = append([]byte(nil), user...)
+	// The authentication and privacy parameters close the USM sequence (RFC
+	// 3414 §2.4). Discovery sends both empty and nothing here reads them,
+	// but Marshal always writes them: a message without them would
+	// re-encode longer than it arrived, past the 2-byte BER length near
+	// 64 KiB.
+	if _, usm, err = expectTLV(usm, tagOctetString); err != nil {
+		return nil, fmt.Errorf("snmpv3: authentication parameters: %w", err)
+	}
+	if _, _, err = expectTLV(usm, tagOctetString); err != nil {
+		return nil, fmt.Errorf("snmpv3: privacy parameters: %w", err)
+	}
 
 	scoped, _, err := expectTLV(body, tagSequence)
 	if err != nil {
