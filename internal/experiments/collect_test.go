@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -158,7 +159,7 @@ func TestScanWidthCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{MaxWorkers + 1, 1 << 62} {
+	for _, n := range []int{MaxWorkers + 1, math.MaxInt} {
 		_, err := CollectActive(w, ScanOptions{Workers: n})
 		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
 			t.Errorf("Workers %d: got error %v, want one naming the value", n, err)

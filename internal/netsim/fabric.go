@@ -196,9 +196,10 @@ func (f *Fabric) Vantage(label string) *Vantage {
 // Concurrency contract: a Vantage is immutable after creation and every
 // method is safe for concurrent use — the collection pipeline drives one
 // Vantage from the workers of several protocol sweeps at once, as many as
-// the caller's scan width asks for. Probe and dial paths only read fabric bindings (under the fabric's
-// RWMutex) and immutable device configuration; the sole mutable state they
-// touch is each device's lock-guarded IPID counter.
+// the caller's scan width asks for. Probe and dial paths only read fabric
+// bindings (under the fabric's RWMutex) and immutable device configuration;
+// the sole mutable state they touch is each device's lock-guarded IPID
+// counter.
 type Vantage struct {
 	fabric *Fabric
 	label  string
