@@ -70,7 +70,9 @@ func (p Protocol) toIdent() (ident.Protocol, error) {
 // Common in the entry point's options struct, so the same field means the
 // same thing everywhere and a new knob lands in every entry point at once.
 
-// Common holds the options shared by every facade entry point.
+// Common holds the options shared by every facade entry point. Concurrency
+// is not among them: scan pools and world generation size themselves from
+// GOMAXPROCS, and results are byte-identical at any value.
 type Common struct {
 	// Seed makes the run reproducible; 0 picks each entry point's default.
 	Seed uint64
@@ -78,16 +80,6 @@ type Common struct {
 	// measurement (~60k addresses); 0 picks the entry point's default
 	// (0.25 for Run, the preset's own scale for scenarios).
 	Scale float64
-	// Workers is the goroutine count of each scan pool (SYN sweep, grabs,
-	// SNMPv3 probes). 0 picks 4 × GOMAXPROCS: the simulated fabric has no
-	// round trips for a wider pool to hide. A value above 4096 is refused
-	// with an error before any sweep starts. Results are byte-identical at
-	// any setting.
-	Workers int
-	// Parallelism bounds how many per-protocol sweeps run concurrently
-	// during collection; 0 overlaps all protocols, 1 recovers the
-	// sequential baseline. Results are byte-identical at any setting.
-	Parallelism int
 	// LogDir, when non-empty, makes scenario runs durable: a
 	// crash-resumable observation log plus per-epoch checkpoints under this
 	// directory. Run does not support durable logging and rejects a
@@ -134,12 +126,8 @@ func Run(opts StudyOptions) (*Study, error) {
 		cfg.Scale = 0.25
 	}
 	env, err := experiments.BuildEnv(experiments.Options{
-		Topo: cfg,
-		Scan: experiments.ScanOptions{
-			Workers:     opts.Workers,
-			Seed:        cfg.Seed,
-			Parallelism: opts.Parallelism,
-		},
+		Topo:          cfg,
+		Scan:          experiments.ScanOptions{Seed: cfg.Seed},
 		ChurnFraction: opts.ChurnFraction,
 		StreamCollect: opts.StreamCollect,
 	})
@@ -225,7 +213,7 @@ func (s *Study) RenderAll() string {
 // one extra measurement campaign.
 func (s *Study) RenderExtensions() (string, error) {
 	var sb strings.Builder
-	rows, err := experiments.MultiVantage(s.env.World, 4, experiments.ScanOptions{})
+	rows, err := experiments.MultiVantage(s.env.World, 4)
 	if err != nil {
 		return "", err
 	}
@@ -355,8 +343,6 @@ func (o ScenarioOptions) internal() scenario.Options {
 		Seed:          o.Seed,
 		Scale:         o.Scale,
 		Quick:         o.Quick,
-		Workers:       o.Workers,
-		Parallelism:   o.Parallelism,
 		LogDir:        o.LogDir,
 		StreamCollect: o.StreamCollect,
 	}
@@ -395,7 +381,7 @@ func RunScenario(name string, opts ScenarioOptions) (*ScenarioResult, error) {
 // alias-set survival curves, and a comparison of longitudinal merge
 // strategies (naive cumulative union vs decay-weighted identifier history)
 // against the final epoch's ground truth. Deterministic for a fixed
-// (name, options) at any concurrency setting.
+// (name, options) at any GOMAXPROCS.
 func RunLongitudinal(name string, opts LongitudinalOptions) (*LongitudinalResult, error) {
 	return scenario.RunLongitudinal(name, scenario.LongitudinalOptions{
 		Options: opts.internal(),

@@ -15,7 +15,7 @@ var (
 func testStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		studyVal, studyErr = Run(StudyOptions{Common: Common{Seed: 4, Scale: 0.08, Workers: 64}})
+		studyVal, studyErr = Run(StudyOptions{Common: Common{Seed: 4, Scale: 0.08}})
 	})
 	if studyErr != nil {
 		t.Fatalf("Run: %v", studyErr)

@@ -50,7 +50,7 @@ func benchEnv(b *testing.B) *experiments.Env {
 		cfg.Scale = benchScale
 		cfg.Seed = 1
 		benchEnvV, benchErr = experiments.BuildEnv(experiments.Options{
-			Topo: cfg, Scan: experiments.ScanOptions{Workers: 128},
+			Topo: cfg,
 		})
 	})
 	if benchErr != nil {
@@ -155,14 +155,12 @@ func BenchmarkFigure6(b *testing.B) {
 
 // --- pipeline stage benchmarks ---
 
-// BenchmarkCollectActive compares the sequential collection baseline
-// (Parallelism=1: one protocol sweep at a time) against the fully pipelined
-// collector (all three protocol sweeps concurrent, SYN results streaming into
-// the service-scan pools), both at the default scan width (4 × GOMAXPROCS).
-// pipelined-256 keeps the width that was the default before, so one run
-// shows what the narrower pools save. All three produce byte-identical
-// Datasets (TestCollectActiveDeterministic asserts this under -race). It
-// reports bytes and allocations per collection.
+// BenchmarkCollectActive measures one active collection: all three protocol
+// sweeps concurrent, SYN results streaming into the service-scan pools of
+// 4 × GOMAXPROCS goroutines each. Run it with -cpu 1,N to compare the
+// narrowest width with the shipped one; the Datasets are byte-identical
+// (TestCollectActiveDeterministic asserts this under -race). It reports
+// bytes and allocations per collection.
 func BenchmarkCollectActive(b *testing.B) {
 	cfg := topo.Default()
 	cfg.Scale = 0.25
@@ -171,54 +169,34 @@ func BenchmarkCollectActive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		opts experiments.ScanOptions
-	}{
-		{"sequential", experiments.ScanOptions{Parallelism: 1}},
-		{"pipelined", experiments.ScanOptions{}},
-		{"pipelined-256", experiments.ScanOptions{Workers: 256}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var obs int
-			for i := 0; i < b.N; i++ {
-				ds, err := experiments.CollectActive(w, bc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				obs = len(ds.Obs[ident.SSH]) + len(ds.Obs[ident.BGP]) + len(ds.Obs[ident.SNMP])
-			}
-			b.ReportMetric(float64(obs), "observations")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var obs int
+	for i := 0; i < b.N; i++ {
+		ds, err := experiments.CollectActive(w, experiments.ScanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		obs = len(ds.Obs[ident.SSH]) + len(ds.Obs[ident.BGP]) + len(ds.Obs[ident.SNMP])
 	}
+	b.ReportMetric(float64(obs), "observations")
 }
 
-// BenchmarkTopoBuild compares sequential world generation (BuildWorkers=1)
-// against the sharded plan/build/commit pipeline (BuildWorkers=0: all
-// cores). Both settings produce byte-identical worlds
-// (topo.TestBuildParallelDeterministic asserts this).
+// BenchmarkTopoBuild measures world generation: the plan/build/commit
+// pipeline shards device construction across GOMAXPROCS workers. Run it
+// with -cpu 1,N to compare the sequential build with the sharded one; both
+// produce byte-identical worlds (topo.TestBuildParallelDeterministic
+// asserts this).
 func BenchmarkTopoBuild(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := topo.Default()
-				cfg.Scale = 0.25
-				cfg.Seed = 7
-				cfg.BuildWorkers = bc.workers
-				w, err := topo.Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(w.Fabric.NumDevices()), "devices")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		cfg := topo.Default()
+		cfg.Scale = 0.25
+		cfg.Seed = 7
+		w, err := topo.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(w.Fabric.NumDevices()), "devices")
 	}
 }
 
@@ -230,7 +208,7 @@ func BenchmarkTopoBuild(b *testing.B) {
 func BenchmarkRunLongitudinal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := RunLongitudinal("baseline", LongitudinalOptions{
-			ScenarioOptions: ScenarioOptions{Common: Common{Scale: 0.05, Workers: 128}},
+			ScenarioOptions: ScenarioOptions{Common: Common{Scale: 0.05}},
 			Epochs:          3,
 		})
 		if err != nil {
@@ -466,7 +444,7 @@ func BenchmarkExtensionMultiVantage(b *testing.B) {
 	var rows []experiments.VantageCoverage
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.MultiVantage(env.World, 4, experiments.ScanOptions{Workers: 128})
+		rows, err = experiments.MultiVantage(env.World, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -488,7 +466,7 @@ func BenchmarkExtensionStability(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := experiments.Stability(w, 21*24*3600*1e9, 0.05, experiments.ScanOptions{Workers: 128})
+		res, err := experiments.Stability(w, 21*24*3600*1e9, 0.05)
 		if err != nil {
 			b.Fatal(err)
 		}

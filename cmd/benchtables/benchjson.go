@@ -118,7 +118,7 @@ func measureAlloc(name string, f func()) benchEntry {
 // writeBenchJSON builds a study, measures the analysis hot paths (grouping,
 // merge, per-table and per-figure render, full Run), and writes the JSON
 // report to path ("-" for stdout).
-func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelism int, stdout, stderr io.Writer) error {
+func writeBenchJSON(path string, scale float64, seed uint64, stdout, stderr io.Writer) error {
 	rep := benchReport{
 		Scale: scale, Seed: seed,
 		CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -128,9 +128,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 	// Full pipeline: world generation, both measurement campaigns, facade.
 	start := time.Now()
 	study, err := aliaslimit.Run(aliaslimit.StudyOptions{
-		Common: aliaslimit.Common{
-			Seed: seed, Scale: scale, Workers: workers, Parallelism: parallelism,
-		},
+		Common: aliaslimit.Common{Seed: seed, Scale: scale},
 	})
 	if err != nil {
 		return err
@@ -152,9 +150,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 	start = time.Now()
 	if _, err := aliaslimit.RunLongitudinal("baseline", aliaslimit.LongitudinalOptions{
 		ScenarioOptions: aliaslimit.ScenarioOptions{
-			Common: aliaslimit.Common{
-				Seed: seed, Scale: 0.05, Workers: workers, Parallelism: parallelism,
-			},
+			Common: aliaslimit.Common{Seed: seed, Scale: 0.05},
 		},
 		Epochs: 3,
 	}); err != nil {
@@ -170,9 +166,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 	// paths exist for.
 	start = time.Now()
 	if _, err := aliaslimit.RunScenario("megascale-x10", aliaslimit.ScenarioOptions{
-		Common: aliaslimit.Common{
-			Seed: seed, Scale: 0.05, Workers: workers, Parallelism: parallelism,
-		},
+		Common: aliaslimit.Common{Seed: seed, Scale: 0.05},
 	}); err != nil {
 		return err
 	}
@@ -261,10 +255,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, workers, parallelis
 	// the replay pass in isolation.
 	start = time.Now()
 	if _, err := aliaslimit.RunScenario("baseline", aliaslimit.ScenarioOptions{
-		Common: aliaslimit.Common{
-			Seed: seed, Scale: 0.05, Workers: workers, Parallelism: parallelism,
-			StreamCollect: true,
-		},
+		Common: aliaslimit.Common{Seed: seed, Scale: 0.05, StreamCollect: true},
 	}); err != nil {
 		return err
 	}

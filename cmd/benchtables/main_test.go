@@ -44,7 +44,7 @@ func TestRunAllGolden(t *testing.T) {
 // the rendering.
 func TestRunSingleTable(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16", "-table", "1"}, &stdout, &stderr)
+	err := run([]string{"-scale", "0.05", "-seed", "2", "-table", "1"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -60,7 +60,7 @@ func TestRunSingleTable(t *testing.T) {
 // tiny scale and validates the JSON shape.
 func TestRunBenchJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16", "-benchjson", "-"}, &stdout, &stderr)
+	err := run([]string{"-scale", "0.05", "-seed", "2", "-benchjson", "-"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -113,14 +113,16 @@ func TestRunUnknownTable(t *testing.T) {
 	}
 }
 
-// TestRunBackendFlag: with one resolver there is no backend to pick, so
-// -backend and -shard-workers are unknown flags and exit with the usage
-// error.
+// TestRunBackendFlag: with one resolver there is no backend to pick, and
+// concurrency follows GOMAXPROCS, so -backend, -shard-workers, -workers and
+// -parallelism are unknown flags and exit with the usage error.
 func TestRunBackendFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0.05", "-backend", "batch", "-table", "4"},
 		{"-scale", "0.05", "-backend", "distributed", "-table", "4"},
 		{"-scale", "0.05", "-shard-workers", "2", "-table", "4"},
+		{"-scale", "0.05", "-workers", "16", "-table", "4"},
+		{"-scale", "0.05", "-parallelism", "1", "-table", "4"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {

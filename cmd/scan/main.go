@@ -50,13 +50,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.25, "world scale (1.0 ≈ 1:1000 of the paper's Internet)")
 	seed := fs.Uint64("seed", 1, "world seed")
 	vantage := fs.String("vantage", "active", "vantage point: active or censys")
-	workers := fs.Int("workers", 0, fmt.Sprintf("goroutines per scan pool (0 = 4 × GOMAXPROCS; at most %d)", experiments.MaxWorkers))
-	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return errBadFlags
+	}
+	collect := experiments.CollectActive
+	switch *vantage {
+	case "active":
+	case "censys":
+		collect = experiments.CollectCensys
+	default:
+		return fmt.Errorf("unknown vantage %q (want active or censys)", *vantage)
 	}
 
 	cfg := topo.Default()
@@ -72,16 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		world.Fabric.NumDevices(), len(world.V4Universe()), len(world.V6Bound()),
 		time.Since(start).Round(time.Millisecond))
 
-	opts := experiments.ScanOptions{Workers: *workers, Seed: *seed, Parallelism: *parallelism}
-	var ds *experiments.Dataset
-	switch *vantage {
-	case "active":
-		ds, err = experiments.CollectActive(world, opts)
-	case "censys":
-		ds, err = experiments.CollectCensys(world, opts)
-	default:
-		return fmt.Errorf("unknown vantage %q (want active or censys)", *vantage)
-	}
+	ds, err := collect(world, experiments.ScanOptions{Seed: *seed})
 	if err != nil {
 		return err
 	}

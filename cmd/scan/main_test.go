@@ -6,18 +6,15 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
-	"strconv"
 	"strings"
 	"testing"
 
-	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/obsfile"
 )
 
 // tinyScanSHA256 pins the SHA-256 of each vantage's stdout for TestRunTinyScan
-// (seed 2, scale 0.05, 16 workers). Collection is deterministic at any
-// worker count, so a change to the scan front that moves one observation
-// byte fails here.
+// (seed 2, scale 0.05). Collection is deterministic at any GOMAXPROCS, so a
+// change to the scan front that moves one observation byte fails here.
 var tinyScanSHA256 = map[string]string{
 	"active": "9fe00578db530823e9e2b48c41051662c005276b0810b7c315fc26bf996e359e",
 	"censys": "d8d571a783a14682c2b34f9c639af3504b6ac8e437c4ce3223ed9e6cc69000e2",
@@ -31,8 +28,7 @@ func TestRunTinyScan(t *testing.T) {
 		vantage := vantage
 		t.Run(vantage, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			err := run([]string{"-scale", "0.05", "-seed", "2", "-workers", "16", "-vantage", vantage},
-				&stdout, &stderr)
+			err := run([]string{"-scale", "0.05", "-seed", "2", "-vantage", vantage}, &stdout, &stderr)
 			if err != nil {
 				t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 			}
@@ -54,22 +50,34 @@ func TestRunTinyScan(t *testing.T) {
 	}
 }
 
-// TestRunBadFlags covers the error paths: unknown vantage and unparseable
-// flags must surface as errors, not os.Exit.
+// TestRunBadFlags covers the error paths: an unknown vantage, a scale that
+// is not a finite positive number, and unparseable or retired flags must
+// surface as errors, not os.Exit. The vantage is checked before the world is
+// built.
 func TestRunBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-vantage", "nowhere", "-scale", "0.05"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown vantage accepted")
 	}
-	if err := run([]string{"-scale", "not-a-number"}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
-		t.Fatalf("bad -scale: want errBadFlags, got %v", err)
+	if strings.Contains(stderr.String(), "world:") {
+		t.Fatalf("unknown vantage refused only after building the world: %s", stderr.String())
 	}
-	// A width this large used to overflow a channel size in the SYN sweep
-	// and crash; it must be refused before any pool starts.
-	const huge = "4611686018427387904"
-	err := run([]string{"-scale", "0.01", "-workers", huge}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), huge) {
-		t.Fatalf("-workers %s: got %v, want an error naming the value", huge, err)
+	for _, scale := range []string{"NaN", "Inf", "-1"} {
+		stderr.Reset()
+		if err := run([]string{"-scale", scale}, &stdout, &stderr); err == nil {
+			t.Errorf("-scale %s accepted (stderr: %s)", scale, stderr.String())
+		}
+	}
+	// Scan width follows GOMAXPROCS; -workers and -parallelism are retired
+	// and, like any unknown flag, exit with the usage error.
+	for _, args := range [][]string{
+		{"-scale", "not-a-number"},
+		{"-scale", "0.05", "-workers", "16"},
+		{"-scale", "0.05", "-parallelism", "1"},
+	} {
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Errorf("%v: want errBadFlags, got %v", args, err)
+		}
 	}
 }
 
@@ -82,8 +90,5 @@ func TestRunHelp(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-vantage") {
 		t.Fatalf("usage text missing from stderr: %s", stderr.String())
-	}
-	if max := strconv.Itoa(experiments.MaxWorkers); !strings.Contains(stderr.String(), max) {
-		t.Fatalf("-workers help does not name the ceiling %s: %s", max, stderr.String())
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"aliaslimit/internal/atomicio"
-	"aliaslimit/internal/experiments"
 	"aliaslimit/internal/scenario"
 )
 
@@ -69,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quick := fs.Bool("quick", false, "CI-sized worlds (each preset's quick scale)")
 	seed := fs.Uint64("seed", 0, "world seed (0 keeps the default)")
 	scale := fs.Float64("scale", 0, "world scale override (0 keeps the preset scale)")
-	workers := fs.Int("workers", 0, fmt.Sprintf("goroutines per scan pool (0 = 4 × GOMAXPROCS; at most %d)", experiments.MaxWorkers))
-	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once)")
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them through the resolver in bounded batches — identical alias sets, peak memory O(alias-set output) instead of O(observations); required by stream-only worlds (megascale-x100)")
@@ -98,8 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Seed:          *seed,
 		Scale:         *scale,
 		Quick:         *quick,
-		Workers:       *workers,
-		Parallelism:   *parallelism,
 		LogDir:        *logDir,
 		StreamCollect: *streamCollect,
 	}
@@ -254,7 +249,7 @@ func runLongitudinal(name string, opts scenario.LongitudinalOptions, jsonPath st
 
 // resumeLongitudinal continues a killed durable run from its log directory.
 // The run's identity (preset, seed, scale, epochs, decay) comes from the
-// log's manifest; only execution knobs (workers, parallelism) come from
+// log's manifest; only -stream-collect, which changes no result, comes from
 // the command line.
 func resumeLongitudinal(dir string, opts scenario.Options, jsonPath string, stdout, stderr io.Writer) error {
 	start := time.Now()

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestRunList(t *testing.T) {
 // TestRunScenarioText runs one tiny scenario and checks the scorecard.
 func TestRunScenarioText(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "baseline", "-scale", "0.05", "-workers", "32"}, &stdout, &stderr)
+	err := run([]string{"-run", "baseline", "-scale", "0.05"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -48,7 +49,7 @@ func TestRunScenarioText(t *testing.T) {
 func TestRunScenarioJSONDeterministic(t *testing.T) {
 	emit := func() string {
 		var stdout, stderr bytes.Buffer
-		err := run([]string{"-run", "lossy", "-scale", "0.05", "-workers", "32", "-json", "-"},
+		err := run([]string{"-run", "lossy", "-scale", "0.05", "-json", "-"},
 			&stdout, &stderr)
 		if err != nil {
 			t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
@@ -76,7 +77,7 @@ func TestMerge(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"lossy", "baseline"} {
 		var stdout, stderr bytes.Buffer
-		err := run([]string{"-run", name, "-scale", "0.05", "-workers", "32",
+		err := run([]string{"-run", name, "-scale", "0.05",
 			"-json", filepath.Join(dir, "SCENARIOS-"+name+".json")}, &stdout, &stderr)
 		if err != nil {
 			t.Fatalf("run %s: %v", name, err)
@@ -150,16 +151,27 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestLongitudinalJSONDeterministic runs a multi-epoch scenario with
-// sequential and fully pipelined collection, at two seeds, and requires
-// byte-identical SCENARIOS.json output per seed — the longitudinal extension
-// of the determinism contract. CI runs this under -race.
+// setGOMAXPROCS sets GOMAXPROCS to n until the test ends, when t.Cleanup
+// restores the value it replaced. No test in this package calls t.Parallel,
+// so changing the process-wide setting is safe.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestLongitudinalJSONDeterministic runs a multi-epoch scenario at
+// GOMAXPROCS 1 (a sequential world build and 4-wide scan pools) and at the
+// default, at two seeds, and requires byte-identical SCENARIOS.json output
+// per seed — the longitudinal extension of the determinism contract. CI runs
+// this under -race.
 func TestLongitudinalJSONDeterministic(t *testing.T) {
-	emit := func(seed, parallelism, workers string) string {
+	def := runtime.GOMAXPROCS(0)
+	emit := func(seed string, procs int) string {
+		setGOMAXPROCS(t, procs)
 		var stdout, stderr bytes.Buffer
 		err := run([]string{"-run", "churn-storm", "-epochs", "3", "-scale", "0.05",
-			"-seed", seed, "-parallelism", parallelism, "-workers", workers, "-json", "-"},
-			&stdout, &stderr)
+			"-seed", seed, "-json", "-"}, &stdout, &stderr)
 		if err != nil {
 			t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 		}
@@ -167,11 +179,11 @@ func TestLongitudinalJSONDeterministic(t *testing.T) {
 	}
 	var perSeed []string
 	for _, seed := range []string{"1", "7"} {
-		seq := emit(seed, "1", "32")
-		par := emit(seed, "0", "0")
+		seq := emit(seed, 1)
+		par := emit(seed, def)
 		if seq != par {
-			t.Fatalf("seed %s: sequential and pipelined longitudinal reports differ:\n%s\n---\n%s",
-				seed, seq, par)
+			t.Fatalf("seed %s: longitudinal reports differ between GOMAXPROCS 1 and %d:\n%s\n---\n%s",
+				seed, def, seq, par)
 		}
 		rep, err := scenario.ParseReport([]byte(seq))
 		if err != nil {
@@ -196,7 +208,7 @@ func TestLongitudinalJSONDeterministic(t *testing.T) {
 // TestLongitudinalText checks the human-readable multi-epoch scorecard.
 func TestLongitudinalText(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "baseline", "-epochs", "2", "-scale", "0.05", "-workers", "32"},
+	err := run([]string{"-run", "baseline", "-epochs", "2", "-scale", "0.05"},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
@@ -212,7 +224,7 @@ func TestLongitudinalText(t *testing.T) {
 // TestSweepCLI runs a tiny loss sweep through the CLI, text and JSON.
 func TestSweepCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "baseline", "-sweep", "loss=0,10", "-scale", "0.05", "-workers", "32"},
+	err := run([]string{"-run", "baseline", "-sweep", "loss=0,10", "-scale", "0.05"},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
@@ -226,7 +238,7 @@ func TestSweepCLI(t *testing.T) {
 	stdout.Reset()
 	stderr.Reset()
 	err = run([]string{"-run", "baseline", "-sweep", "loss=0,10", "-scale", "0.05",
-		"-workers", "32", "-json", out}, &stdout, &stderr)
+		"-json", out}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run -json: %v (stderr: %s)", err, stderr.String())
 	}
@@ -241,15 +253,18 @@ func TestSweepCLI(t *testing.T) {
 	}
 }
 
-// TestBackendFlag: the resolver has no backends to choose from, so -backend
-// and -shard-workers are unknown flags, whatever their value, and exit with
-// the usage error.
+// TestBackendFlag: the resolver has no backends to choose from, and
+// concurrency follows GOMAXPROCS, so -backend, -shard-workers, -workers and
+// -parallelism are unknown flags, whatever their value, and exit with the
+// usage error.
 func TestBackendFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "baseline", "-backend", "batch"},
 		{"-run", "baseline", "-backend", "distributed"},
 		{"-run", "all", "-quick", "-backend", "all"},
 		{"-run", "baseline", "-shard-workers", "2"},
+		{"-run", "baseline", "-workers", "16"},
+		{"-run", "baseline", "-parallelism", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
@@ -282,7 +297,7 @@ func TestBackendValidationMessage(t *testing.T) {
 func TestSweepEpochsCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "churn-storm", "-sweep", "epochs=2,3", "-scale", "0.05",
-		"-workers", "32", "-json", "-"}, &stdout, &stderr)
+		"-json", "-"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -396,7 +411,7 @@ func TestLogResumeCLI(t *testing.T) {
 	refPath := filepath.Join(dir, "REF.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "churn-storm", "-epochs", "2", "-scale", "0.05",
-		"-workers", "32", "-log", logDir, "-json", refPath}, &stdout, &stderr)
+		"-log", logDir, "-json", refPath}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("logged run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -461,7 +476,7 @@ func TestResumeRefusesRetiredBackend(t *testing.T) {
 	logDir := filepath.Join(t.TempDir(), "RUN")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "baseline", "-epochs", "2", "-scale", "0.03",
-		"-workers", "32", "-log", logDir, "-json", filepath.Join(t.TempDir(), "REF.json")}, &stdout, &stderr)
+		"-log", logDir, "-json", filepath.Join(t.TempDir(), "REF.json")}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("logged run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -630,7 +645,7 @@ func TestStreamCollectFlagCombos(t *testing.T) {
 			t.Errorf("%v: rejection took %v; flag parsing must fail before the world build", args, elapsed)
 		}
 	}
-	err := run([]string{"-run", "megascale-x100", "-scale", "0.04", "-workers", "16"}, &stdout, &stderr)
+	err := run([]string{"-run", "megascale-x100", "-scale", "0.04"}, &stdout, &stderr)
 	if err == nil {
 		t.Fatal("in-RAM megascale-x100 accepted")
 	}
@@ -644,7 +659,7 @@ func TestStreamCollectFlagCombos(t *testing.T) {
 // invocation covers them.
 func TestRunAllSkipsStreamOnly(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "all", "-scale", "0.04", "-workers", "16", "-json", "-"}, &stdout, &stderr)
+	err := run([]string{"-run", "all", "-scale", "0.04", "-json", "-"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run all: %v (stderr: %s)", err, stderr.String())
 	}
@@ -666,7 +681,7 @@ func TestRunAllSkipsStreamOnly(t *testing.T) {
 
 	stdout.Reset()
 	stderr.Reset()
-	err = run([]string{"-run", "all", "-scale", "0.04", "-workers", "16", "-stream-collect", "-json", "-"}, &stdout, &stderr)
+	err = run([]string{"-run", "all", "-scale", "0.04", "-stream-collect", "-json", "-"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run all -stream-collect: %v (stderr: %s)", err, stderr.String())
 	}

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := experiments.Stability(world, 21*24*time.Hour, 0.05, experiments.ScanOptions{})
+	res, err := experiments.Stability(world, 21*24*time.Hour, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := experiments.MultiVantage(world2, 4, experiments.ScanOptions{})
+	rows, err := experiments.MultiVantage(world2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,20 +51,14 @@ func (t teeSink) Observe(p ident.Protocol, o alias.Observation) {
 	}
 }
 
-// ScanOptions tune the collection phase.
+// ScanOptions tune the collection phase. Concurrency is not an option: each
+// scan pool is scanWidth() goroutines wide and the protocol sweeps of a
+// campaign always overlap. Datasets are byte-identical at any GOMAXPROCS:
+// the collector sorts each protocol's observations by address once the
+// sweeps end.
 type ScanOptions struct {
-	// Workers is the goroutine count of each sweep's pools (the SYN sweep,
-	// the grabs and the SNMPv3 probes); 0 picks 4 × GOMAXPROCS, and a
-	// value above MaxWorkers is refused.
-	Workers int
 	// Seed drives scan-order permutations.
 	Seed uint64
-	// Parallelism bounds how many per-protocol sweeps (SSH, BGP, SNMPv3) run
-	// concurrently within one collection. 0 runs all protocols at once; 1
-	// recovers the sequential baseline. Datasets are byte-identical at any
-	// setting: the collector sorts each protocol's observations by address
-	// once the sweeps end.
-	Parallelism int
 	// Sink, when non-nil, is fed every extracted observation live from the
 	// scan worker goroutines, alongside the campaign's own sink (the
 	// collector of an in-RAM dataset, or the observation log). The Dataset
@@ -77,38 +71,29 @@ type ScanOptions struct {
 // collection), but in the simulation no peer ever legitimately makes the
 // scanner wait: every handler either writes or closes. The timeout is purely
 // an anti-hang backstop, so it sits far above any plausible goroutine
-// starvation: an explicit Workers may still run thousands of goroutines per
-// pool across three concurrent sweeps on few cores (slower still under
-// -race), and a short wall-clock deadline can then drop a legitimately
-// answered grab and silently break Dataset determinism.
+// starvation: three sweeps overlap on few cores, every simulated server is a
+// goroutine of its own, and -race slows each handshake several-fold. A short
+// wall-clock deadline could then drop a legitimately answered grab and
+// silently break Dataset determinism.
 const simGrabTimeout = 2 * time.Minute
 
-// MaxWorkers is the widest Workers a sweep accepts. Each pool starts that
-// many goroutines and sizes channel buffers and per-worker tallies by it,
-// so a far larger value only spends memory, and an absurd one overflows a
-// channel size.
-const MaxWorkers = 4096
-
-// withDefaults fills unset fields and refuses a Workers above MaxWorkers.
+// scanWidth is the goroutine count of each scan pool (the SYN sweep, the
+// grabs and the SNMPv3 probes): 4 × GOMAXPROCS.
 //
 // The fabric answers without wall-clock latency, so a wide pool hides no
-// round trips: it only adds goroutine stacks and scheduling. The default of
-// 4 × GOMAXPROCS keeps every CPU busy while a few workers wait on a
-// simulated peer's goroutine; at the old default of 256 per pool, goroutine
-// stacks alone held several MiB at the collection peak (ARCHITECTURE.md,
-// "Collection: one scan front"). Datasets do not depend on the width.
-func (o ScanOptions) withDefaults() (ScanOptions, error) {
-	if o.Workers > MaxWorkers {
-		return o, fmt.Errorf("experiments: %d scan workers is above the limit of %d", o.Workers, MaxWorkers)
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4 * runtime.GOMAXPROCS(0)
-	}
+// round trips: it only adds goroutine stacks and scheduling. Four workers
+// per CPU keep every CPU busy while a few wait on a simulated peer's
+// goroutine; at the old width of 256 per pool, goroutine stacks alone held
+// several MiB at the collection peak (ARCHITECTURE.md, "Collection: one
+// scan front"). Datasets do not depend on the width.
+func scanWidth() int { return 4 * runtime.GOMAXPROCS(0) }
+
+// withDefaults fills unset fields.
+func (o ScanOptions) withDefaults() ScanOptions {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	// Parallelism 0 stays 0 (unbounded): every protocol sweep overlaps.
-	return o, nil
+	return o
 }
 
 // collector is the in-RAM campaign sink: it gathers each protocol's
@@ -157,11 +142,11 @@ func collect(name string, opts ScanOptions, sweep func(ScanOptions) error) (*Dat
 // and the IPv6 hitlist, ZGrab-style service scans of the responsive
 // addresses, and an SNMPv3 engine-discovery sweep.
 //
-// The three protocol sweeps run concurrently (bounded by opts.Parallelism),
-// and within the SSH and BGP sweeps the SYN phase streams responsive
-// addresses straight into the service-scan worker pools — banner grabs start
-// while the sweep is still in flight. The world is only read: see the
-// concurrency contract on topo.World.
+// The three protocol sweeps run concurrently, and within the SSH and BGP
+// sweeps the SYN phase streams responsive addresses straight into the
+// service-scan worker pools — banner grabs start while the sweep is still in
+// flight. The world is only read: see the concurrency contract on
+// topo.World.
 func CollectActive(w *topo.World, opts ScanOptions) (*Dataset, error) {
 	return collect("Active", opts, func(o ScanOptions) error { return sweepActive(w, o) })
 }
@@ -190,38 +175,55 @@ func nonStandardPortSSH(censys *Dataset) int {
 // sweepActive runs the active campaign's three protocol sweeps, handing
 // every observation to opts.Sink once.
 func sweepActive(w *topo.World, opts ScanOptions) error {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return err
-	}
+	opts = opts.withDefaults()
 	v := w.Fabric.Vantage(topo.VantageActive)
 
 	v6targets := hitlist.Sample(w.V6Bound(), w.Cfg.HitlistCoverage, w.Cfg.Seed)
 	targets := append(append([]netip.Addr(nil), w.V4Universe()...), v6targets...)
 
-	g := newGroup(opts.Parallelism)
-	g.Go(func() error { return scanSSH(v, targets, opts) })
-	g.Go(func() error { return scanBGP(v, targets, opts) })
-	g.Go(func() error {
-		scanSNMP(v, targets, opts)
-		return nil
-	})
-	return g.Wait()
+	return runAll(
+		func() error { return scanSSH(v, targets, opts) },
+		func() error { return scanBGP(v, targets, opts) },
+		func() error {
+			scanSNMP(v, targets, opts)
+			return nil
+		},
+	)
 }
 
 // sweepCensys runs the Censys campaign's SSH and BGP sweeps over the IPv4
 // universe, handing every observation to opts.Sink once.
 func sweepCensys(w *topo.World, opts ScanOptions) error {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return err
-	}
+	opts = opts.withDefaults()
 	v := w.Fabric.Vantage(topo.VantageCensys)
 
-	g := newGroup(opts.Parallelism)
-	g.Go(func() error { return scanSSH(v, w.V4Universe(), opts) })
-	g.Go(func() error { return scanBGP(v, w.V4Universe(), opts) })
-	return g.Wait()
+	return runAll(
+		func() error { return scanSSH(v, w.V4Universe(), opts) },
+		func() error { return scanBGP(v, w.V4Universe(), opts) },
+	)
+}
+
+// runAll runs every fn on a goroutine of its own and, once all have
+// returned, reports the first non-nil error in argument order. The
+// repository carries no external dependencies, so this is the part of
+// x/sync's errgroup the sweeps need.
+func runAll(fns ...func() error) error {
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	for i, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scanSSH runs the two-phase SSH scan on TCP/22.
@@ -242,13 +244,14 @@ func scanBGP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) error {
 // goes to opts.Sink as the grab completes.
 func scanTCP(v *netsim.Vantage, targets []netip.Addr, port uint16, seedOff uint64, mod zgrab.Module,
 	extract func(any) (ident.Identifier, bool), opts ScanOptions) error {
+	width := scanWidth()
 	open, done, err := zmaplite.ScanStream(v, zmaplite.Config{
-		Targets: targets, Port: port, Seed: opts.Seed + seedOff, Workers: opts.Workers,
+		Targets: targets, Port: port, Seed: opts.Seed + seedOff, Workers: width,
 	})
 	if err != nil {
 		return fmt.Errorf("experiments: %s sweep: %w", mod.Name(), err)
 	}
-	zopts := zgrab.Options{Port: port, Workers: opts.Workers, DialTimeout: simGrabTimeout}
+	zopts := zgrab.Options{Port: port, Workers: width, DialTimeout: simGrabTimeout}
 	zgrab.RunStream(v, open, mod, zopts, func(g zgrab.Grab) {
 		if !g.OK() {
 			return
@@ -266,9 +269,10 @@ func scanTCP(v *netsim.Vantage, targets []netip.Addr, port uint16, seedOff uint6
 // request IDs derive from its target's position, so the probes are the same
 // however the workers interleave.
 func scanSNMP(v *netsim.Vantage, targets []netip.Addr, opts ScanOptions) {
-	idx := make(chan int, opts.Workers)
+	width := scanWidth()
+	idx := make(chan int, width) // one queued target per worker
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for range width {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"aliaslimit/internal/topo"
@@ -69,63 +66,65 @@ func requireAscending(t *testing.T, ds *Dataset) {
 	}
 }
 
+// setGOMAXPROCS sets GOMAXPROCS to n until the test ends, when t.Cleanup
+// restores the value it replaced. No test in this package calls t.Parallel,
+// so changing the process-wide setting is safe.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestCollectActiveDeterministic is the race-focused pipeline test: for two
 // world seeds, the concurrent streaming pipeline must produce Datasets
-// byte-identical to the sequential baseline (Parallelism=1) and to itself on
-// a re-run, across different worker counts, and each protocol's observations
-// must be strictly ascending by address. Run under -race this also
-// exercises the netsim/topo concurrency contract with all three protocol
-// sweeps in flight at once.
+// byte-identical at GOMAXPROCS 1 (4-wide scan pools), at the default and at
+// 8 (32-wide pools), and on a re-run, and each protocol's observations must
+// be strictly ascending by address. Run under -race this also exercises the
+// netsim/topo concurrency contract with all three protocol sweeps in flight
+// at once.
 func TestCollectActiveDeterministic(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			w := buildTestWorld(t, seed)
-			baseline, err := CollectActive(w, ScanOptions{Workers: 8, Parallelism: 1})
+			def := runtime.GOMAXPROCS(0)
+			setGOMAXPROCS(t, 1)
+			baseline, err := CollectActive(w, ScanOptions{})
 			if err != nil {
-				t.Fatalf("sequential CollectActive: %v", err)
+				t.Fatalf("GOMAXPROCS=1 CollectActive: %v", err)
 			}
 			if len(baseline.Obs) == 0 {
-				t.Fatal("sequential CollectActive yielded no observations")
+				t.Fatal("GOMAXPROCS=1 CollectActive yielded no observations")
 			}
 			requireAscending(t, baseline)
-			for _, opts := range []ScanOptions{
-				{},                            // the shipped width, 4 × GOMAXPROCS
-				{Workers: 1},                  // one goroutine per pool
-				{Workers: 8},                  // full protocol overlap
-				{Workers: 64},                 // same, different worker count
-				{Workers: 32, Parallelism: 2}, // bounded overlap
-			} {
-				opts := opts
-				label := fmt.Sprintf("workers=%d,parallelism=%d", opts.Workers, opts.Parallelism)
-				got, err := CollectActive(w, opts)
+			// The default runs twice to catch scheduling-order flakiness,
+			// not just width effects.
+			for _, procs := range []int{def, 8, def} {
+				setGOMAXPROCS(t, procs)
+				label := fmt.Sprintf("GOMAXPROCS=%d", procs)
+				got, err := CollectActive(w, ScanOptions{})
 				if err != nil {
 					t.Fatalf("%s: CollectActive: %v", label, err)
 				}
 				requireSameDataset(t, label, baseline, got)
 			}
-			// Re-run the fully concurrent configuration to catch
-			// scheduling-order flakiness, not just worker-count effects.
-			again, err := CollectActive(w, ScanOptions{Workers: 8})
-			if err != nil {
-				t.Fatalf("re-run CollectActive: %v", err)
-			}
-			requireSameDataset(t, "re-run", baseline, again)
 		})
 	}
 }
 
 // TestCollectCensysDeterministic covers the snapshot-vantage collector the
-// same way: concurrent SSH+BGP sweeps must match the sequential run.
+// same way: its concurrent SSH+BGP sweeps must match at every GOMAXPROCS.
 func TestCollectCensysDeterministic(t *testing.T) {
 	w := buildTestWorld(t, 5)
-	baseline, err := CollectCensys(w, ScanOptions{Workers: 8, Parallelism: 1})
+	def := runtime.GOMAXPROCS(0)
+	setGOMAXPROCS(t, 1)
+	baseline, err := CollectCensys(w, ScanOptions{})
 	if err != nil {
-		t.Fatalf("sequential CollectCensys: %v", err)
+		t.Fatalf("GOMAXPROCS=1 CollectCensys: %v", err)
 	}
-	for _, opts := range []ScanOptions{{}, {Workers: 1}, {Workers: 32}} {
-		label := fmt.Sprintf("censys workers=%d", opts.Workers)
-		got, err := CollectCensys(w, opts)
+	for _, procs := range []int{def, 8} {
+		setGOMAXPROCS(t, procs)
+		label := fmt.Sprintf("censys GOMAXPROCS=%d", procs)
+		got, err := CollectCensys(w, ScanOptions{})
 		if err != nil {
 			t.Fatalf("%s: CollectCensys: %v", label, err)
 		}
@@ -133,45 +132,13 @@ func TestCollectCensysDeterministic(t *testing.T) {
 	}
 }
 
-// TestScanWidthDefault pins the width a zero Workers gets: four workers per
-// CPU the scheduler may use.
+// TestScanWidthDefault pins the scan width: four workers per CPU the
+// scheduler may use.
 func TestScanWidthDefault(t *testing.T) {
-	o, err := ScanOptions{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 4 * runtime.GOMAXPROCS(0); o.Workers != want {
-		t.Fatalf("default Workers = %d, want 4 × GOMAXPROCS = %d", o.Workers, want)
-	}
-	for _, n := range []int{1, 256, MaxWorkers} {
-		if o, err := (ScanOptions{Workers: n}).withDefaults(); err != nil || o.Workers != n {
-			t.Errorf("Workers %d: got %d, %v", n, o.Workers, err)
+	for _, procs := range []int{1, 8} {
+		setGOMAXPROCS(t, procs)
+		if got := scanWidth(); got != 4*procs {
+			t.Errorf("GOMAXPROCS %d: scanWidth() = %d, want %d", procs, got, 4*procs)
 		}
-	}
-}
-
-// TestScanWidthCeiling checks that a Workers above MaxWorkers is refused
-// with an error naming it, before a sweep starts a pool of that width.
-func TestScanWidthCeiling(t *testing.T) {
-	cfg := topo.Default()
-	cfg.Scale = 0.01
-	w, err := topo.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{MaxWorkers + 1, math.MaxInt} {
-		_, err := CollectActive(w, ScanOptions{Workers: n})
-		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
-			t.Errorf("Workers %d: got error %v, want one naming the value", n, err)
-		}
-	}
-	if _, err := MultiVantage(w, 1, ScanOptions{Workers: MaxWorkers + 1}); err == nil {
-		t.Error("MultiVantage accepted a width above MaxWorkers")
-	}
-	if _, err := Stability(w, 0, 0, ScanOptions{Workers: MaxWorkers + 1}); err == nil {
-		t.Error("Stability accepted a width above MaxWorkers")
-	}
-	if _, err := NewEnvSeries(SeriesOptions{Options: Options{Scan: ScanOptions{Workers: MaxWorkers + 1}}}); err == nil {
-		t.Error("NewEnvSeries accepted a width above MaxWorkers")
 	}
 }

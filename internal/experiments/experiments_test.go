@@ -24,7 +24,7 @@ func testEnv(t *testing.T) *Env {
 		cfg := topo.Default()
 		cfg.Scale = 0.08
 		cfg.Seed = 11
-		envVal, envErr = BuildEnv(Options{Topo: cfg, Scan: ScanOptions{Workers: 64}})
+		envVal, envErr = BuildEnv(Options{Topo: cfg})
 	})
 	if envErr != nil {
 		t.Fatalf("BuildEnv: %v", envErr)

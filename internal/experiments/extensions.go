@@ -39,14 +39,11 @@ type VantageCoverage struct {
 // MultiVantage scans SSH from up to maxVantages auxiliary vantage points and
 // reports cumulative coverage — the diminishing-returns curve a multi-VP
 // deployment would see. maxVantages is capped at topo.AuxVantages.
-func MultiVantage(w *topo.World, maxVantages int, opts ScanOptions) ([]VantageCoverage, error) {
+func MultiVantage(w *topo.World, maxVantages int) ([]VantageCoverage, error) {
 	if maxVantages <= 0 || maxVantages > topo.AuxVantages {
 		maxVantages = topo.AuxVantages
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts := ScanOptions{}.withDefaults()
 	seen := make(map[netip.Addr]bool)
 	var combined []alias.Observation
 	var out []VantageCoverage
@@ -120,11 +117,8 @@ func (r StabilityResult) PersistenceRate() float64 {
 // Stability scans SSH, advances the world by gap applying churnFrac address
 // churn, rescans, and compares identifiers per address — the paper's
 // "consistency and stability" question made operational.
-func Stability(w *topo.World, gap time.Duration, churnFrac float64, opts ScanOptions) (*StabilityResult, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+func Stability(w *topo.World, gap time.Duration, churnFrac float64) (*StabilityResult, error) {
+	opts := ScanOptions{}.withDefaults()
 	v := w.Fabric.Vantage(topo.VantageActive)
 
 	scan := func(o ScanOptions) error { return scanSSH(v, w.V4Universe(), o) }

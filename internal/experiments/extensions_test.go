@@ -24,7 +24,7 @@ func extWorld(t *testing.T) *topo.World {
 
 func TestMultiVantageCumulative(t *testing.T) {
 	w := extWorld(t)
-	rows, err := MultiVantage(w, 4, ScanOptions{Workers: 64})
+	rows, err := MultiVantage(w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMultiVantageCumulative(t *testing.T) {
 
 func TestMultiVantageCapped(t *testing.T) {
 	w := extWorld(t)
-	rows, err := MultiVantage(w, 99, ScanOptions{Workers: 64})
+	rows, err := MultiVantage(w, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMultiVantageCapped(t *testing.T) {
 
 func TestStability(t *testing.T) {
 	w := extWorld(t)
-	res, err := Stability(w, 21*24*time.Hour, 0.10, ScanOptions{Workers: 64})
+	res, err := Stability(w, 21*24*time.Hour, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStability(t *testing.T) {
 
 func TestStabilityZeroChurnIsPerfect(t *testing.T) {
 	w := extWorld(t)
-	res, err := Stability(w, time.Hour, 0, ScanOptions{Workers: 64})
+	res, err := Stability(w, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBrokenSSHServersAreSurvived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := CollectActive(w, ScanOptions{Workers: 64})
+	ds, err := CollectActive(w, ScanOptions{})
 	if err != nil {
 		t.Fatalf("scan over broken servers errored: %v", err)
 	}

@@ -1,6 +1,9 @@
 package experiments
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // RenderAll regenerates every table and figure of the paper's evaluation
 // concurrently and returns them concatenated in paper order. The memoized
@@ -9,12 +12,7 @@ import "strings"
 // the only clock-mutating stage (Table 2's MIDAR run) executes exactly once
 // via its memoized entry, so concurrent output is byte-identical to a
 // sequential render.
-func (e *Env) RenderAll() string { return e.renderAll(0) }
-
-// renderAll runs the artifact generators under a concurrency limit;
-// limit <= 0 is unbounded, 1 recovers the sequential baseline (used by the
-// determinism tests).
-func (e *Env) renderAll(limit int) string {
+func (e *Env) RenderAll() string {
 	jobs := []func() string{
 		func() string { return e.Table1().Render() },
 		func() string { return e.Table2(Table2Config{}).Render() },
@@ -28,15 +26,15 @@ func (e *Env) renderAll(limit int) string {
 		func() string { return e.Figure6().Render() },
 	}
 	outs := make([]string, len(jobs))
-	g := newGroup(limit)
-	for i := range jobs {
-		i := i
-		g.Go(func() error {
-			outs[i] = jobs[i]()
-			return nil
-		})
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = job()
+		}()
 	}
-	_ = g.Wait() // render jobs never error
+	wg.Wait()
 	var sb strings.Builder
 	for _, out := range outs {
 		sb.WriteString(out)

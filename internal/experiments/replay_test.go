@@ -11,7 +11,7 @@ import (
 // logSeriesOpts is seriesOpts plus a durable log in dir.
 func logSeriesOpts(t *testing.T, dir string) (SeriesOptions, *obslog.Writer) {
 	t.Helper()
-	opts := seriesOpts(0)
+	opts := seriesOpts()
 	lg, err := obslog.Create(dir, obslog.RunMeta{Scenario: "series-test", Seed: opts.Topo.Seed, Scale: opts.Topo.Scale, Epochs: opts.Epochs}, obslog.Options{Sync: obslog.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestReplayMatchesInRAM(t *testing.T) {
 // subsequent live epoch reproduces the original datasets bit for bit and
 // the churn draw state matches at every boundary.
 func TestSkipEpochReplaysChurnExactly(t *testing.T) {
-	opts := seriesOpts(0)
+	opts := seriesOpts()
 	full, err := NewEnvSeries(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,7 @@ import (
 // calling Advance again, mirroring the ordering contract of topo.World's
 // mutating methods. Within an epoch, collection retains the full concurrency
 // of CollectActive/CollectCensys and the byte-determinism contract: the same
-// (options, epoch) always yields identical datasets at any Workers or
-// Parallelism setting.
+// (options, epoch) always yields identical datasets at any GOMAXPROCS.
 type EnvSeries struct {
 	// World is the persistent simulated Internet shared by every epoch.
 	World *topo.World
@@ -80,12 +79,8 @@ type Epoch struct {
 }
 
 // NewEnvSeries builds the world (and installs the fault policy) without
-// measuring anything; call Advance once per epoch. Scan options a sweep
-// would refuse are refused here, before the world is built.
+// measuring anything; call Advance once per epoch.
 func NewEnvSeries(opts SeriesOptions) (*EnvSeries, error) {
-	if _, err := opts.Scan.withDefaults(); err != nil {
-		return nil, err
-	}
 	cfg := opts.Topo
 	if cfg.Scale == 0 {
 		cfg = topo.Default()

@@ -2,20 +2,18 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aliaslimit/internal/topo"
 )
 
 // seriesOpts is the tiny-world base configuration for series tests.
-func seriesOpts(parallelism int) SeriesOptions {
+func seriesOpts() SeriesOptions {
 	cfg := topo.Default()
 	cfg.Scale = 0.05
 	return SeriesOptions{
-		Options: Options{
-			Topo: cfg,
-			Scan: ScanOptions{Workers: 64, Parallelism: parallelism},
-		},
+		Options:    Options{Topo: cfg},
 		Epochs:     3,
 		EpochChurn: topo.EpochChurn{Renumber: 0.2, Reboot: 0.1, WireDown: 0.1, WireUp: 0.5},
 	}
@@ -24,7 +22,7 @@ func seriesOpts(parallelism int) SeriesOptions {
 // TestEnvSeriesFirstEpochMatchesBuildEnv pins the refactor: BuildEnv is the
 // Epochs=1 special case, so a series' first epoch must reproduce it exactly.
 func TestEnvSeriesFirstEpochMatchesBuildEnv(t *testing.T) {
-	opts := seriesOpts(0)
+	opts := seriesOpts()
 	env, err := BuildEnv(opts.Options)
 	if err != nil {
 		t.Fatal(err)
@@ -54,17 +52,18 @@ func TestEnvSeriesFirstEpochMatchesBuildEnv(t *testing.T) {
 	}
 }
 
-// TestEnvSeriesDeterministicAcrossParallelism runs a full three-epoch series
-// sequentially and fully pipelined and requires identical observations and
-// churn stats in every epoch — the longitudinal extension of the collection
-// determinism contract.
-func TestEnvSeriesDeterministicAcrossParallelism(t *testing.T) {
+// TestEnvSeriesDeterministicAcrossGOMAXPROCS runs a full three-epoch series
+// at GOMAXPROCS 1, at the default and at 8 and requires identical
+// observations and churn stats in every epoch — the longitudinal extension
+// of the collection determinism contract.
+func TestEnvSeriesDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	type epochSummary struct {
 		stats EpochStats
 		obs   map[string]int
 	}
-	run := func(parallelism int) []epochSummary {
-		s, err := NewEnvSeries(seriesOpts(parallelism))
+	run := func(procs int) []epochSummary {
+		setGOMAXPROCS(t, procs)
+		s, err := NewEnvSeries(seriesOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,9 +82,12 @@ func TestEnvSeriesDeterministicAcrossParallelism(t *testing.T) {
 		return out
 	}
 
-	a, b := run(0), run(1)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("series differs across parallelism:\n%+v\n%+v", a, b)
+	def := runtime.GOMAXPROCS(0)
+	ref := run(1)
+	for _, procs := range []int{def, 8} {
+		if got := run(procs); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("series differs between GOMAXPROCS=1 and =%d:\n%+v\n%+v", procs, ref, got)
+		}
 	}
 }
 
@@ -93,7 +95,7 @@ func TestEnvSeriesDeterministicAcrossParallelism(t *testing.T) {
 // boundary churn actually fired and each epoch carries its own truth
 // snapshot, decoupled from the world's live (mutating) truth.
 func TestEnvSeriesEpochsChurnAndStayScorable(t *testing.T) {
-	s, err := NewEnvSeries(seriesOpts(0))
+	s, err := NewEnvSeries(seriesOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func buildTwinEnvs(t *testing.T, seed uint64) (*Env, *Env) {
 		cfg := topo.Default()
 		cfg.Scale = 0.05
 		cfg.Seed = seed
-		e, err := BuildEnv(Options{Topo: cfg, Scan: ScanOptions{Workers: 64}})
+		e, err := BuildEnv(Options{Topo: cfg})
 		if err != nil {
 			t.Fatalf("BuildEnv(seed=%d): %v", seed, err)
 		}
@@ -147,36 +148,39 @@ func TestRenderAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBuildWorkersDeterministic asserts that sharded world construction
-// yields byte-identical measurements: two worlds built with different
-// BuildWorkers settings produce deeply equal datasets under full collection,
-// at two seeds.
-func TestBuildWorkersDeterministic(t *testing.T) {
+// TestBuildDeterministicAcrossGOMAXPROCS asserts that sharded world
+// construction yields byte-identical measurements: worlds built and scanned
+// at GOMAXPROCS 1 (a sequential build), at the default and at 8 produce
+// deeply equal datasets under full collection, at two seeds.
+func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and scans four worlds")
+		t.Skip("builds and scans six worlds")
 	}
+	def := runtime.GOMAXPROCS(0)
 	for _, seed := range []uint64{3, 9} {
-		collect := func(workers int) *Dataset {
+		collect := func(procs int) *Dataset {
+			setGOMAXPROCS(t, procs)
 			cfg := topo.Default()
 			cfg.Scale = 0.05
 			cfg.Seed = seed
-			cfg.BuildWorkers = workers
 			w, err := topo.Build(cfg)
 			if err != nil {
-				t.Fatalf("Build(seed=%d, workers=%d): %v", seed, workers, err)
+				t.Fatalf("Build(seed=%d, GOMAXPROCS=%d): %v", seed, procs, err)
 			}
-			ds, err := CollectActive(w, ScanOptions{Workers: 64, Seed: seed})
+			ds, err := CollectActive(w, ScanOptions{Seed: seed})
 			if err != nil {
-				t.Fatalf("CollectActive(seed=%d, workers=%d): %v", seed, workers, err)
+				t.Fatalf("CollectActive(seed=%d, GOMAXPROCS=%d): %v", seed, procs, err)
 			}
 			return ds
 		}
 		seqDS := collect(1)
-		parDS := collect(8)
-		for _, p := range ident.Protocols {
-			if !reflect.DeepEqual(seqDS.Obs[p], parDS.Obs[p]) {
-				t.Errorf("seed %d: %s observations differ between BuildWorkers=1 and =8 (%d vs %d)",
-					seed, p, len(seqDS.Obs[p]), len(parDS.Obs[p]))
+		for _, procs := range []int{def, 8} {
+			parDS := collect(procs)
+			for _, p := range ident.Protocols {
+				if !reflect.DeepEqual(seqDS.Obs[p], parDS.Obs[p]) {
+					t.Errorf("seed %d: %s observations differ between GOMAXPROCS=1 and =%d (%d vs %d)",
+						seed, p, procs, len(seqDS.Obs[p]), len(parDS.Obs[p]))
+				}
 			}
 		}
 	}

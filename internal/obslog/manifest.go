@@ -18,10 +18,9 @@ const manifestFormat = 1
 
 // RunMeta records the result-affecting parameters of the run that owns a
 // log, so a resume can rebuild the exact configuration without the original
-// command line. Concurrency knobs (workers, parallelism) are deliberately
-// absent: they never affect results, so the resumer is free to pick its
-// own. No timestamps either — the manifest must be byte-deterministic for
-// the log-diff gate.
+// command line. Concurrency is absent: it follows the process's GOMAXPROCS
+// and never affects results, so the resumer runs at its own. No timestamps
+// either — the manifest must be byte-deterministic for the log-diff gate.
 type RunMeta struct {
 	// Scenario is the preset name ("churn-storm").
 	Scenario string `json:"scenario,omitempty"`

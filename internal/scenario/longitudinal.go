@@ -28,8 +28,8 @@ import (
 
 // LongitudinalOptions parameterise one multi-epoch scenario run.
 type LongitudinalOptions struct {
-	// Options carries the single-run knobs (seed, scale, quick, workers,
-	// parallelism), applied identically to every epoch.
+	// Options carries the single-run knobs (seed, scale, quick, log
+	// directory, stream collection), applied identically to every epoch.
 	Options
 	// Epochs is the number of snapshot rounds; 0 picks 5. Must be >= 2.
 	Epochs int
@@ -147,7 +147,7 @@ type epochView struct {
 
 // RunLongitudinal runs the named preset over opts.Epochs snapshot rounds on
 // one persistent world and assembles the longitudinal scorecard. Results are
-// deterministic for a fixed (name, options) at any concurrency setting.
+// deterministic for a fixed (name, options) at any GOMAXPROCS.
 func RunLongitudinal(name string, opts LongitudinalOptions) (*LongitudinalResult, error) {
 	p, ok := Lookup(name)
 	if !ok {
@@ -200,6 +200,9 @@ type longRun struct {
 // runs — attaches the observation log: a fresh one when opts.LogDir names a
 // new directory, or resumeLog when the resume path already reopened one.
 func newLongRun(p Preset, opts LongitudinalOptions, resumeLog *obslog.Writer) (*longRun, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	name := p.Name
 	if p.StreamOnly && !opts.StreamCollect {
 		return nil, fmt.Errorf("scenario %s: this world only runs out-of-core; pass -stream-collect", name)
@@ -215,7 +218,7 @@ func newLongRun(p Preset, opts LongitudinalOptions, resumeLog *obslog.Writer) (*
 	if decay == 0 {
 		decay = 0.5
 	}
-	if decay <= 0 || decay >= 1 {
+	if !(decay > 0 && decay < 1) { // NaN too
 		return nil, fmt.Errorf("scenario: decay must be in (0, 1), got %v", opts.Decay)
 	}
 

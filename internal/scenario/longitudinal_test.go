@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -85,15 +86,13 @@ func TestRunLongitudinalDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := longOpts
-	par.Parallelism = 1
-	par.Workers = 32
-	b, err := RunLongitudinal("churn-storm", par)
+	setGOMAXPROCS(t, 1)
+	b, err := RunLongitudinal("churn-storm", longOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("longitudinal results differ between sequential and pipelined collection")
+		t.Fatal("longitudinal results differ between the default GOMAXPROCS and 1")
 	}
 	longCache["churn-storm"] = a
 }
@@ -203,10 +202,12 @@ func TestRunLongitudinalValidation(t *testing.T) {
 	if _, err := RunLongitudinal("baseline", bad); err == nil {
 		t.Fatal("single-epoch longitudinal run accepted")
 	}
-	bad = longOpts
-	bad.Decay = 1.5
-	if _, err := RunLongitudinal("baseline", bad); err == nil {
-		t.Fatal("out-of-range decay accepted")
+	for _, decay := range []float64{1.5, math.NaN()} {
+		bad = longOpts
+		bad.Decay = decay
+		if _, err := RunLongitudinal("baseline", bad); err == nil {
+			t.Errorf("decay %v accepted", decay)
+		}
 	}
 }
 

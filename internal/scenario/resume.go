@@ -75,13 +75,12 @@ func loadEpochScore(dir string, epoch int) (*EpochScore, error) {
 
 // ResumeLongitudinal continues the durable longitudinal run under dir. The
 // run's identity — preset, seed, scale, quick, epochs, decay — comes from the
-// log's manifest; opts contributes only the execution knobs that cannot
-// change results (Workers, Parallelism, StreamCollect). A manifest
-// whose backend is not resolver.Name was written by a resolver this build no
-// longer has, and is refused. Epochs the log holds are
-// replayed and verified, remaining epochs run live, and the assembled
-// LongitudinalResult is identical (MIDAR tallies of post-crash epochs aside)
-// to what the uninterrupted run would have returned.
+// log's manifest; opts contributes only StreamCollect, a memory policy that
+// cannot change results. A manifest whose backend is not resolver.Name was
+// written by a resolver this build no longer has, and is refused. Epochs the
+// log holds are replayed and verified, remaining epochs run live, and the
+// assembled LongitudinalResult is identical (MIDAR tallies of post-crash
+// epochs aside) to what the uninterrupted run would have returned.
 func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 	lg, man, err := obslog.Resume(dir, obslog.Options{})
 	if err != nil {
@@ -108,14 +107,12 @@ func ResumeLongitudinal(dir string, opts Options) (*LongitudinalResult, error) {
 	// config — and the same MIDAR sampling — as the original invocation.
 	ropts := LongitudinalOptions{
 		Options: Options{
-			Seed:        meta.Seed,
-			Quick:       meta.Quick,
-			Workers:     opts.Workers,
-			Parallelism: opts.Parallelism,
-			LogDir:      dir,
+			Seed:   meta.Seed,
+			Quick:  meta.Quick,
+			LogDir: dir,
 			// Streaming collection is a memory policy, not a semantic
-			// difference (its alias sets are byte-identical), so like
-			// Workers it carries over from the resume invocation.
+			// difference (its alias sets are byte-identical), so it
+			// carries over from the resume invocation.
 			StreamCollect: opts.StreamCollect,
 		},
 		Epochs: meta.Epochs,

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"strings"
@@ -37,13 +38,11 @@ import (
 type Options struct {
 	// Seed drives the world and every fault draw; 0 keeps the topo default.
 	Seed uint64
-	// Scale overrides the preset's world scale when positive.
+	// Scale overrides the preset's world scale when positive; 0 keeps the
+	// preset's own. A negative, NaN or infinite scale is refused.
 	Scale float64
 	// Quick selects the CI-sized scale (ignored when Scale is set).
 	Quick bool
-	// Workers / Parallelism tune collection exactly as the facade's
-	// aliaslimit.Common fields of the same names.
-	Workers, Parallelism int
 	// LogDir, when set, makes the run durable: every observation is teed
 	// into the append-only binary log under this directory during
 	// collection, and every epoch boundary commits a checkpoint (manifest
@@ -200,6 +199,16 @@ func (p Preset) WorldScale(opts Options) float64 {
 	}
 }
 
+// validate refuses options no run can honour: a Scale that is neither 0 nor
+// a finite positive number. runPreset and newLongRun, the two paths every
+// entry point builds its world through, call it first.
+func (o Options) validate() error {
+	if o.Scale < 0 || math.IsNaN(o.Scale) || math.IsInf(o.Scale, 1) {
+		return fmt.Errorf("scenario: scale must be 0 (the preset's own) or a finite positive number, got %v", o.Scale)
+	}
+	return nil
+}
+
 // resolveConfig turns a preset and run options into the world configuration,
 // also reporting whether the quick (CI-sized) variant was selected.
 func resolveConfig(p Preset, opts Options) (cfg topo.Config, quick bool) {
@@ -222,12 +231,8 @@ func envOptions(p Preset, cfg topo.Config, opts Options) experiments.Options {
 	faults := p.Faults
 	faults.Seed = cfg.Seed
 	return experiments.Options{
-		Topo: cfg,
-		Scan: experiments.ScanOptions{
-			Workers:     opts.Workers,
-			Seed:        cfg.Seed,
-			Parallelism: opts.Parallelism,
-		},
+		Topo:          cfg,
+		Scan:          experiments.ScanOptions{Seed: cfg.Seed},
 		ChurnFraction: p.Churn,
 		Faults:        faults,
 		StreamCollect: opts.StreamCollect,
@@ -236,6 +241,9 @@ func envOptions(p Preset, cfg topo.Config, opts Options) experiments.Options {
 
 // runPreset measures one (possibly sweep-modified) preset and scores it.
 func runPreset(p Preset, opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if p.StreamOnly && !opts.StreamCollect {
 		return nil, fmt.Errorf("scenario %s: this world only runs out-of-core; pass -stream-collect", p.Name)
 	}

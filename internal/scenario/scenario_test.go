@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,27 @@ func TestCatalogShape(t *testing.T) {
 func TestRunUnknownScenario(t *testing.T) {
 	if _, err := Run("no-such-world", tinyOpts); err == nil {
 		t.Fatal("Run accepted an unknown scenario")
+	}
+}
+
+// TestEntryPointsRefuseBadScale: a negative, NaN or infinite scale is
+// refused by every entry point before a world is built. Each used to be
+// taken for "unset" or passed on: -1 ran the preset's quick world, NaN the
+// quick world with the full-scale MIDAR sample, +Inf a 51-device world.
+func TestEntryPointsRefuseBadScale(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		opts := Options{Scale: scale, Quick: true}
+		if _, err := Run("baseline", opts); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("Run at scale %v: got %v, want a scale error", scale, err)
+		}
+		_, err := RunLongitudinal("baseline", LongitudinalOptions{Options: opts, Epochs: 2})
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("RunLongitudinal at scale %v: got %v, want a scale error", scale, err)
+		}
+		_, err = RunSweep("loss", "baseline", []float64{0.05}, opts)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("RunSweep at scale %v: got %v, want a scale error", scale, err)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func TestStreamCollectMatchesInRAMOnPresets(t *testing.T) {
 	for _, p := range Presets() {
 		inRAM := p
 		inRAM.StreamOnly = false
-		opts := Options{Seed: 1, Scale: 0.04, Workers: 16}
+		opts := Options{Seed: 1, Scale: 0.04}
 		ref, err := runPreset(inRAM, opts)
 		if err != nil {
 			t.Fatalf("%s in-RAM: %v", p.Name, err)
@@ -57,7 +57,7 @@ func TestStreamOnlyGate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-stream-collect") {
 		t.Fatalf("in-RAM megascale-x100 = %v, want a -stream-collect error", err)
 	}
-	res, err := Run("megascale-x100", Options{Seed: 1, Scale: 0.04, Workers: 16, StreamCollect: true})
+	res, err := Run("megascale-x100", Options{Seed: 1, Scale: 0.04, StreamCollect: true})
 	if err != nil {
 		t.Fatalf("streamed megascale-x100: %v", err)
 	}
@@ -101,13 +101,13 @@ func TestStreamCollectLongitudinal(t *testing.T) {
 // it leaves behind replays to the same digest (the crash-resume property,
 // now fed by the collection path itself).
 func TestStreamCollectWithLogDir(t *testing.T) {
-	ref, err := Run("baseline", Options{Seed: 3, Scale: 0.04, Workers: 16})
+	ref, err := Run("baseline", Options{Seed: 3, Scale: 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir() + "/log"
 	res, err := Run("baseline", Options{
-		Seed: 3, Scale: 0.04, Workers: 16,
+		Seed: 3, Scale: 0.04,
 		StreamCollect: true, LogDir: dir,
 	})
 	if err != nil {

@@ -62,7 +62,7 @@ func RunSweep(axis, name string, values []float64, opts Options) (*SweepReport, 
 	}
 	rep := &SweepReport{Axis: axis, Scenario: p.Name}
 	for i, v := range values {
-		if i > 0 && v <= values[i-1] {
+		if i > 0 && !(v > values[i-1]) { // NaN too
 			return nil, fmt.Errorf("scenario: sweep values must be ascending, got %v after %v", v, values[i-1])
 		}
 		pt, err := runSweepPoint(axis, p, v, opts)
@@ -80,7 +80,7 @@ func runSweepPoint(axis string, p Preset, v float64, opts Options) (*SweepPoint,
 		return nil, fmt.Errorf("scenario sweep %s=%v: %w", axis, v, err)
 	}
 	fraction := func() error {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) { // NaN too
 			return fmt.Errorf("scenario: sweep value %v out of [0, 1)", v)
 		}
 		return nil
@@ -112,7 +112,7 @@ func runSweepPoint(axis string, p Preset, v float64, opts Options) (*SweepPoint,
 		}
 		return &SweepPoint{Value: v, Longitudinal: res}, nil
 	case "decay":
-		if v <= 0 || v >= 1 {
+		if !(v > 0 && v < 1) { // NaN too
 			return nil, fmt.Errorf("scenario: decay sweep values must be in (0, 1), got %v", v)
 		}
 		res, err := runLongitudinalPreset(q, LongitudinalOptions{

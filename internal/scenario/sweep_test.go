@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,14 +58,13 @@ func TestRunSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := tinyOpts
-	par.Parallelism = 1
-	b, err := RunSweep("loss", "baseline", []float64{0.05}, par)
+	setGOMAXPROCS(t, 1)
+	b, err := RunSweep("loss", "baseline", []float64{0.05}, tinyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sweep differs between sequential and pipelined collection")
+		t.Fatal("sweep differs between the default GOMAXPROCS and 1")
 	}
 }
 
@@ -83,6 +83,16 @@ func TestRunSweepValidation(t *testing.T) {
 	}
 	if _, err := RunSweep("loss", "baseline", []float64{1.5}, tinyOpts); err == nil {
 		t.Fatal("out-of-range value accepted")
+	}
+	// NaN compares false with everything, so it used to pass the range and
+	// ascending checks and run as a point identical to loss 0.
+	for _, values := range [][]float64{{math.NaN()}, {0.05, math.NaN()}} {
+		if _, err := RunSweep("loss", "baseline", values, tinyOpts); err == nil {
+			t.Fatalf("loss sweep over %v accepted", values)
+		}
+	}
+	if _, err := RunSweep("decay", "baseline", []float64{math.NaN()}, tinyOpts); err == nil {
+		t.Fatal("NaN decay sweep value accepted")
 	}
 	if _, err := RunSweep("epochs", "baseline", []float64{2.5}, tinyOpts); err == nil {
 		t.Fatal("fractional epochs value accepted")

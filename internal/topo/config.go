@@ -19,12 +19,6 @@ type Config struct {
 	// Scale multiplies every population count. 1.0 ≈ 1:1000 of the paper's
 	// Internet; tests use 0.05–0.2.
 	Scale float64
-	// BuildWorkers bounds how many workers shard the expensive device
-	// construction (host keys, wire-protocol services) during Build; 0 uses
-	// every CPU, 1 recovers the sequential baseline. Worlds are
-	// byte-identical at every setting — generation is keyed by seed labels,
-	// not by execution order.
-	BuildWorkers int
 
 	// --- population sizes at Scale = 1.0 ---
 

@@ -21,11 +21,10 @@ import (
 // daemon's few-second deadline defends against stalled peers; on the fabric
 // every client drives the exchange promptly or closes, so the deadline is
 // purely an anti-hang backstop. It sits far above plausible goroutine
-// starvation: the default scan width is small, but an explicit one may run
-// thousands of workers per pool across three concurrent protocol sweeps on
-// few cores (slower still under -race), and the default 5 s can then expire
-// on a starved but healthy handshake and nondeterministically lose an
-// observation.
+// starvation: a direct caller of zgrab and zmaplite may run wide pools (the
+// benchmark's probe runs 256 workers per pool), -race slows every handshake
+// several-fold, and the default 5 s could then expire on a starved but
+// healthy handshake and nondeterministically lose an observation.
 const simHandshakeTimeout = 2 * time.Minute
 
 // seedReader adapts a SplitMix64 stream to io.Reader so host keys are

@@ -24,15 +24,15 @@ import (
 //     need the sequential pass.
 //  2. Build (parallel): host-key generation and device/service construction
 //     (the ed25519 and wire-protocol material that dominates Build's cost)
-//     shard across Config.BuildWorkers workers. Every plan is independent:
-//     shared personalities were already resolved to labels, and keys are
-//     pure functions of (seed, label).
+//     shard across GOMAXPROCS workers. Every plan is independent: shared
+//     personalities were already resolved to labels, and keys are pure
+//     functions of (seed, label).
 //  3. Commit (sequential): devices bind to the fabric in plan order, and the
 //     ground-truth, PTR, and churn records are written exactly as the
 //     sequential generator did.
 //
-// The output is byte-identical at every BuildWorkers setting — the same
-// contract the collection pipeline established for ScanOptions.Parallelism.
+// The output is byte-identical at every GOMAXPROCS — the same contract the
+// collection pipeline keeps for its scan pools.
 
 // sshPersona is a resolved SSH identity: the fleet/overlap label recorded in
 // ground truth, the label the host key derives from, and the software
@@ -134,10 +134,7 @@ func (g *generator) planDevice(id string, kind netsim.DeviceKind, addrs []netip.
 // buildDevices runs the parallel phase: host keys for every unique key
 // label, then device and service construction per plan.
 func (g *generator) buildDevices() error {
-	workers := g.cfg.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 
 	// Unique key labels in first-use order; keys are pure functions of
 	// (seed, label), so parallel generation is deterministic.

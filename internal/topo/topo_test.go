@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 
@@ -21,11 +22,16 @@ func smallWorld(t *testing.T, seed uint64) *World {
 	return w
 }
 
+// TestBuildValidation: a scale that is not a finite positive number is
+// refused before anything is generated. NaN and +Inf used to pass the check
+// and build a 51-device world.
 func TestBuildValidation(t *testing.T) {
-	cfg := Default()
-	cfg.Scale = 0
-	if _, err := Build(cfg); err == nil {
-		t.Error("Scale 0: want error")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		cfg := Default()
+		cfg.Scale = scale
+		if w, err := Build(cfg); err == nil {
+			t.Errorf("Scale %v: built a %d-device world, want an error", scale, w.Fabric.NumDevices())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"time"
@@ -126,8 +127,8 @@ func (w *World) V6Bound() []netip.Addr { return w.v6Bound }
 
 // Build generates a world from cfg.
 func Build(cfg Config) (*World, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("topo: Scale must be positive, got %v", cfg.Scale)
+	if !(cfg.Scale > 0) || math.IsInf(cfg.Scale, 1) {
+		return nil, fmt.Errorf("topo: Scale must be a finite positive number, got %v", cfg.Scale)
 	}
 	clock := netsim.NewSimClock(Origin)
 	w := &World{
