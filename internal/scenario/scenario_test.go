@@ -65,9 +65,8 @@ func TestRunUnknownScenario(t *testing.T) {
 }
 
 // TestEntryPointsRefuseBadScale: a negative, NaN or infinite scale is
-// refused by every entry point before a world is built. Each used to be
-// taken for "unset" or passed on: -1 ran the preset's quick world, NaN the
-// quick world with the full-scale MIDAR sample, +Inf a 51-device world.
+// refused by every entry point before a world is built, rather than taken
+// for 0 (the preset's own scale) or passed on to the world build.
 func TestEntryPointsRefuseBadScale(t *testing.T) {
 	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
 		opts := Options{Scale: scale, Quick: true}

@@ -84,8 +84,8 @@ func TestRunSweepValidation(t *testing.T) {
 	if _, err := RunSweep("loss", "baseline", []float64{1.5}, tinyOpts); err == nil {
 		t.Fatal("out-of-range value accepted")
 	}
-	// NaN compares false with everything, so it used to pass the range and
-	// ascending checks and run as a point identical to loss 0.
+	// NaN compares false with everything, so the range and ascending
+	// checks must be written to refuse it.
 	for _, values := range [][]float64{{math.NaN()}, {0.05, math.NaN()}} {
 		if _, err := RunSweep("loss", "baseline", values, tinyOpts); err == nil {
 			t.Fatalf("loss sweep over %v accepted", values)

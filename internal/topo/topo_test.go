@@ -23,8 +23,8 @@ func smallWorld(t *testing.T, seed uint64) *World {
 }
 
 // TestBuildValidation: a scale that is not a finite positive number is
-// refused before anything is generated. NaN and +Inf used to pass the check
-// and build a 51-device world.
+// refused before anything is generated. NaN compares false with everything
+// and +Inf is positive, so a plain Scale <= 0 check passes both.
 func TestBuildValidation(t *testing.T) {
 	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		cfg := Default()
