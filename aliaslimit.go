@@ -37,7 +37,6 @@ import (
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/midar"
 	"aliaslimit/internal/scenario"
-	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/topo"
 )
 
@@ -65,10 +64,10 @@ func (p Protocol) toIdent() (ident.Protocol, error) {
 	}
 }
 
-// Unified options surface. Every run-shaped entry point — Run, RunScenario,
-// RunLongitudinal, RunScenarioSweep — shares one set of knobs, embedded as
-// Common in the entry point's options struct, so the same field means the
-// same thing everywhere and a new knob lands in every entry point at once.
+// Unified options surface. Every run-shaped entry point — Run, RunScenario
+// and RunLongitudinal — shares one set of knobs, embedded as Common in the
+// entry point's options struct, so the same field means the same thing
+// everywhere and a new knob lands in every entry point at once.
 
 // Common holds the options shared by every facade entry point. Concurrency
 // is not among them: scan pools and world generation size themselves from
@@ -80,11 +79,6 @@ type Common struct {
 	// measurement (~60k addresses); 0 picks the entry point's default
 	// (0.25 for Run, the preset's own scale for scenarios).
 	Scale float64
-	// LogDir, when non-empty, makes scenario runs durable: a
-	// crash-resumable observation log plus per-epoch checkpoints under this
-	// directory. Run does not support durable logging and rejects a
-	// non-empty LogDir.
-	LogDir string
 	// StreamCollect selects the out-of-core collection path: scan workers
 	// spill observations straight to an on-disk observation log and the
 	// analyses replay them in bounded batches, so peak memory is
@@ -95,13 +89,10 @@ type Common struct {
 	StreamCollect bool
 }
 
-// StudyOptions configure Run.
+// StudyOptions configure Run. Between the Censys snapshot and the active
+// scan, 2% of the dynamic addresses are reassigned.
 type StudyOptions struct {
 	Common
-	// ChurnFraction is the share of dynamic addresses reassigned between
-	// the Censys snapshot and the active scan; 0 picks 2%, negative
-	// disables churn.
-	ChurnFraction float64
 }
 
 // Study is a completed measurement: world, datasets, and analyses.
@@ -113,9 +104,6 @@ type Study struct {
 // the study. Close it when done: a StreamCollect study removes its
 // temporary observation spill there.
 func Run(opts StudyOptions) (*Study, error) {
-	if opts.LogDir != "" {
-		return nil, fmt.Errorf("aliaslimit: Run does not support durable logs; use RunScenario or RunLongitudinal with LogDir")
-	}
 	cfg := topo.Default()
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
@@ -128,7 +116,6 @@ func Run(opts StudyOptions) (*Study, error) {
 	env, err := experiments.BuildEnv(experiments.Options{
 		Topo:          cfg,
 		Scan:          experiments.ScanOptions{Seed: cfg.Seed},
-		ChurnFraction: opts.ChurnFraction,
 		StreamCollect: opts.StreamCollect,
 	})
 	if err != nil {
@@ -169,7 +156,7 @@ func (s *Study) RenderTable(id string) (string, error) {
 	case "table1", "1":
 		return s.env.Table1().Render(), nil
 	case "table2", "2":
-		return s.env.Table2(experiments.Table2Config{}).Render(), nil
+		return s.env.Table2().Render(), nil
 	case "table3", "3":
 		return s.env.Table3().Render(), nil
 	case "table4", "4":
@@ -221,7 +208,7 @@ func (s *Study) RenderExtensions() (string, error) {
 	sb.WriteByte('\n')
 	sb.WriteString(experiments.RenderBaselines(s.env.CompareBaselines()))
 	sb.WriteByte('\n')
-	sv := s.env.ValidateWithSpeedtrap(40, speedtrap.Config{})
+	sv := s.env.ValidateWithSpeedtrap(40)
 	fmt.Fprintf(&sb, "Extension C: Speedtrap (IPv6 fragment-ID) verification of SSH sets\n")
 	fmt.Fprintf(&sb, "sampled %d IPv6 SSH sets: confirmed=%d split=%d unverifiable=%d\n\n",
 		sv.Sampled, sv.Confirmed, sv.Split, sv.Unverifiable)
@@ -320,17 +307,13 @@ type Stats struct {
 type (
 	// ScenarioResult is one scenario's ground-truth scorecard.
 	ScenarioResult = scenario.Result
-	// ScenarioReport is the mergeable SCENARIOS.json document.
-	ScenarioReport = scenario.Report
 	// LongitudinalResult is one preset's multi-epoch scorecard: per-epoch
 	// precision/recall, identifier-persistence rates, alias-set survival
 	// curves, and the longitudinal merge-strategy comparison.
 	LongitudinalResult = scenario.LongitudinalResult
-	// ScenarioSweep is one axis sweep's degradation curve.
-	ScenarioSweep = scenario.SweepReport
 )
 
-// ScenarioOptions parameterise RunScenario and RunScenarioSweep.
+// ScenarioOptions parameterise RunScenario and, embedded, RunLongitudinal.
 type ScenarioOptions struct {
 	Common
 	// Quick selects the preset's CI-sized world; Scale overrides it.
@@ -343,7 +326,6 @@ func (o ScenarioOptions) internal() scenario.Options {
 		Seed:          o.Seed,
 		Scale:         o.Scale,
 		Quick:         o.Quick,
-		LogDir:        o.LogDir,
 		StreamCollect: o.StreamCollect,
 	}
 }
@@ -388,17 +370,6 @@ func RunLongitudinal(name string, opts LongitudinalOptions) (*LongitudinalResult
 		Epochs:  opts.Epochs,
 		Decay:   opts.Decay,
 	})
-}
-
-// LongitudinalScenarioNames lists the presets the CI longitudinal matrix
-// pins (every preset can run longitudinally; these are the interesting ones).
-func LongitudinalScenarioNames() []string { return scenario.LongitudinalNames() }
-
-// RunScenarioSweep promotes one preset knob to an axis ("loss" or "churn")
-// and returns the per-value degradation curve — the Figure-style counterpart
-// of the single-point scenario scorecards.
-func RunScenarioSweep(axis, name string, values []float64, opts ScenarioOptions) (*ScenarioSweep, error) {
-	return scenario.RunSweep(axis, name, values, opts.internal())
 }
 
 // Stats computes the summary from the env's cached views; after the first

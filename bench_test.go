@@ -2,9 +2,11 @@ package aliaslimit
 
 // This file is the benchmark harness required by the reproduction: one
 // benchmark per table and figure of the paper's evaluation, plus ablation
-// benchmarks for the design choices DESIGN.md calls out. Each benchmark
-// regenerates its artifact from a fully measured environment; the expensive
-// world construction and scanning happen once and are excluded from timing.
+// benchmarks that price the pipeline's design choices (identifier grouping,
+// the union merge, randomised scan order, the MIDAR probing budget). Each
+// benchmark regenerates its artifact from a fully measured environment; the
+// expensive world construction and scanning happen once and are excluded
+// from timing.
 //
 // Run everything:
 //
@@ -26,7 +28,6 @@ import (
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/midar"
 	"aliaslimit/internal/netsim"
-	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/sshwire"
 	"aliaslimit/internal/topo"
 	"aliaslimit/internal/zmaplite"
@@ -76,7 +77,7 @@ func BenchmarkTable2(b *testing.B) {
 	b.ResetTimer()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		rows = len(env.Table2(experiments.Table2Config{MIDARSampleSize: 20}).Rows)
+		rows = len(env.Table2().Rows)
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
@@ -323,11 +324,13 @@ func BenchmarkMerge(b *testing.B) {
 	b.ReportMetric(float64(n), "unionSets")
 }
 
-// --- ablation benchmarks (design choices from DESIGN.md §5) ---
+// --- ablation benchmarks: the cost or yield of each design choice ---
 
-// BenchmarkAblationIdentifierSSH compares the paper's combined identifier
-// (capabilities + key) against the key-only ablation: the key-only variant
-// merges fleet-key devices it should not.
+// BenchmarkAblationIdentifierSSH times grouping the active scan's SSH
+// observations by the paper's combined identifier (capabilities + key) and
+// reports the non-singleton IPv4 sets it yields. It makes no key-only
+// comparison: TestSSHIdentifierSeparatesSharedKeys in internal/ident pins
+// that the combined identifier splits what a key-only merge joins.
 func BenchmarkAblationIdentifierSSH(b *testing.B) {
 	env := benchEnv(b)
 	obs := env.Active.Obs[ident.SSH]
@@ -501,7 +504,7 @@ func BenchmarkExtensionSpeedtrap(b *testing.B) {
 	b.ResetTimer()
 	var res experiments.SpeedtrapValidation
 	for i := 0; i < b.N; i++ {
-		res = env.ValidateWithSpeedtrap(30, speedtrap.Config{})
+		res = env.ValidateWithSpeedtrap(30)
 	}
 	b.ReportMetric(float64(res.Sampled), "sampledSets")
 	b.ReportMetric(float64(res.Confirmed), "confirmed")
@@ -520,34 +523,6 @@ func BenchmarkExtensionPTR(b *testing.B) {
 	b.ReportMetric(float64(r.PTRSets), "ptrSets")
 	b.ReportMetric(float64(r.IdentifierSets), "identifierSets")
 	b.ReportMetric(float64(r.Contradicted), "contradicted")
-}
-
-// BenchmarkMIDARResolveStandalone measures the RadarGun-style flat resolve
-// over a mixed population, reporting how velocity bucketing bounds the
-// pairwise tests.
-func BenchmarkMIDARResolveStandalone(b *testing.B) {
-	env := benchEnv(b)
-	// Target the multi-interface router population: a flat resolve over
-	// single-address servers would trivially find nothing.
-	var targets []netip.Addr
-	for _, addrs := range env.World.Truth.SNMPAddrs {
-		for _, a := range addrs {
-			if a.Is4() {
-				targets = append(targets, a)
-			}
-		}
-		if len(targets) >= 600 {
-			break
-		}
-	}
-	session := midar.NewSession(env.World.Fabric.Vantage(topo.VantageMIDAR), env.World.Clock, midar.Config{})
-	b.ResetTimer()
-	var res *midar.ResolveResult
-	for i := 0; i < b.N; i++ {
-		res = session.Resolve(targets)
-	}
-	b.ReportMetric(float64(len(res.Sets)), "sets")
-	b.ReportMetric(float64(res.PairsTested), "pairsTested")
 }
 
 // BenchmarkExtensionAccuracy measures the ground-truth scoring pass and

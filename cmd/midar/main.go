@@ -24,8 +24,8 @@ import (
 	"aliaslimit/internal/topo"
 )
 
-// errBadFlags marks argument errors the flag package has already reported;
-// main maps it to the conventional usage exit code 2.
+// errBadFlags marks argument errors the flag package (or run itself) has
+// already reported; main maps it to the conventional usage exit code 2.
 var errBadFlags = errors.New("bad arguments")
 
 func main() {
@@ -53,6 +53,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
+		return errBadFlags
+	}
+	if *sample < 0 {
+		fmt.Fprintf(stderr, "midar: -sample %d is negative\n", *sample)
 		return errBadFlags
 	}
 

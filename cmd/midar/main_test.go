@@ -28,12 +28,17 @@ func TestRunTinyMIDAR(t *testing.T) {
 	}
 }
 
-// TestRunMIDARBadFlags checks flag errors surface as usage errors and -h as
-// a clean help request.
+// TestRunMIDARBadFlags checks flag errors surface as usage errors, before
+// any world is built, and -h as a clean help request.
 func TestRunMIDARBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-sample", "many"}, &stdout, &stderr); !errors.Is(err, errBadFlags) {
-		t.Fatalf("bad -sample: want errBadFlags, got %v", err)
+	for _, args := range [][]string{{"-sample", "many"}, {"-sample", "-1"}} {
+		if err := run(args, &stdout, &stderr); !errors.Is(err, errBadFlags) {
+			t.Fatalf("%v: want errBadFlags, got %v", args, err)
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("bad flags wrote to stdout:\n%s", stdout.String())
 	}
 	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: want flag.ErrHelp, got %v", err)

@@ -23,19 +23,12 @@ import (
 // depth, request timeout, world-scale ceiling).
 type AliasdConfig = aliasd.Config
 
-// AliasdServer is the daemon: a session registry plus its HTTP API. Mount
-// Handler on any http.Server; call Shutdown to drain.
-type AliasdServer = aliasd.Server
-
 // AliasdLoadOptions and AliasdLoadReport parameterise and report the
 // daemon's load-test harness (cmd/aliasd -loadtest).
 type (
 	AliasdLoadOptions = aliasd.LoadOptions
 	AliasdLoadReport  = aliasd.LoadReport
 )
-
-// NewAliasd builds a resolution daemon with no sessions.
-func NewAliasd(cfg AliasdConfig) *AliasdServer { return aliasd.NewServer(cfg) }
 
 // RunAliasdLoadTest builds a measured corpus world, starts a daemon on a
 // loopback listener, and drives it with concurrent tenants, reporting

@@ -1,10 +1,13 @@
 package aliaslimit_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -60,6 +63,142 @@ func TestPackageDocsPresent(t *testing.T) {
 		if len(best) < minPackageDocChars {
 			t.Errorf("package %s: package comment is %d chars, want >= %d — say what the package is and where it sits:\n%s",
 				dir, len(best), minPackageDocChars, best)
+		}
+	}
+}
+
+// unnamedAllowed lists exported declarations kept although no non-test code
+// names them: alias.GroupSorted is the reference grouping that the alias and
+// resolver tests compare the production grouper against.
+var unnamedAllowed = map[string]bool{
+	"aliaslimit/internal/alias.GroupSorted": true,
+}
+
+// TestExportedDeclarationsNamed keeps the exported surface from growing
+// code that only tests reach. It fails when an exported package-level
+// function or type, declared in a non-test file outside perfbench/ and
+// outside main packages, is named by no non-test Go file of the repository.
+// Callers are every non-test file (perfbench/, cmd/ and examples/ included)
+// and every Example function, which documentation runs. The census reads
+// syntax alone: a bare name counts in its own package, a qualified name
+// through the file's import of the declaring package. Methods are out of its
+// reach, because a call through an interface does not name the concrete
+// method; a test-only method has to be found by hand.
+func TestExportedDeclarationsNamed(t *testing.T) {
+	var decls []string         // "importpath.Name" of each exported declaration
+	named := map[string]bool{} // "importpath.Name" of each name a caller uses
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgPath := "aliaslimit"
+		if dir != "." {
+			pkgPath += "/" + dir
+		}
+		imports := map[string]string{} // local name → import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = p
+		}
+		var callers []ast.Node
+		if strings.HasSuffix(path, "_test.go") {
+			for _, fd := range f.Decls {
+				if fn, ok := fd.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+					callers = append(callers, fn.Body)
+				}
+			}
+		} else {
+			declares := f.Name.Name != "main" && dir != "perfbench" && !strings.HasPrefix(dir, "perfbench/")
+			for _, fd := range f.Decls {
+				switch fd := fd.(type) {
+				case *ast.FuncDecl:
+					if fd.Recv == nil && fd.Name.IsExported() && declares {
+						decls = append(decls, pkgPath+"."+fd.Name.Name)
+					}
+					if fd.Recv != nil {
+						callers = append(callers, fd.Recv)
+					}
+					callers = append(callers, fd.Type)
+					if fd.Body != nil {
+						callers = append(callers, fd.Body)
+					}
+				case *ast.GenDecl:
+					for _, spec := range fd.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							if ts.Name.IsExported() && declares {
+								decls = append(decls, pkgPath+"."+ts.Name.Name)
+							}
+							callers = append(callers, ts.Type)
+							continue
+						}
+						callers = append(callers, spec)
+					}
+				}
+			}
+		}
+		// visit records the names n uses. It skips the names that cannot
+		// refer to a package-level declaration: a selector's field or
+		// method, a struct field's or interface method's own name, and a
+		// composite literal's field key.
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[x.Name]; ok {
+						named[p+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Field:
+				ast.Inspect(n.Type, visit)
+				return false
+			case *ast.KeyValueExpr:
+				if _, ok := n.Key.(*ast.Ident); !ok {
+					ast.Inspect(n.Key, visit)
+				}
+				ast.Inspect(n.Value, visit)
+				return false
+			case *ast.Ident:
+				named[pkgPath+"."+n.Name] = true
+			}
+			return true
+		}
+		for _, n := range callers {
+			ast.Inspect(n, visit)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) < 100 {
+		t.Fatalf("only found %d exported declarations, the walk is broken", len(decls))
+	}
+	for _, d := range decls {
+		if !named[d] && !unnamedAllowed[d] {
+			t.Errorf("%s is named by no non-test code: delete it, or move it into the _test.go file that uses it", d)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"aliaslimit/internal/experiments"
-	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/topo"
 )
 
@@ -54,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sv := env.ValidateWithSpeedtrap(40, speedtrap.Config{})
+	sv := env.ValidateWithSpeedtrap(40)
 	fmt.Printf("Speedtrap verification of %d IPv6 SSH sets: confirmed=%d split=%d unverifiable=%d\n",
 		sv.Sampled, sv.Confirmed, sv.Split, sv.Unverifiable)
 

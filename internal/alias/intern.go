@@ -41,6 +41,3 @@ func (t *AddrTable) Intern(a netip.Addr) int32 {
 	t.pos = append(t.pos, 0)
 	return i
 }
-
-// Len returns the number of interned addresses.
-func (t *AddrTable) Len() int { return len(t.addrs) }

@@ -103,8 +103,8 @@ func TestMergeWithReusedTable(t *testing.T) {
 			t.Fatalf("merge %d: reused table gave %v, fresh table %v", i, got, want)
 		}
 	}
-	if table.Len() != 7 {
-		t.Errorf("table interned %d addrs, want 7", table.Len())
+	if n := len(table.addrs); n != 7 {
+		t.Errorf("table interned %d addrs, want 7", n)
 	}
 }
 

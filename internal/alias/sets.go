@@ -104,12 +104,6 @@ func (s Set) Signature() string {
 	return sb.String()
 }
 
-// Contains reports whether addr is in the set (binary search).
-func (s Set) Contains(addr netip.Addr) bool {
-	i := sort.Search(len(s.Addrs), func(i int) bool { return !s.Addrs[i].Less(addr) })
-	return i < len(s.Addrs) && s.Addrs[i] == addr
-}
-
 // compareSets is the canonical total order on sets: first address, then
 // size, then element-wise comparison. A total order keeps the final set
 // ordering independent of the (parallelism-dependent) order in which sets
@@ -135,13 +129,6 @@ func compareSets(a, b Set) int {
 // sortSets orders sets canonically for reproducibility.
 func sortSets(sets []Set) {
 	slices.SortFunc(sets, compareSets)
-}
-
-// SortSets orders sets canonically (the same total order Group and Merge
-// apply before returning). Code that assembles sets out of shards or streams
-// uses it to make its output byte-identical to Group's.
-func SortSets(sets []Set) {
-	sortSets(sets)
 }
 
 // groupPair is one interned observation: a dense identifier id and the

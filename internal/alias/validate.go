@@ -1,9 +1,5 @@
 package alias
 
-import (
-	"net/netip"
-)
-
 // ValidationResult is one row of the paper's Table 2.
 type ValidationResult struct {
 	// Sample is the number of sets compared (the left technique's sets over
@@ -21,24 +17,6 @@ func (v ValidationResult) AgreementRate() float64 {
 		return 0
 	}
 	return float64(v.Agree) / float64(v.Sample)
-}
-
-// CrossValidate implements §2.6: restrict both partitions to their common
-// responsive addresses, then count how many of a's non-singleton restricted
-// sets match a b set exactly.
-func CrossValidate(aObs, bObs []Observation) (aSets, bSets []Set, res ValidationResult) {
-	aAddrs := obsAddrs(aObs)
-	bAddrs := obsAddrs(bObs)
-	common := make(map[netip.Addr]bool)
-	for a := range aAddrs {
-		if bAddrs[a] {
-			common[a] = true
-		}
-	}
-	aSets = Restrict(Group(aObs), common)
-	bSets = Restrict(Group(bObs), common)
-	res = MatchSets(aSets, bSets)
-	return aSets, bSets, res
 }
 
 // MatchSets counts exact-membership matches of a's sets among b's sets.
@@ -59,27 +37,4 @@ func MatchSets(a, b []Set) ValidationResult {
 		}
 	}
 	return res
-}
-
-// obsAddrs collects the distinct addresses of an observation list.
-func obsAddrs(obs []Observation) map[netip.Addr]bool {
-	m := make(map[netip.Addr]bool, len(obs))
-	for _, o := range obs {
-		m[o.Addr] = true
-	}
-	return m
-}
-
-// CommonAddrCount reports how many addresses two observation lists share —
-// the population size the paper quotes for each validation pair.
-func CommonAddrCount(aObs, bObs []Observation) int {
-	aAddrs := obsAddrs(aObs)
-	bAddrs := obsAddrs(bObs)
-	n := 0
-	for a := range aAddrs {
-		if bAddrs[a] {
-			n++
-		}
-	}
-	return n
 }

@@ -2,10 +2,9 @@
 // the per-AS distributions of Figures 5 and 6 and the top-10 tables
 // (Tables 5 and 6) of the paper's AS-level analysis.
 //
-// The aggregation is a join through a Mapper, the address→origin-AS oracle:
-// FromMap lifts a synthetic world's assignment table, and a real deployment
-// would wrap a longest-prefix-match table built from RouteViews. On top of
-// it, SpreadPerSet measures how many ASes one set straddles (Figure 5) and
+// The aggregation is a join through a Mapper, the address→origin-AS oracle;
+// FromMap lifts a synthetic world's assignment table. On top of it,
+// SpreadPerSet measures how many ASes one set straddles (Figure 5) and
 // SetsPerAS counts sets per AS — a set spanning several ASes counts once in
 // each, the paper's per-AS accounting (Figure 6). Top orders ASes by count
 // with ASN as the deterministic tiebreak, which is what lets the rendered
@@ -21,8 +20,7 @@ import (
 )
 
 // Mapper resolves an address to its origin AS. The synthetic world's
-// AddrASN map satisfies it via MapFunc; a real deployment would wrap a
-// longest-prefix-match table built from RouteViews.
+// AddrASN map satisfies it through FromMap.
 type Mapper interface {
 	ASNOf(addr netip.Addr) (uint32, bool)
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 )
 
 // Message type codes from RFC 4271 §4.1.
@@ -109,14 +108,6 @@ type Open struct {
 	// OptParams carries the optional parameters, normally one or more
 	// capability advertisements.
 	OptParams []OptParam
-}
-
-// RouterID returns the BGP identifier rendered as a dotted quad, the
-// conventional display format.
-func (o *Open) RouterID() netip.Addr {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], o.BGPIdentifier)
-	return netip.AddrFrom4(b)
 }
 
 // EffectiveAS returns the speaker's AS number, preferring a 4-octet-AS

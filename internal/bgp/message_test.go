@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -63,8 +62,8 @@ func TestFigure2GoldenBytes(t *testing.T) {
 	if !ok {
 		t.Fatalf("Parse returned %T, want *Open", msg)
 	}
-	if o.RouterID() != netip.MustParseAddr("148.170.0.33") {
-		t.Errorf("RouterID = %s, want 148.170.0.33", o.RouterID())
+	if want := uint32(148)<<24 | 170<<16 | 33; o.BGPIdentifier != want { // 148.170.0.33
+		t.Errorf("BGPIdentifier = %#x, want %#x", o.BGPIdentifier, want)
 	}
 	if o.EffectiveAS() != ASTrans {
 		t.Errorf("EffectiveAS = %d, want AS_TRANS (no 4-octet capability present)", o.EffectiveAS())

@@ -109,10 +109,6 @@ func NewSpeaker(cfg SpeakerConfig) *Speaker {
 	return &Speaker{cfg: cfg}
 }
 
-// Config returns the speaker's configuration (used by tests and ground-truth
-// bookkeeping).
-func (s *Speaker) Config() SpeakerConfig { return s.cfg }
-
 // Serve implements netsim.Handler.
 func (s *Speaker) Serve(conn net.Conn, sc netsim.ServeContext) {
 	defer conn.Close()

@@ -3,7 +3,7 @@
 // per alias set, ASes per set, sets per AS).
 //
 // An ECDF keeps its samples sorted, so At(x) is the exact empirical
-// fraction ≤ x (no binning) and Quantile is its inverse. Render samples one
+// fraction ≤ x (no binning). Render samples one
 // or more Series at a shared set of x points — LogXPoints for the paper's
 // log-x axes, LinearXPoints otherwise — and draws a fixed-width ASCII plot
 // with deterministic ticks: same samples, same bytes, which is how the
@@ -51,27 +51,6 @@ func (e ECDF) At(x float64) float64 {
 	// First index with value > x.
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample value v with At(v) >= p.
-func (e ECDF) Quantile(p float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(e.sorted) {
-		i = len(e.sorted) - 1
-	}
-	return e.sorted[i]
 }
 
 // Series is a named ECDF for multi-curve figures.

@@ -31,9 +31,6 @@ func TestEmpty(t *testing.T) {
 	if e.At(5) != 0 || e.N() != 0 {
 		t.Error("empty ECDF misbehaves")
 	}
-	if !math.IsNaN(e.Quantile(0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
 }
 
 func TestMonotoneProperty(t *testing.T) {
@@ -63,25 +60,6 @@ func TestMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuantileInverse(t *testing.T) {
-	e := FromInts([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if q := e.Quantile(0.5); q != 5 {
-		t.Errorf("median = %v, want 5", q)
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := e.Quantile(1); q != 10 {
-		t.Errorf("q1 = %v", q)
-	}
-	// At(Quantile(p)) >= p for all p.
-	for p := 0.05; p < 1; p += 0.05 {
-		if e.At(e.Quantile(p)) < p-1e-12 {
-			t.Errorf("At(Quantile(%v)) = %v < p", p, e.At(e.Quantile(p)))
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"sync"
-	"time"
 
 	"aliaslimit/internal/netsim"
 	"aliaslimit/internal/obslog"
@@ -42,11 +41,9 @@ type Options struct {
 	Topo topo.Config
 	// Scan configures collection.
 	Scan ScanOptions
-	// SnapshotGap is the simulated time between the Censys snapshot and
-	// the active scan; zero picks the paper's three weeks.
-	SnapshotGap time.Duration
 	// ChurnFraction is the share of dynamic addresses reassigned during
-	// the gap; negative disables churn, zero picks 2%.
+	// the three weeks between the Censys snapshot and the active scan;
+	// negative disables churn, zero picks 2%.
 	ChurnFraction float64
 	// Faults is the fabric's adversarial-condition policy (per-wire loss,
 	// probe throttling, IPID overrides), installed after world generation

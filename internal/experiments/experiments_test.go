@@ -225,7 +225,7 @@ func TestDualStackDominatedBySSH(t *testing.T) {
 
 func TestValidationAgreementHigh(t *testing.T) {
 	e := testEnv(t)
-	_, _, res := alias.CrossValidate(e.Active.Obs[ident.SSH], e.Active.Obs[ident.SNMP])
+	_, res := e.ValidatePair(ident.SSH, ident.SNMP)
 	if res.Sample == 0 {
 		t.Skip("no SSH-SNMP overlap at this scale")
 	}

@@ -218,7 +218,7 @@ type SpeedtrapValidation struct {
 
 // ValidateWithSpeedtrap runs the IPv6 validation over up to maxSets
 // candidate sets drawn from the active SSH scan.
-func (e *Env) ValidateWithSpeedtrap(maxSets int, cfg speedtrap.Config) SpeedtrapValidation {
+func (e *Env) ValidateWithSpeedtrap(maxSets int) SpeedtrapValidation {
 	sets := e.Active.NonSingletonFamilySets(ident.SSH, false)
 	var eligible []alias.Set
 	for _, s := range sets {
@@ -229,7 +229,7 @@ func (e *Env) ValidateWithSpeedtrap(maxSets int, cfg speedtrap.Config) Speedtrap
 	if maxSets > 0 && len(eligible) > maxSets {
 		eligible = eligible[:maxSets]
 	}
-	session := speedtrap.NewSession(e.World.Fabric.Vantage(topo.VantageMIDAR), e.World.Clock, cfg)
+	session := speedtrap.NewSession(e.World.Fabric.Vantage(topo.VantageMIDAR), e.World.Clock)
 	out := SpeedtrapValidation{Sampled: len(eligible)}
 	for _, s := range eligible {
 		switch session.VerifySet(s).Outcome {

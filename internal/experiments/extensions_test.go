@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aliaslimit/internal/ident"
-	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/topo"
 )
 
@@ -170,7 +169,7 @@ func TestBrokenSSHServersAreSurvived(t *testing.T) {
 
 func TestValidateWithSpeedtrap(t *testing.T) {
 	e := testEnv(t)
-	res := e.ValidateWithSpeedtrap(20, speedtrap.Config{})
+	res := e.ValidateWithSpeedtrap(20)
 	if res.Sampled == 0 {
 		t.Skip("no IPv6 SSH sets at this scale")
 	}

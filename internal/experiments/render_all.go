@@ -15,7 +15,7 @@ import (
 func (e *Env) RenderAll() string {
 	jobs := []func() string{
 		func() string { return e.Table1().Render() },
-		func() string { return e.Table2(Table2Config{}).Render() },
+		func() string { return e.Table2().Render() },
 		func() string { return e.Table3().Render() },
 		func() string { return e.Table4().Render() },
 		func() string { return e.Table5().Render() },

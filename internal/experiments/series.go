@@ -37,6 +37,14 @@ type EnvSeries struct {
 	spillOwned bool
 }
 
+// The simulated calendar of a series: the paper's three weeks from the
+// Censys snapshot to the active scan, and five weeks from one epoch's active
+// scan to the next epoch's snapshot, so one epoch per two simulated months.
+const (
+	snapshotGap = 21 * 24 * time.Hour
+	epochGap    = 35 * 24 * time.Hour
+)
+
 // SeriesOptions parameterise a multi-epoch run.
 type SeriesOptions struct {
 	// Options configures the world and each epoch's collection exactly as
@@ -45,10 +53,6 @@ type SeriesOptions struct {
 	// Epochs is the number of snapshot rounds; 0 and 1 both mean a single
 	// epoch.
 	Epochs int
-	// EpochGap is the simulated time between one epoch's active scan and the
-	// next epoch's Censys snapshot; zero picks five weeks (with the
-	// three-week intra-epoch gap, one epoch per two simulated months).
-	EpochGap time.Duration
 	// EpochChurn is applied at every epoch boundary (not before the first
 	// epoch). The zero value disables boundary churn; Options.ChurnFraction
 	// still applies within each epoch.
@@ -89,14 +93,8 @@ func NewEnvSeries(opts SeriesOptions) (*EnvSeries, error) {
 	if opts.Epochs <= 0 {
 		opts.Epochs = 1
 	}
-	if opts.SnapshotGap == 0 {
-		opts.SnapshotGap = 21 * 24 * time.Hour
-	}
 	if opts.ChurnFraction == 0 {
 		opts.ChurnFraction = 0.02
-	}
-	if opts.EpochGap == 0 {
-		opts.EpochGap = 35 * 24 * time.Hour
 	}
 	w, err := topo.Build(cfg)
 	if err != nil {
@@ -195,14 +193,14 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 	var stats EpochStats
 	stats.Epoch = e
 	if e > 0 {
-		w.Clock.Advance(s.opts.EpochGap)
+		w.Clock.Advance(epochGap)
 		stats.EpochChurnStats = w.ApplyEpochChurn(s.opts.EpochChurn, e)
 	}
 
 	if err := sweepCensys(w, censysOpts); err != nil {
 		return nil, err
 	}
-	w.Clock.Advance(s.opts.SnapshotGap)
+	w.Clock.Advance(snapshotGap)
 	if s.opts.ChurnFraction > 0 {
 		// Odd round numbers; epoch-boundary renumbering uses the even ones.
 		stats.IntraChurned = w.ApplyChurn(s.opts.ChurnFraction, 2*e+1)
@@ -264,10 +262,10 @@ func (s *EnvSeries) SkipEpoch() (EpochStats, error) {
 	var stats EpochStats
 	stats.Epoch = e
 	if e > 0 {
-		w.Clock.Advance(s.opts.EpochGap)
+		w.Clock.Advance(epochGap)
 		stats.EpochChurnStats = w.ApplyEpochChurn(s.opts.EpochChurn, e)
 	}
-	w.Clock.Advance(s.opts.SnapshotGap)
+	w.Clock.Advance(snapshotGap)
 	if s.opts.ChurnFraction > 0 {
 		stats.IntraChurned = w.ApplyChurn(s.opts.ChurnFraction, 2*e+1)
 	}

@@ -63,15 +63,6 @@ func (e *Env) Table1() *Table {
 	return t
 }
 
-// Table2Config tunes the validation experiment.
-type Table2Config struct {
-	// MIDARSampleSize caps how many SSH sets the MIDAR run verifies;
-	// 0 scales the paper's 61k sample by the world's Scale.
-	MIDARSampleSize int
-	// MIDAR tunes the IPID pipeline.
-	MIDAR midar.Config
-}
-
 // ValidatePair runs the paper's §2.6 cross-protocol validation for two
 // protocols over the active measurement, reusing the cached identifier
 // groups and address universes: restrict both partitions to their common
@@ -104,7 +95,7 @@ func commonAddrSet(a, b []netip.Addr) map[netip.Addr]bool {
 
 // Table2 regenerates the alias-set validation table: cross-protocol
 // exact-match comparisons on the active data and the SSH-vs-MIDAR run.
-func (e *Env) Table2(cfg Table2Config) *Table {
+func (e *Env) Table2() *Table {
 	t := &Table{
 		ID:     "Table 2",
 		Title:  "Alias Sets Validation",
@@ -123,8 +114,9 @@ func (e *Env) Table2(cfg Table2Config) *Table {
 
 	// SSH vs MIDAR: sample non-singleton IPv4 SSH sets with at most ten
 	// addresses (the paper's constraint to bound the run time), verify each
-	// with the IPID pipeline. The run is memoized per configuration.
-	run := e.MIDARRun(cfg.MIDARSampleSize, cfg.MIDAR)
+	// with the IPID pipeline. The sample scales the paper's 61k sets by the
+	// world's Scale; the run is memoized per configuration.
+	run := e.MIDARRun(0, midar.Config{})
 	sample, tally := run.Sample, run.Tally
 	verifiable := tally.Verifiable()
 	rate := 0.0

@@ -128,7 +128,7 @@ func TestRenderAllMatchesSequential(t *testing.T) {
 		got := par.RenderAll()
 		var sb strings.Builder
 		for _, out := range []string{
-			seq.Table1().Render(), seq.Table2(Table2Config{}).Render(),
+			seq.Table1().Render(), seq.Table2().Render(),
 			seq.Table3().Render(), seq.Table4().Render(),
 			seq.Table5().Render(), seq.Table6().Render(),
 			seq.Figure3().Render(), seq.Figure4().Render(),

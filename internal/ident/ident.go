@@ -89,16 +89,10 @@ func FromSSH(res *sshwire.ScanResult) (Identifier, bool) {
 	return digest(SSH, appendSSHPreimage(nil, res)), true
 }
 
-// SSHPreimage renders the canonical identifier preimage: banner, the ten
-// name-lists verbatim (order is meaning: RFC 4253 mandates preference
-// order), and the host key fingerprint. Exported for ablation experiments
-// and debugging.
-func SSHPreimage(res *sshwire.ScanResult) string {
-	return string(appendSSHPreimage(nil, res))
-}
-
-// appendSSHPreimage appends SSHPreimage's rendering to dst, growing dst
-// once to the exact length first.
+// appendSSHPreimage appends the canonical identifier preimage to dst:
+// banner, the ten name-lists verbatim (order is meaning: RFC 4253 mandates
+// preference order), and the host key fingerprint. It grows dst once to the
+// exact length first.
 func appendSSHPreimage(dst []byte, res *sshwire.ScanResult) []byte {
 	k := res.KexInit
 	lists := [...]struct {
@@ -141,18 +135,6 @@ func appendSSHPreimage(dst []byte, res *sshwire.ScanResult) []byte {
 	return append(dst, res.HostKeyFingerprint...)
 }
 
-// FromSSHKeyOnly is the ablation variant using only the host key. It
-// over-merges the 0.4% of hosts that share a key but differ in capabilities
-// only when keys are genuinely shared (factory defaults); it under-separates
-// nothing else. Used by the identifier-composition ablation bench. Like
-// FromSSH it accepts a host key only with a valid signature.
-func FromSSHKeyOnly(res *sshwire.ScanResult) (Identifier, bool) {
-	if res == nil || len(res.HostKeyBlob) == 0 || !res.SignatureValid {
-		return Identifier{}, false
-	}
-	return digest(SSH, []byte("key="+res.HostKeyFingerprint)), true
-}
-
 // FromBGP extracts the paper's BGP identifier from a passive scan result.
 // ok is false when no OPEN message was captured.
 func FromBGP(res *bgp.ScanResult) (Identifier, bool) {
@@ -181,16 +163,6 @@ func BGPPreimage(res *bgp.ScanResult) string {
 		}
 	}
 	return sb.String()
-}
-
-// FromBGPRouterIDOnly is the ablation variant using only the BGP identifier
-// field, vulnerable to duplicate router IDs across devices (a
-// misconfiguration the paper lists as a limitation).
-func FromBGPRouterIDOnly(res *bgp.ScanResult) (Identifier, bool) {
-	if !res.Identifiable() {
-		return Identifier{}, false
-	}
-	return digest(BGP, fmt.Appendf(nil, "id=%d", res.Open.BGPIdentifier)), true
 }
 
 // FromSNMPEngineID extracts the baseline SNMPv3 identifier.

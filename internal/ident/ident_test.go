@@ -1,6 +1,7 @@
 package ident
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -94,6 +95,27 @@ func TestSSHIdentifierSensitivity(t *testing.T) {
 	}
 }
 
+// fromSSHKeyOnly is the identifier ablation that uses only the host key.
+// It merges the hosts that share a key but differ in capabilities, which
+// happens only when keys are genuinely shared (factory defaults). Like
+// FromSSH it accepts a host key only with a valid signature.
+func fromSSHKeyOnly(res *sshwire.ScanResult) (Identifier, bool) {
+	if res == nil || len(res.HostKeyBlob) == 0 || !res.SignatureValid {
+		return Identifier{}, false
+	}
+	return digest(SSH, []byte("key="+res.HostKeyFingerprint)), true
+}
+
+// fromBGPRouterIDOnly is the identifier ablation that uses only the BGP
+// identifier field, so duplicate router IDs across devices (a
+// misconfiguration the paper lists as a limitation) merge.
+func fromBGPRouterIDOnly(res *bgp.ScanResult) (Identifier, bool) {
+	if !res.Identifiable() {
+		return Identifier{}, false
+	}
+	return digest(BGP, fmt.Appendf(nil, "id=%d", res.Open.BGPIdentifier)), true
+}
+
 func TestSSHIdentifierSeparatesSharedKeys(t *testing.T) {
 	// Two hosts with the same (factory-default) key but different
 	// capability sets: the paper's combined identifier keeps them apart,
@@ -105,8 +127,8 @@ func TestSSHIdentifierSeparatesSharedKeys(t *testing.T) {
 	if idA == idB {
 		t.Error("combined identifier merged capability-distinct hosts")
 	}
-	koA, _ := FromSSHKeyOnly(a)
-	koB, _ := FromSSHKeyOnly(b)
+	koA, _ := fromSSHKeyOnly(a)
+	koB, _ := fromSSHKeyOnly(b)
 	if koA != koB {
 		t.Error("key-only ablation should merge same-key hosts")
 	}
@@ -132,8 +154,8 @@ func TestSSHIdentifierRequiresMaterial(t *testing.T) {
 		if _, ok := FromSSH(tc.res); ok != tc.full {
 			t.Errorf("%s: FromSSH ok = %v, want %v", tc.name, ok, tc.full)
 		}
-		if _, ok := FromSSHKeyOnly(tc.res); ok != tc.keyOnly {
-			t.Errorf("%s: FromSSHKeyOnly ok = %v, want %v", tc.name, ok, tc.keyOnly)
+		if _, ok := fromSSHKeyOnly(tc.res); ok != tc.keyOnly {
+			t.Errorf("%s: fromSSHKeyOnly ok = %v, want %v", tc.name, ok, tc.keyOnly)
 		}
 	}
 }
@@ -172,8 +194,8 @@ func TestBGPRouterIDOnlyAblation(t *testing.T) {
 	if fullA == fullB {
 		t.Error("full identifier merged distinct speakers")
 	}
-	idA, _ := FromBGPRouterIDOnly(a)
-	idB, _ := FromBGPRouterIDOnly(b)
+	idA, _ := fromBGPRouterIDOnly(a)
+	idB, _ := fromBGPRouterIDOnly(b)
 	if idA != idB {
 		t.Error("router-ID ablation should merge same-ID speakers")
 	}
@@ -183,7 +205,7 @@ func TestBGPIdentifierRequiresOpen(t *testing.T) {
 	if _, ok := FromBGP(&bgp.ScanResult{SilentClose: true}); ok {
 		t.Error("silent close must not yield an identifier")
 	}
-	if _, ok := FromBGPRouterIDOnly(&bgp.ScanResult{}); ok {
+	if _, ok := fromBGPRouterIDOnly(&bgp.ScanResult{}); ok {
 		t.Error("missing OPEN must not yield an identifier")
 	}
 }
@@ -220,7 +242,7 @@ func TestCrossProtocolKeysNeverCollide(t *testing.T) {
 }
 
 func TestPreimagesHumanReadable(t *testing.T) {
-	p := SSHPreimage(sshResult("SSH-2.0-X", false, "SHA256:k1"))
+	p := string(appendSSHPreimage(nil, sshResult("SSH-2.0-X", false, "SHA256:k1")))
 	for _, want := range []string{"banner=SSH-2.0-X", "kex=", "key=SHA256:k1", "mac_sc="} {
 		if !strings.Contains(p, want) {
 			t.Errorf("SSH preimage missing %q", want)
@@ -289,8 +311,8 @@ func TestSSHPreimageMatchesReference(t *testing.T) {
 	results = append(results, odd)
 	for _, res := range results {
 		want := sshPreimageRef(res)
-		if got := SSHPreimage(res); got != want {
-			t.Errorf("SSHPreimage = %q, reference %q", got, want)
+		if got := string(appendSSHPreimage(nil, res)); got != want {
+			t.Errorf("appendSSHPreimage = %q, reference %q", got, want)
 		}
 		if got := string(appendSSHPreimage([]byte("prefix"), res)); got != "prefix"+want {
 			t.Errorf("appendSSHPreimage after a prefix = %q", got)

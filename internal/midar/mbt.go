@@ -1,8 +1,8 @@
 // Package midar implements the IPID-based alias-resolution baseline the
 // paper validates against: MIDAR's Monotonic Bounds Test (Keys et al.,
 // IEEE/ACM ToN 2013) over sampled IP-ID time series, with the
-// estimation → elimination → corroboration pipeline, plus the classic Ally
-// pairwise test for comparison.
+// estimation → elimination → corroboration pipeline run over candidate
+// alias sets.
 //
 // The technique rests on routers that keep a single IPID counter shared
 // across interfaces: interleaved samples from two aliases of one router must

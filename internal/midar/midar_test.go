@@ -152,20 +152,6 @@ func TestVerifyAdvancesSimulatedTime(t *testing.T) {
 	}
 }
 
-func TestAlly(t *testing.T) {
-	f, clk := world(t)
-	s := NewSession(f.Vantage("midar"), clk, Config{Interval: 50 * time.Millisecond})
-	if !s.Ally(netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.1.0.2")) {
-		t.Error("Ally rejected true aliases on a shared counter")
-	}
-	if s.Ally(netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.2.0.1")) {
-		t.Error("Ally accepted addresses of different devices")
-	}
-	if s.Ally(netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.99.0.1")) {
-		t.Error("Ally accepted an unresponsive target")
-	}
-}
-
 func TestUnwrapHandlesWrap(t *testing.T) {
 	base := time.Unix(0, 0)
 	s := Series{Samples: []Sample{

@@ -59,9 +59,6 @@ func NewSession(p Prober, clock *netsim.SimClock, cfg Config) *Session {
 	return &Session{prober: p, clock: clock, cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // now returns the current simulated time.
 func (s *Session) now() time.Time {
 	if s.clock == nil {
@@ -104,22 +101,4 @@ func (s *Session) ClassifyTargets(addrs []netip.Addr) map[netip.Addr]Class {
 		out[a] = Classify(series[a], s.cfg.MaxVelocity)
 	}
 	return out
-}
-
-// Ally runs the classic three-probe Ally test on a pair: probe a, b, a and
-// require the three IDs to be nearly consecutive. Kept for the historical
-// baseline comparison; MIDAR's MBT supersedes it.
-func (s *Session) Ally(a, b netip.Addr) bool {
-	id1, ok1 := s.prober.IPIDProbe(a)
-	s.tick()
-	id2, ok2 := s.prober.IPIDProbe(b)
-	s.tick()
-	id3, ok3 := s.prober.IPIDProbe(a)
-	if !ok1 || !ok2 || !ok3 {
-		return false
-	}
-	d12 := uint64(id2-id1) & 0xffff
-	d23 := uint64(id3-id2) & 0xffff
-	const allyBound = 200 // Ally's classical "in-order and close" window
-	return d12 > 0 && d23 > 0 && d12 < allyBound && d23 < allyBound
 }

@@ -45,15 +45,6 @@ func (c *SimClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Set jumps the clock to t if t is not before the current time.
-func (c *SimClock) Set(t time.Time) {
-	c.mu.Lock()
-	if t.After(c.now) {
-		c.now = t
-	}
-	c.mu.Unlock()
-}
-
 // RealClock reads the wall clock. Scanners run against the real Internet use
 // it; tests and experiments use SimClock.
 type RealClock struct{}

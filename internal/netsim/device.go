@@ -153,9 +153,9 @@ type DeviceConfig struct {
 // immutable after NewDevice; the probe/dial/sample paths used by concurrent
 // scans are safe without external locking (service tables are RWMutex-
 // guarded, IPID state is mutex-guarded). Topology mutation — SetService,
-// RemoveService, SetUDPService, and fabric Bind/Unbind — is safe in itself
-// but must not run concurrently with a measurement that expects a stable
-// world: churn between scans, never during one.
+// SetUDPService, and fabric Bind/Unbind — is safe in itself but must not run
+// concurrently with a measurement that expects a stable world: churn between
+// scans, never during one.
 type Device struct {
 	id       string
 	asn      uint32
@@ -278,9 +278,6 @@ func (d *Device) service(port uint16) *serviceEntry {
 // ID returns the device's unique identifier.
 func (d *Device) ID() string { return d.id }
 
-// ASN returns the device's own autonomous system number.
-func (d *Device) ASN() uint32 { return d.asn }
-
 // Kind returns the device category.
 func (d *Device) Kind() DeviceKind { return d.kind }
 
@@ -303,16 +300,6 @@ func (d *Device) HasAddr(a netip.Addr) bool {
 	return ok
 }
 
-// CanonicalAddr is the address the device uses as source for self-originated
-// ICMP errors (its "loopback" or lowest-numbered interface).
-func (d *Device) CanonicalAddr() netip.Addr { return d.addrs[0] }
-
-// IPIDModel returns the configured IPID behaviour.
-func (d *Device) IPIDModel() IPIDModel { return d.ipidModel }
-
-// IPIDVelocity returns the configured background IPID velocity.
-func (d *Device) IPIDVelocity() float64 { return d.ipid.Velocity() }
-
 // SetService binds handler on port. If addrs is non-empty, only those
 // addresses accept connections for the service; probes to the service on any
 // other interface are silently dropped (ACL semantics). Re-binding a port
@@ -328,29 +315,6 @@ func (d *Device) SetService(port uint16, h Handler, addrs ...netip.Addr) {
 		}
 	}
 	d.services = append(d.services, boundService{port: port, e: e})
-}
-
-// RemoveService unbinds the service on port, if any.
-func (d *Device) RemoveService(port uint16) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, b := range d.services {
-		if b.port == port {
-			d.services = slices.Delete(d.services, i, i+1)
-			return
-		}
-	}
-}
-
-// ServicePorts returns the bound TCP ports in unspecified order.
-func (d *Device) ServicePorts() []uint16 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ports := make([]uint16, 0, len(d.services))
-	for _, b := range d.services {
-		ports = append(ports, b.port)
-	}
-	return ports
 }
 
 // ServiceAddrs returns the addresses on which the service bound to port

@@ -12,7 +12,6 @@ package netsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -97,9 +96,6 @@ func New(clock Clock) *Fabric {
 	}
 }
 
-// Clock returns the fabric clock.
-func (f *Fabric) Clock() Clock { return f.clock }
-
 // AddDevice registers the device and binds all of its interface addresses.
 // It fails if any address is already bound to a different device.
 func (f *Fabric) AddDevice(d *Device) error {
@@ -163,25 +159,6 @@ func (f *Fabric) NumDevices() int {
 	return len(f.devices)
 }
 
-// NumBound returns the number of currently bound interface addresses.
-func (f *Fabric) NumBound() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.bind)
-}
-
-// BoundAddrs returns a snapshot of all currently bound addresses. The order
-// is unspecified; scan tools apply their own permutation.
-func (f *Fabric) BoundAddrs() []netip.Addr {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]netip.Addr, 0, len(f.bind))
-	for a := range f.bind {
-		out = append(out, a)
-	}
-	return out
-}
-
 // Vantage returns a scanning viewpoint with the given label. Devices whose
 // IDS filters that label silently drop its probes; this is how the simulation
 // reproduces the coverage gap between a single research vantage point and
@@ -204,9 +181,6 @@ type Vantage struct {
 	fabric *Fabric
 	label  string
 }
-
-// Label returns the vantage label.
-func (v *Vantage) Label() string { return v.label }
 
 // SynProbe reports how a TCP SYN to addr:port from this vantage is answered.
 // This is the zmaplite fast path: no connection state is created.
@@ -361,22 +335,3 @@ func (c *simConn) LocalAddr() net.Addr { return c.local }
 
 // RemoteAddr returns the simulated remote address.
 func (c *simConn) RemoteAddr() net.Addr { return c.remote }
-
-// IsTimeout reports whether err represents a filtered/timeout dial, matching
-// both fabric errors and real net timeouts.
-func IsTimeout(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return ne.Timeout()
-	}
-	return false
-}
-
-// IsRefused reports whether err represents a refused connection.
-func IsRefused(err error) bool {
-	var de *dialError
-	if errors.As(err, &de) {
-		return de == ErrRefused
-	}
-	return false
-}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -67,9 +68,6 @@ func TestFabricBindAndLookup(t *testing.T) {
 	}
 	if got := f.Lookup(a2); got != d {
 		t.Errorf("Lookup(%s) = %v, want r1", a2, got)
-	}
-	if f.NumBound() != 2 {
-		t.Errorf("NumBound = %d, want 2", f.NumBound())
 	}
 	if f.NumDevices() != 1 {
 		t.Errorf("NumDevices = %d, want 1", f.NumDevices())
@@ -179,10 +177,11 @@ func TestDialOpenClosedFiltered(t *testing.T) {
 		t.Errorf("RemoteAddr = %q, want 192.0.2.1:22", got)
 	}
 
-	if _, err := v.DialContext(ctx, "tcp", "192.0.2.1:80"); !IsRefused(err) {
+	if _, err := v.DialContext(ctx, "tcp", "192.0.2.1:80"); !errors.Is(err, ErrRefused) {
 		t.Errorf("dial closed port: err = %v, want refused", err)
 	}
-	if _, err := v.DialContext(ctx, "tcp", "192.0.2.99:22"); !IsTimeout(err) {
+	var ne net.Error
+	if _, err := v.DialContext(ctx, "tcp", "192.0.2.99:22"); !errors.As(err, &ne) || !ne.Timeout() {
 		t.Errorf("dial unrouted: err = %v, want timeout-flavoured", err)
 	}
 	if _, err := v.DialContext(ctx, "udp", "192.0.2.1:22"); err == nil {
@@ -390,23 +389,12 @@ func TestDeviceServiceViews(t *testing.T) {
 	if got := d.ServiceAddrs(80); got != nil {
 		t.Errorf("ServiceAddrs(80) = %v, want nil", got)
 	}
-	ports := d.ServicePorts()
-	if len(ports) != 2 {
-		t.Errorf("ServicePorts = %v, want 2 ports", ports)
-	}
-	d.RemoveService(179)
-	if got := d.ServiceAddrs(179); got != nil {
-		t.Errorf("after RemoveService, ServiceAddrs(179) = %v, want nil", got)
-	}
 
 	if d.AddrASN(a1) != 65010 {
 		t.Errorf("AddrASN(a1) = %d, want device ASN 65010", d.AddrASN(a1))
 	}
 	if d.AddrASN(a2) != 65020 {
 		t.Errorf("AddrASN(a2) = %d, want override 65020", d.AddrASN(a2))
-	}
-	if d.CanonicalAddr() != a1 {
-		t.Errorf("CanonicalAddr = %s, want %s", d.CanonicalAddr(), a1)
 	}
 	if !d.HasAddr(a2) || d.HasAddr(mustAddr(t, "10.0.0.3")) {
 		t.Error("HasAddr misbehaves")
@@ -426,14 +414,6 @@ func TestSimClock(t *testing.T) {
 	c.Advance(-time.Hour) // ignored
 	if got := c.Now(); !got.Equal(origin.Add(3 * time.Second)) {
 		t.Errorf("negative Advance changed clock: %v", got)
-	}
-	c.Set(origin) // backwards Set ignored
-	if got := c.Now(); !got.Equal(origin.Add(3 * time.Second)) {
-		t.Errorf("backwards Set changed clock: %v", got)
-	}
-	c.Set(origin.Add(time.Minute))
-	if got := c.Now(); !got.Equal(origin.Add(time.Minute)) {
-		t.Errorf("Set forward: %v", got)
 	}
 	var rc RealClock
 	if rc.Now().IsZero() {

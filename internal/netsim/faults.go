@@ -124,14 +124,6 @@ func (f *Fabric) SetFaults(fl Faults) {
 	f.faults.Store(&fl)
 }
 
-// Faults returns the currently installed fault policy.
-func (f *Fabric) Faults() Faults {
-	if fl := f.faults.Load(); fl != nil {
-		return *fl
-	}
-	return Faults{}
-}
-
 // faultDrop reports whether the installed policy (loss or throttle) eats a
 // fast-path probe from this vantage. The single nil check is the entire
 // fault-free cost.

@@ -17,7 +17,7 @@ func fragDevice(t *testing.T, f *Fabric, id string, model IPIDModel, filtered []
 	d, err := NewDevice(DeviceConfig{
 		ID: id, Addrs: as, IPID: model, IPIDSeed: 99, IPIDVelocity: 10,
 		Pingable: true, EmitsFragmentIDs: true, FilteredVantages: filtered,
-	}, f.Clock().Now())
+	}, f.clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

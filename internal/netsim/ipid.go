@@ -111,10 +111,3 @@ func (s *ipidState) sample(m IPIDModel, ifIndex int, now time.Time) uint16 {
 		return 0
 	}
 }
-
-// Velocity reports the configured background velocity in packets/second.
-func (s *ipidState) Velocity() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.velocity
-}

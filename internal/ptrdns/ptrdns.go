@@ -22,12 +22,6 @@ import (
 // deployment would bulk-resolve in-addr.arpa / ip6.arpa.
 type Registry map[netip.Addr]string
 
-// Lookup returns the PTR name for addr, if any.
-func (r Registry) Lookup(addr netip.Addr) (string, bool) {
-	name, ok := r[addr]
-	return name, ok
-}
-
 // IsGeneric reports whether a hostname is an address-derived template name
 // ("1-2-3-4.dynamic.example.net", "host-...") that carries no device
 // identity. Real pipelines filter these with learned regexes; this
@@ -57,28 +51,6 @@ func InferDualStack(reg Registry) []alias.Set {
 	for _, addrs := range byName {
 		s := alias.NewSet(addrs...)
 		if s.IsDualStack() {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addrs[0].Less(out[j].Addrs[0]) })
-	return out
-}
-
-// InferAliases groups same-family addresses sharing one hostname — the
-// PTR-based alias inference (much weaker than identifiers: only distinct
-// interfaces deliberately given one name merge).
-func InferAliases(reg Registry, v4 bool) []alias.Set {
-	byName := make(map[string][]netip.Addr)
-	for addr, name := range reg {
-		if name == "" || IsGeneric(name) || addr.Is4() != v4 {
-			continue
-		}
-		byName[name] = append(byName[name], addr)
-	}
-	var out []alias.Set
-	for _, addrs := range byName {
-		s := alias.NewSet(addrs...)
-		if s.Size() >= 2 {
 			out = append(out, s)
 		}
 	}

@@ -55,23 +55,6 @@ func TestInferDualStack(t *testing.T) {
 	}
 }
 
-func TestInferAliases(t *testing.T) {
-	r := reg(
-		"10.0.0.1", "lo0.rtr1.example.net",
-		"10.0.0.2", "lo0.rtr1.example.net",
-		"10.0.0.3", "ge-0.rtr2.example.net",
-		"2a00::1", "lo0.rtr1.example.net",
-	)
-	v4 := InferAliases(r, true)
-	if len(v4) != 1 || v4[0].Size() != 2 {
-		t.Errorf("v4 sets = %v", v4)
-	}
-	v6 := InferAliases(r, false)
-	if len(v6) != 0 {
-		t.Errorf("v6 sets = %v", v6)
-	}
-}
-
 func TestCompareAgainst(t *testing.T) {
 	ptrSets := []alias.Set{
 		alias.NewSet(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("2a00::1")), // confirmed

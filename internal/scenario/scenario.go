@@ -503,21 +503,6 @@ func DigestPartitions(parts []Partition) (string, []PartitionDigest) {
 	return hex.EncodeToString(h.Sum(nil)), breakdown
 }
 
-// FirstDivergence names the first partition whose digest differs between two
-// breakdowns, for actionable divergence errors. It returns "" when the
-// breakdowns agree (or one side lacks them, as legacy reports do).
-func FirstDivergence(a, b []PartitionDigest) string {
-	if len(a) != len(b) {
-		return ""
-	}
-	for i := range a {
-		if a[i].Partition == b[i].Partition && a[i].Digest != b[i].Digest {
-			return a[i].Partition
-		}
-	}
-	return ""
-}
-
 // backendName reports the resolver label, defaulting legacy reports to
 // resolver.Name.
 func (r *Result) backendName() string {

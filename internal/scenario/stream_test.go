@@ -31,7 +31,7 @@ func TestStreamCollectMatchesInRAMOnPresets(t *testing.T) {
 		if res.SetsDigest == "" || res.SetsDigest != ref.SetsDigest {
 			t.Errorf("%s: streamed sets digest %s, in-RAM %s (first divergence: %s)",
 				p.Name, res.SetsDigest, ref.SetsDigest,
-				FirstDivergence(res.PartitionDigests, ref.PartitionDigests))
+				firstDivergence(res.PartitionDigests, ref.PartitionDigests))
 		}
 		if res.V4Addresses != ref.V4Addresses || res.V6Addresses != ref.V6Addresses {
 			t.Errorf("%s: streamed address universe %d/%d, in-RAM %d/%d",

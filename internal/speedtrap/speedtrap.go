@@ -161,45 +161,27 @@ func MBT(a, b Series, vmax, margin float64) bool {
 	return cross
 }
 
-// Config tunes the pipeline.
-type Config struct {
-	// Rounds is the number of interleaved probe rounds.
-	Rounds int
-	// Interval is the (simulated) probe spacing.
-	Interval time.Duration
-	// MaxVelocity caps usable counter speed.
-	MaxVelocity float64
-	// Margin is the bounds-test slack.
-	Margin float64
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.MaxVelocity <= 0 {
-		c.MaxVelocity = 10000
-	}
-	if c.Margin <= 0 {
-		c.Margin = 64
-	}
-	return c
-}
+// The pipeline's fixed parameters.
+const (
+	// rounds is the number of interleaved probe rounds.
+	rounds = 8
+	// interval is the (simulated) probe spacing.
+	interval = 100 * time.Millisecond
+	// maxVelocity caps usable counter speed.
+	maxVelocity = 10000
+	// margin is the bounds-test slack.
+	margin = 64
+)
 
 // Session binds a prober to the simulation clock.
 type Session struct {
 	prober FragProber
 	clock  *netsim.SimClock
-	cfg    Config
 }
 
 // NewSession builds a session.
-func NewSession(p FragProber, clock *netsim.SimClock, cfg Config) *Session {
-	return &Session{prober: p, clock: clock, cfg: cfg.withDefaults()}
+func NewSession(p FragProber, clock *netsim.SimClock) *Session {
+	return &Session{prober: p, clock: clock}
 }
 
 // now returns simulated time.
@@ -213,14 +195,14 @@ func (s *Session) now() time.Time {
 // tick advances simulated time by one probe interval.
 func (s *Session) tick() {
 	if s.clock != nil {
-		s.clock.Advance(s.cfg.Interval)
+		s.clock.Advance(interval)
 	}
 }
 
 // SampleSet collects interleaved fragment-ID series for candidate addresses.
 func (s *Session) SampleSet(addrs []netip.Addr) map[netip.Addr]Series {
 	out := make(map[netip.Addr]Series, len(addrs))
-	for r := 0; r < s.cfg.Rounds; r++ {
+	for r := 0; r < rounds; r++ {
 		for _, a := range addrs {
 			if id, ok := s.prober.FragIDProbe(a); ok {
 				sr := out[a]
@@ -279,7 +261,7 @@ func (s *Session) VerifySet(candidate alias.Set) Result {
 	velocities := map[netip.Addr]float64{}
 	for _, a := range candidate.Addrs {
 		sr := series[a]
-		if Classify(sr, s.cfg.MaxVelocity) != ClassUsable {
+		if Classify(sr, maxVelocity) != ClassUsable {
 			continue
 		}
 		v, _ := sr.Velocity()
@@ -310,7 +292,7 @@ func (s *Session) VerifySet(candidate alias.Set) Result {
 			if velocities[aj] > vmax {
 				vmax = velocities[aj]
 			}
-			if MBT(series[ai], series[aj], vmax, s.cfg.Margin) {
+			if MBT(series[ai], series[aj], vmax, margin) {
 				parent[find(i)] = find(j)
 			}
 		}

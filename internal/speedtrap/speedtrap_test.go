@@ -67,7 +67,7 @@ func TestFragProbeGating(t *testing.T) {
 
 func TestVerifyConfirmsSharedCounter(t *testing.T) {
 	f, clk := v6World(t)
-	s := NewSession(f.Vantage("st"), clk, Config{})
+	s := NewSession(f.Vantage("st"), clk)
 	res := s.VerifySet(alias.NewSet(addrs("2a00:1::1", "2a00:1::2", "2a00:1::3")...))
 	if res.Outcome != OutcomeConfirmed {
 		t.Errorf("outcome = %v, partition %v", res.Outcome, res.Partition)
@@ -79,7 +79,7 @@ func TestVerifyConfirmsSharedCounter(t *testing.T) {
 
 func TestVerifySplitsCrossDevice(t *testing.T) {
 	f, clk := v6World(t)
-	s := NewSession(f.Vantage("st"), clk, Config{})
+	s := NewSession(f.Vantage("st"), clk)
 	res := s.VerifySet(alias.NewSet(addrs("2a00:1::1", "2a00:2::1")...))
 	if res.Outcome != OutcomeSplit {
 		t.Errorf("cross-device outcome = %v", res.Outcome)
@@ -88,7 +88,7 @@ func TestVerifySplitsCrossDevice(t *testing.T) {
 
 func TestVerifyUnverifiablePopulations(t *testing.T) {
 	f, clk := v6World(t)
-	s := NewSession(f.Vantage("st"), clk, Config{})
+	s := NewSession(f.Vantage("st"), clk)
 	for _, set := range []alias.Set{
 		alias.NewSet(addrs("2a00:3::1", "2a00:3::2")...), // random IDs
 		alias.NewSet(addrs("2a00:4::1", "2a00:4::2")...), // no fragments

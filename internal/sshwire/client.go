@@ -45,8 +45,6 @@ func (r *ScanResult) HasIdentifierMaterial() bool {
 
 // ScanConfig parameterises a client scan.
 type ScanConfig struct {
-	// Banner is the client identification string; empty selects a default.
-	Banner string
 	// Algorithms is the client offer; zero value selects
 	// DefaultClientAlgorithms.
 	Algorithms Algorithms
@@ -54,9 +52,9 @@ type ScanConfig struct {
 	Timeout time.Duration
 }
 
-// DefaultClientBanner identifies the scanner, following the convention of
+// ClientBanner identifies the scanner, following the convention of
 // announcing tool and version.
-const DefaultClientBanner = "SSH-2.0-AliasLimitScan_0.9"
+const ClientBanner = "SSH-2.0-AliasLimitScan_0.9"
 
 // defaultClientAlgorithms is the offer of a Scan whose config names none.
 // Scan only reads it.
@@ -76,9 +74,6 @@ var scannerKey = sync.OnceValues(func() (*ecdh.PrivateKey, error) {
 // failed: a banner plus KEXINIT is still half an identifier, and the paper's
 // pipeline records partial observations.
 func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
-	if cfg.Banner == "" {
-		cfg.Banner = DefaultClientBanner
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
@@ -95,7 +90,7 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 		return nil, fmt.Errorf("sshwire: reading banner: %w", err)
 	}
 	res := &ScanResult{Banner: serverBanner}
-	if err := WriteBanner(conn, cfg.Banner); err != nil {
+	if err := WriteBanner(conn, ClientBanner); err != nil {
 		return res, err
 	}
 
@@ -159,7 +154,7 @@ func Scan(conn net.Conn, cfg ScanConfig) (*ScanResult, error) {
 	if hostKeyAlgo == HostKeyEd25519 && algo == HostKeyEd25519 {
 		shared, err := x25519Shared(key, qs)
 		if err == nil {
-			h := exchangeHash(cfg.Banner, serverBanner,
+			h := exchangeHash(ClientBanner, serverBanner,
 				clientKexInitPayload, serverKexInitPayload, ks, qc, qs, shared)
 			res.SignatureValid = ed25519Verify(ks, h, sigBlob)
 		}

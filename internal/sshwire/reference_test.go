@@ -187,16 +187,16 @@ func TestExchangeHashMatchesReference(t *testing.T) {
 		vc, vs string
 		ks, k  []byte
 	}{
-		{"plain", DefaultClientBanner, Profiles[0].Banner, ks, secret(0x42)},
-		{"leading zero", DefaultClientBanner, Profiles[0].Banner, ks, secret(0x00, 0x42)},
-		{"leading zeros to high bit", DefaultClientBanner, Profiles[0].Banner, ks, secret(0x00, 0x00, 0x80)},
-		{"high bit", DefaultClientBanner, Profiles[0].Banner, ks, secret(0x80)},
-		{"all ones", DefaultClientBanner, Profiles[0].Banner, ks, bytes.Repeat([]byte{0xff}, 32)},
-		{"zero", DefaultClientBanner, Profiles[0].Banner, ks, make([]byte, 32)},
+		{"plain", ClientBanner, Profiles[0].Banner, ks, secret(0x42)},
+		{"leading zero", ClientBanner, Profiles[0].Banner, ks, secret(0x00, 0x42)},
+		{"leading zeros to high bit", ClientBanner, Profiles[0].Banner, ks, secret(0x00, 0x00, 0x80)},
+		{"high bit", ClientBanner, Profiles[0].Banner, ks, secret(0x80)},
+		{"all ones", ClientBanner, Profiles[0].Banner, ks, bytes.Repeat([]byte{0xff}, 32)},
+		{"zero", ClientBanner, Profiles[0].Banner, ks, make([]byte, 32)},
 		{"empty", "", "", nil, nil},
 		{"long banners", long, long, ks, secret(0x80)},
-		{"long host key", DefaultClientBanner, Profiles[0].Banner, bytes.Repeat(ks, 20), secret(0xff)},
-		{"long secret", DefaultClientBanner, Profiles[0].Banner, ks, bytes.Repeat([]byte{0x80}, 600)},
+		{"long host key", ClientBanner, Profiles[0].Banner, bytes.Repeat(ks, 20), secret(0xff)},
+		{"long secret", ClientBanner, Profiles[0].Banner, ks, bytes.Repeat([]byte{0x80}, 600)},
 	} {
 		got := exchangeHash(tc.vc, tc.vs, ic, is, tc.ks, q, q, tc.k)
 		if want := exchangeHashRef(tc.vc, tc.vs, ic, is, tc.ks, q, q, tc.k); !bytes.Equal(got, want) {

@@ -26,8 +26,6 @@ type ServerConfig struct {
 	// models the 0.4% of non-singleton hosts the paper found communicating
 	// different algorithmic capabilities on different interfaces.
 	AlgorithmsFor func(addr netip.Addr) Algorithms
-	// BannerFor, when set, overrides the banner per local address.
-	BannerFor func(addr netip.Addr) string
 	// Rand supplies cookie and ephemeral-key entropy. Nil means
 	// crypto/rand; simulated worlds pass deterministic streams.
 	Rand io.Reader
@@ -54,9 +52,6 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{cfg: cfg, ks: ks}
 }
 
-// Config returns the server configuration (ground-truth bookkeeping).
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // Serve implements netsim.Handler: it runs the banner exchange, KEXINIT
 // exchange, and one curve25519/ed25519 key exchange, then disconnects. A
 // scanner walks away with everything the paper's SSH identifier needs.
@@ -64,17 +59,13 @@ func (s *Server) Serve(conn net.Conn, sc netsim.ServeContext) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 
-	banner := s.cfg.Banner
-	if s.cfg.BannerFor != nil {
-		banner = s.cfg.BannerFor(sc.LocalAddr)
-	}
 	algos := s.cfg.Algorithms
 	if s.cfg.AlgorithmsFor != nil {
 		algos = s.cfg.AlgorithmsFor(sc.LocalAddr)
 	}
 
 	br := bufio.NewReaderSize(conn, readBufferSize)
-	if err := WriteBanner(conn, banner); err != nil {
+	if err := WriteBanner(conn, s.cfg.Banner); err != nil {
 		return
 	}
 	clientBanner, err := ReadBanner(br)
@@ -128,7 +119,7 @@ func (s *Server) Serve(conn net.Conn, sc netsim.ServeContext) {
 	}
 	qs := eph.PublicKey().Bytes()
 
-	h := exchangeHash(clientBanner, banner, clientKexInit, serverKexInit, s.ks, qc, qs, shared)
+	h := exchangeHash(clientBanner, s.cfg.Banner, clientKexInit, serverKexInit, s.ks, qc, qs, shared)
 	sigBlob := MarshalEd25519Signature(ed25519.Sign(s.cfg.HostKey, h))
 
 	if err := WritePacket(conn, marshalECDHReply(s.ks, qs, sigBlob)); err != nil {

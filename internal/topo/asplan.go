@@ -84,30 +84,6 @@ func (a *AS) AllocV6() netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// ASNOfAddr recovers the owning AS index from a synthetic address. The
-// experiments use the World's explicit map instead; this exists for
-// debugging.
-func ASNOfAddr(ases []*AS, addr netip.Addr) (uint32, bool) {
-	if addr.Is4() {
-		b := addr.As4()
-		u := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-		if u < v4Base {
-			return 0, false
-		}
-		idx := int((u - v4Base) >> asChunkBits)
-		if idx >= len(ases) {
-			return 0, false
-		}
-		return ases[idx].ASN, true
-	}
-	b := addr.As16()
-	idx := int(b[2])<<8 | int(b[3])
-	if b[0] != 0x2a || idx >= len(ases) {
-		return 0, false
-	}
-	return ases[idx].ASN, true
-}
-
 // cloudASNs are the paper's top cloud contributors (Table 5 SSH column and
 // Table 6), heaviest first: DigitalOcean, Telefonica Argentina (an ISP that
 // behaves cloud-like in the SSH table), Amazon, OVH, Hetzner, Amazon

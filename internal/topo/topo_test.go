@@ -246,29 +246,6 @@ func TestFleetKeysShared(t *testing.T) {
 	}
 }
 
-func TestASNOfAddrAgreesWithMap(t *testing.T) {
-	w := smallWorld(t, 1)
-	checked := 0
-	for a, asn := range w.AddrASN {
-		got, ok := ASNOfAddr(w.ASes, a)
-		if !ok {
-			t.Errorf("ASNOfAddr(%s) failed", a)
-			continue
-		}
-		// Border-router interfaces carry an override ASN in the map that
-		// prefix attribution cannot see — for those, the prefix owner and
-		// the map legitimately agree anyway because the address was
-		// allocated from the neighbour's space.
-		if got != asn {
-			t.Errorf("ASNOfAddr(%s) = %d, map says %d", a, got, asn)
-		}
-		checked++
-		if checked > 500 {
-			break
-		}
-	}
-}
-
 func TestASPlanHasAllKinds(t *testing.T) {
 	w := smallWorld(t, 1)
 	kinds := map[ASKind]int{}
@@ -319,5 +296,54 @@ func TestPickASWeighted(t *testing.T) {
 	// The heaviest cloud AS (DigitalOcean) must dominate the lightest.
 	if counts[14061] <= counts[7506] {
 		t.Errorf("weighting broken: AS14061=%d AS7506=%d", counts[14061], counts[7506])
+	}
+}
+
+// asnOfAddr recovers the owning AS from a synthetic address by the address
+// plan alone: an IPv4 address's chunk above v4Base, or an IPv6 address's
+// second 16-bit group, indexes the AS list.
+func asnOfAddr(ases []*AS, addr netip.Addr) (uint32, bool) {
+	if addr.Is4() {
+		b := addr.As4()
+		u := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+		if u < v4Base {
+			return 0, false
+		}
+		idx := int((u - v4Base) >> asChunkBits)
+		if idx >= len(ases) {
+			return 0, false
+		}
+		return ases[idx].ASN, true
+	}
+	b := addr.As16()
+	idx := int(b[2])<<8 | int(b[3])
+	if b[0] != 0x2a || idx >= len(ases) {
+		return 0, false
+	}
+	return ases[idx].ASN, true
+}
+
+// TestASNOfAddrAgreesWithMap: the world's address→AS map agrees with the
+// address plan, so every address was allocated from its AS's own prefix.
+func TestASNOfAddrAgreesWithMap(t *testing.T) {
+	w := smallWorld(t, 1)
+	checked := 0
+	for a, asn := range w.AddrASN {
+		got, ok := asnOfAddr(w.ASes, a)
+		if !ok {
+			t.Errorf("asnOfAddr(%s) failed", a)
+			continue
+		}
+		// Border-router interfaces carry an override ASN in the map that
+		// prefix attribution cannot see — for those, the prefix owner and
+		// the map legitimately agree anyway because the address was
+		// allocated from the neighbour's space.
+		if got != asn {
+			t.Errorf("asnOfAddr(%s) = %d, map says %d", a, got, asn)
+		}
+		checked++
+		if checked > 500 {
+			break
+		}
 	}
 }

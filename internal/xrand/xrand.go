@@ -14,7 +14,6 @@
 package xrand
 
 import (
-	"encoding/binary"
 	"math"
 	"net/netip"
 )
@@ -40,22 +39,12 @@ func (s *SplitMix64) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative int64.
-func (s *SplitMix64) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Intn returns a value in [0, n). It panics if n <= 0.
 func (s *SplitMix64) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Float64 returns a value in [0, 1).
-func (s *SplitMix64) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
@@ -123,17 +112,6 @@ func Intn(n int, keys ...string) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(Hash64(keys...) % uint64(n))
-}
-
-// Bytes fills b with stable pseudo-random bytes keyed by keys. Successive
-// 8-byte blocks are drawn from a SplitMix64 stream seeded with Hash64(keys).
-func Bytes(b []byte, keys ...string) {
-	s := NewSplitMix64(Hash64(keys...))
-	var buf [8]byte
-	for i := 0; i < len(b); i += 8 {
-		binary.LittleEndian.PutUint64(buf[:], s.Uint64())
-		copy(b[i:], buf[:])
-	}
 }
 
 // Exp returns a stable exponentially distributed value with the given mean,

@@ -64,6 +64,3 @@ func (p *Permutation) Next() (uint64, bool) {
 	}
 	return 0, false
 }
-
-// Len returns the size of the permuted space.
-func (p *Permutation) Len() uint64 { return p.n }
