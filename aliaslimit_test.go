@@ -1,10 +1,19 @@
 package aliaslimit
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// update rewrites the facade's golden files from the current output:
+//
+//	go test . -run TestRenderExtensions -update
+var update = flag.Bool("update", false, "rewrite the facade golden files")
 
 var (
 	studyOnce sync.Once
@@ -172,15 +181,33 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestRenderExtensions pins every extension table byte for byte. It runs its
+// own study because the shared one (seed 4) confirms no IPv6 set in
+// Extension C, while seed 1 samples three and confirms one.
 func TestRenderExtensions(t *testing.T) {
-	s := testStudy(t)
+	s, err := Run(StudyOptions{Common: Common{Seed: 1, Scale: 0.05}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	out, err := s.RenderExtensions()
 	if err != nil {
 		t.Fatalf("RenderExtensions: %v", err)
 	}
-	for _, want := range []string{"Extension A", "Extension B", "Extension D", "iffinder"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("extensions output missing %q", want)
+	path := filepath.Join("testdata", "extensions-scale0.05-seed1.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal([]byte(out), want) {
+		t.Errorf("RenderExtensions differs from %s:\n got:\n%s\nwant:\n%s", path, out, want)
 	}
 }

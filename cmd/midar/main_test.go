@@ -4,27 +4,40 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestRunTinyMIDAR exercises flag parsing and a tiny-scale end-to-end run of
-// the IPID baseline pipeline.
+// update rewrites the golden output from the current run:
+//
+//	go test ./cmd/midar -run TestRunTinyMIDAR -update
+var update = flag.Bool("update", false, "rewrite the cmd/midar golden file")
+
+// TestRunTinyMIDAR runs the IPID baseline end to end at a tiny scale and
+// compares the whole report with a golden file: the class census, the tally
+// (two confirmed sets and one split at this seed) and the simulated time.
 func TestRunTinyMIDAR(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-scale", "0.05", "-seed", "2", "-sample", "5"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-scale", "0.05", "-seed", "1", "-sample", "20"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
-	out := stdout.String()
-	for _, want := range []string{
-		"candidate SSH alias sets",
-		"IPID counter census",
-		"verification:",
-		"simulated measurement time elapsed",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	path := filepath.Join("testdata", "scale0.05-seed1-sample20.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("report differs from %s:\n got:\n%s\nwant:\n%s", path, stdout.Bytes(), want)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestMerge(t *testing.T) {
 
 // update rewrites the golden reports from the current output:
 //
-//	go test ./cmd/scenarios -run 'TestMerge|TestLongitudinalJSONDeterministic' -update
+//	go test ./cmd/scenarios -run 'TestMerge|TestLongitudinalJSONDeterministic|TestRunAllSkipsStreamOnly' -update
 var update = flag.Bool("update", false, "rewrite the cmd/scenarios golden reports")
 
 // checkGolden compares report bytes with testdata/name, or rewrites that file
@@ -656,7 +656,8 @@ func TestStreamCollectFlagCombos(t *testing.T) {
 
 // TestRunAllSkipsStreamOnly: a catalog run without -stream-collect must skip
 // the stream-only worlds loudly and still succeed; with the flag, the same
-// invocation covers them.
+// invocation covers them. The in-RAM report is pinned byte for byte, so every
+// preset's scores and MIDAR tally are covered.
 func TestRunAllSkipsStreamOnly(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-run", "all", "-scale", "0.04", "-json", "-"}, &stdout, &stderr)
@@ -678,6 +679,7 @@ func TestRunAllSkipsStreamOnly(t *testing.T) {
 	if want := len(scenario.Names()) - 1; len(rep.Scenarios) != want {
 		t.Errorf("catalog run covered %d presets, want %d", len(rep.Scenarios), want)
 	}
+	checkGolden(t, "all-scale0.04.golden.json", stdout.Bytes())
 
 	stdout.Reset()
 	stderr.Reset()
