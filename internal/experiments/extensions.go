@@ -9,8 +9,8 @@ import (
 	"aliaslimit/internal/evaluate"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/iffinder"
+	"aliaslimit/internal/midar"
 	"aliaslimit/internal/ptrdns"
-	"aliaslimit/internal/speedtrap"
 	"aliaslimit/internal/topo"
 )
 
@@ -208,12 +208,9 @@ func RenderBaselines(rows []BaselineComparison) string {
 type SpeedtrapValidation struct {
 	// Sampled is the number of candidate IPv6 SSH sets tested.
 	Sampled int
-	// Unverifiable lacked two usable fragment-ID counters.
-	Unverifiable int
-	// Confirmed matched Speedtrap's partition exactly.
-	Confirmed int
-	// Split were fractured by Speedtrap.
-	Split int
+	// Tally splits the sample into unverifiable sets (fewer than two usable
+	// fragment-ID counters), confirmed ones and ones Speedtrap fractured.
+	midar.Tally
 }
 
 // ValidateWithSpeedtrap runs the IPv6 validation over up to maxSets
@@ -229,19 +226,9 @@ func (e *Env) ValidateWithSpeedtrap(maxSets int) SpeedtrapValidation {
 	if maxSets > 0 && len(eligible) > maxSets {
 		eligible = eligible[:maxSets]
 	}
-	session := speedtrap.NewSession(e.World.Fabric.Vantage(topo.VantageMIDAR), e.World.Clock)
-	out := SpeedtrapValidation{Sampled: len(eligible)}
-	for _, s := range eligible {
-		switch session.VerifySet(s).Outcome {
-		case speedtrap.OutcomeUnverifiable:
-			out.Unverifiable++
-		case speedtrap.OutcomeConfirmed:
-			out.Confirmed++
-		case speedtrap.OutcomeSplit:
-			out.Split++
-		}
-	}
-	return out
+	session := midar.NewSpeedtrapSession(e.World.Fabric.Vantage(topo.VantageMIDAR), e.World.Clock)
+	_, tally := session.VerifySets(eligible)
+	return SpeedtrapValidation{Sampled: len(eligible), Tally: tally}
 }
 
 // PTRComparison contrasts the DNS-based dual-stack inference with the

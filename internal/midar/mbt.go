@@ -1,15 +1,20 @@
-// Package midar implements the IPID-based alias-resolution baseline the
-// paper validates against: MIDAR's Monotonic Bounds Test (Keys et al.,
-// IEEE/ACM ToN 2013) over sampled IP-ID time series, with the
-// estimation → elimination → corroboration pipeline run over candidate
-// alias sets.
+// Package midar implements the IPID-family alias-resolution baselines the
+// paper validates against. MIDAR (Keys et al., IEEE/ACM ToN 2013) runs the
+// Monotonic Bounds Test over sampled 16-bit IPv4 IP-ID time series.
+// Speedtrap (Luckie et al., IMC '13) runs the same test over the 32-bit
+// Identification of IPv6 Fragment headers: IPv6 base headers carry no
+// Identification field, so it elicits fragmented replies. Both run the
+// estimation → elimination → corroboration pipeline over candidate alias
+// sets; Speedtrap stops after elimination.
 //
-// The technique rests on routers that keep a single IPID counter shared
-// across interfaces: interleaved samples from two aliases of one router must
-// fit a single monotonically increasing (mod 2^16) counter. Devices with
-// per-interface counters, pseudo-random IPIDs, constant IPIDs, or counters
-// too fast to track are unusable — which is exactly why the paper could
-// verify only 13% of its sampled SSH sets with MIDAR.
+// The techniques rest on routers that keep a single counter shared across
+// interfaces: interleaved samples from two aliases of one router must fit a
+// single monotonically increasing counter, modulo its width. Devices with
+// per-interface counters, pseudo-random IDs, constant IDs, or counters too
+// fast to track are unusable — which is exactly why the paper could verify
+// only 13% of its sampled SSH sets with MIDAR. In IPv6 most devices never
+// send fragments at all, so Speedtrap is even more coverage-starved: the
+// paper's motivation for application-layer identifiers in IPv6.
 package midar
 
 import (
@@ -17,24 +22,39 @@ import (
 	"time"
 )
 
-// Sample is one IPID observation.
+// Sample is one counter observation.
 type Sample struct {
 	// T is the observation time.
 	T time.Time
-	// ID is the 16-bit IP identification value.
-	ID uint16
+	// ID is the sampled value: a 16-bit IPv4 IPID or a 32-bit IPv6
+	// fragment identification.
+	ID uint32
 }
 
 // Series is a time-ordered sample sequence from a single address.
 type Series struct {
-	// Addr identifies the target only for reporting; the math uses T/ID.
+	// Samples holds the observations in probe order.
 	Samples []Sample
+	// Modulus is the counter's wrap point, a power of two no larger than
+	// 2^32. Zero means 2^16, the IPv4 IPID width; Speedtrap's series carry
+	// 2^32.
+	Modulus uint64
 }
 
-// Unwrap converts the wrapped 16-bit values into a cumulative counter,
-// assuming the counter never moves backwards and never advances a full wrap
-// between consecutive samples (guaranteed by the estimation stage's velocity
-// cap and probe spacing).
+// step returns the advance from prev to cur modulo the series' counter width.
+func (s Series) step(prev, cur uint32) uint64 {
+	mod := s.Modulus
+	if mod == 0 {
+		mod = 1 << 16
+	}
+	return uint64(cur-prev) & (mod - 1)
+}
+
+// Unwrap converts the wrapped values into a cumulative counter, assuming the
+// counter never moves backwards and never advances a full wrap between
+// consecutive samples (guaranteed by the estimation stage's velocity cap and
+// probe spacing). A backward step therefore reads as an advance of nearly a
+// full wrap, which estimation refuses as too fast.
 func (s Series) Unwrap() []uint64 {
 	if len(s.Samples) == 0 {
 		return nil
@@ -43,8 +63,7 @@ func (s Series) Unwrap() []uint64 {
 	cur := uint64(s.Samples[0].ID)
 	out[0] = cur
 	for i := 1; i < len(s.Samples); i++ {
-		delta := uint64(s.Samples[i].ID-s.Samples[i-1].ID) & 0xffff
-		cur += delta
+		cur += s.step(s.Samples[i-1].ID, s.Samples[i].ID)
 		out[i] = cur
 	}
 	return out
@@ -69,13 +88,14 @@ func (s Series) Velocity() (idsPerSec float64, ok bool) {
 type Class int
 
 const (
-	// ClassUnresponsive: no (or too few) IPID samples.
+	// ClassUnresponsive: no (or too few) samples — for Speedtrap, most often
+	// a target that never answers with fragments.
 	ClassUnresponsive Class = iota
 	// ClassConstant: the counter never moves (e.g. always zero); useless
 	// for the bounds test.
 	ClassConstant
 	// ClassTooFast: apparent velocity above the usable cap — either genuine
-	// high-traffic counters or pseudo-random IPIDs, which alias to extreme
+	// high-traffic counters or pseudo-random IDs, which alias to extreme
 	// velocities after unwrapping.
 	ClassTooFast
 	// ClassUsable: a trackable monotonic counter.
@@ -98,7 +118,7 @@ func (c Class) String() string {
 	}
 }
 
-// Classify applies MIDAR's estimation-stage filter to a single-target series.
+// Classify applies the estimation-stage filter to a single-target series.
 func Classify(s Series, maxVelocity float64) Class {
 	if len(s.Samples) < 3 {
 		return ClassUnresponsive
@@ -122,12 +142,12 @@ type timed struct {
 	src int
 }
 
-// MBT runs the Monotonic Bounds Test on two interleaved series. It merges
-// the samples in time order and accepts the pair as aliases iff every
-// consecutive step is consistent with one shared counter: the wrapped
-// increment must not exceed what the faster counter could plausibly have
-// produced in the elapsed time (plus a margin for the probes themselves and
-// for bursty cross traffic).
+// MBT runs the Monotonic Bounds Test on two interleaved series of one
+// counter width (a's Modulus is used). It merges the samples in time order
+// and accepts the pair as aliases iff every consecutive step is consistent
+// with one shared counter: the wrapped increment must not exceed what the
+// faster counter could plausibly have produced in the elapsed time (plus a
+// margin for the probes themselves and for bursty cross traffic).
 //
 // vmax is the larger of the two estimated velocities; margin absorbs
 // response-packet increments and jitter.
@@ -152,8 +172,7 @@ func MBT(a, b Series, vmax float64, margin float64) bool {
 			return false
 		}
 		bound := vmax*dt*2 + margin
-		step := float64(uint64(cur.ID-prev.ID) & 0xffff)
-		if step > bound {
+		if float64(a.step(prev.ID, cur.ID)) > bound {
 			return false
 		}
 		if prev.src != cur.src {

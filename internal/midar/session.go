@@ -7,9 +7,15 @@ import (
 	"aliaslimit/internal/netsim"
 )
 
-// Prober supplies IPID samples. netsim.Vantage implements it.
+// Prober supplies IPv4 IPID samples. netsim.Vantage implements it.
 type Prober interface {
 	IPIDProbe(addr netip.Addr) (ipid uint16, ok bool)
+}
+
+// FragProber supplies IPv6 fragment-identification samples, Speedtrap's
+// probe. netsim.Vantage implements it.
+type FragProber interface {
+	FragIDProbe(addr netip.Addr) (fragID uint32, ok bool)
 }
 
 // Config tunes the MIDAR pipeline.
@@ -47,16 +53,33 @@ func (c Config) withDefaults() Config {
 // paper's observation that its MIDAR comparison took three weeks and
 // suffered IP churn.
 type Session struct {
-	prober Prober
-	clock  *netsim.SimClock
-	cfg    Config
+	// probe samples one address's counter.
+	probe func(netip.Addr) (uint32, bool)
+	// modulus is the sampled counter's width, as in Series.Modulus.
+	modulus uint64
+	// corroborate re-tests elimination's groups with fresh samples.
+	corroborate bool
+	clock       *netsim.SimClock
+	cfg         Config
 }
 
-// NewSession builds a session. clock may be nil only if no pacing is wanted
-// (every probe then shares one timestamp and the MBT degenerates), so in
-// practice pass the fabric's SimClock.
+// NewSession builds a MIDAR session over 16-bit IPv4 IPIDs. clock may be nil
+// only if no pacing is wanted (every probe then shares one timestamp and the
+// MBT degenerates), so in practice pass the fabric's SimClock.
 func NewSession(p Prober, clock *netsim.SimClock, cfg Config) *Session {
-	return &Session{prober: p, clock: clock, cfg: cfg.withDefaults()}
+	probe := func(a netip.Addr) (uint32, bool) {
+		id, ok := p.IPIDProbe(a)
+		return uint32(id), ok
+	}
+	return &Session{probe: probe, corroborate: true, clock: clock, cfg: cfg.withDefaults()}
+}
+
+// NewSpeedtrapSession builds a Speedtrap session over 32-bit IPv6 fragment
+// identifiers, at MIDAR's default pacing. Its verdicts rest on elimination
+// alone: VerifySet reports the groups the pairwise test leaves, without
+// corroboration.
+func NewSpeedtrapSession(p FragProber, clock *netsim.SimClock) *Session {
+	return &Session{probe: p.FragIDProbe, modulus: 1 << 32, clock: clock, cfg: Config{}.withDefaults()}
 }
 
 // now returns the current simulated time.
@@ -81,9 +104,10 @@ func (s *Session) SampleSet(addrs []netip.Addr) map[netip.Addr]Series {
 	out := make(map[netip.Addr]Series, len(addrs))
 	for r := 0; r < s.cfg.Rounds; r++ {
 		for _, a := range addrs {
-			if id, ok := s.prober.IPIDProbe(a); ok {
+			if id, ok := s.probe(a); ok {
 				sr := out[a]
 				sr.Samples = append(sr.Samples, Sample{T: s.now(), ID: id})
+				sr.Modulus = s.modulus
 				out[a] = sr
 			}
 			s.tick()

@@ -6,8 +6,8 @@ import (
 	"aliaslimit/internal/alias"
 )
 
-// SetOutcome classifies the MIDAR verdict for one candidate alias set, the
-// unit of the paper's SSH-MIDAR validation row.
+// SetOutcome classifies the verdict for one candidate alias set, the unit
+// of the paper's SSH-MIDAR validation row.
 type SetOutcome int
 
 const (
@@ -18,8 +18,8 @@ const (
 	// OutcomeConfirmed: the usable addresses form one MBT-consistent group
 	// exactly matching the candidate set's usable membership.
 	OutcomeConfirmed
-	// OutcomeSplit: MIDAR partitions the candidate set into two or more
-	// groups (the paper's disagreement cases).
+	// OutcomeSplit: the technique partitions the candidate set into two or
+	// more groups (the paper's disagreement cases).
 	OutcomeSplit
 )
 
@@ -45,14 +45,17 @@ type SetResult struct {
 	Outcome SetOutcome
 	// UsableAddrs lists the addresses that passed estimation.
 	UsableAddrs []netip.Addr
-	// Partition is MIDAR's own grouping of the usable addresses (set for
-	// confirmed and split outcomes).
+	// Partition is the technique's own grouping of the usable addresses
+	// (set for confirmed and split outcomes). Elimination's groups come in
+	// the order of their first usable address; corroboration lists the
+	// members a group drops, as singletons, just before the group.
 	Partition []alias.Set
 }
 
 // VerifySet runs the full pipeline on one candidate set: estimation
 // (classify each address), elimination (pairwise MBT over usable addresses),
-// and corroboration (re-test each resulting group with fresh samples).
+// and, for MIDAR, corroboration (re-test each resulting group with fresh
+// samples).
 func (s *Session) VerifySet(candidate alias.Set) SetResult {
 	res := SetResult{Candidate: candidate}
 
@@ -98,19 +101,41 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 			}
 		}
 	}
-	groups := make(map[int][]netip.Addr)
+	// List the groups in the order of their first member, so the partition
+	// and the order of corroboration's probes are the same on every run.
+	var groups [][]netip.Addr
+	slot := make([]int, n) // root → 1 + its group's index in groups
 	for i, a := range res.UsableAddrs {
 		r := find(i)
-		groups[r] = append(groups[r], a)
+		if slot[r] == 0 {
+			groups = append(groups, nil)
+			slot[r] = len(groups)
+		}
+		groups[slot[r]-1] = append(groups[slot[r]-1], a)
+	}
+	if s.corroborate {
+		groups = s.corroborateGroups(groups)
 	}
 
-	// Corroboration: re-sample each multi-address group and demand the MBT
-	// still holds between every member and the group's first address.
-	// Members that fail drop out into singleton groups.
-	var finalGroups [][]netip.Addr
+	for _, addrs := range groups {
+		res.Partition = append(res.Partition, alias.NewSet(addrs...))
+	}
+	if len(res.Partition) == 1 && res.Partition[0].Size() == n {
+		res.Outcome = OutcomeConfirmed
+	} else {
+		res.Outcome = OutcomeSplit
+	}
+	return res
+}
+
+// corroborateGroups re-samples each multi-address group and demands the MBT
+// still holds between every member and the group's first address. Members
+// that fail drop out into singleton groups.
+func (s *Session) corroborateGroups(groups [][]netip.Addr) [][]netip.Addr {
+	var out [][]netip.Addr
 	for _, addrs := range groups {
 		if len(addrs) < 2 {
-			finalGroups = append(finalGroups, addrs)
+			out = append(out, addrs)
 			continue
 		}
 		fresh := s.SampleSet(addrs)
@@ -126,21 +151,12 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 			if MBT(fresh[ref], fresh[a], vmax, s.cfg.Margin) {
 				kept = append(kept, a)
 			} else {
-				finalGroups = append(finalGroups, []netip.Addr{a})
+				out = append(out, []netip.Addr{a})
 			}
 		}
-		finalGroups = append(finalGroups, kept)
+		out = append(out, kept)
 	}
-
-	for _, addrs := range finalGroups {
-		res.Partition = append(res.Partition, alias.NewSet(addrs...))
-	}
-	if len(res.Partition) == 1 && res.Partition[0].Size() == len(res.UsableAddrs) {
-		res.Outcome = OutcomeConfirmed
-	} else {
-		res.Outcome = OutcomeSplit
-	}
-	return res
+	return out
 }
 
 // VerifySets runs VerifySet over a sample of candidate sets and tallies the
@@ -167,11 +183,11 @@ func (s *Session) VerifySets(candidates []alias.Set) ([]SetResult, Tally) {
 type Tally struct {
 	// Unverifiable sets had fewer than two usable counters.
 	Unverifiable int
-	// Confirmed sets matched MIDAR's partition exactly.
+	// Confirmed sets matched the technique's partition exactly.
 	Confirmed int
-	// Split sets were broken apart by MIDAR.
+	// Split sets were broken apart by the technique.
 	Split int
 }
 
-// Verifiable returns the number of sets MIDAR could test at all.
+// Verifiable returns the number of sets the technique could test at all.
 func (t Tally) Verifiable() int { return t.Confirmed + t.Split }

@@ -387,7 +387,7 @@ func (d *Device) sampleIPID(vantage string, addr netip.Addr, now time.Time, poli
 	if policy != nil {
 		model = *policy
 	}
-	return d.ipid.sample(model, idx, now), true
+	return uint16(d.ipid.sample(model, idx, 7919, now)), true
 }
 
 // icmpSource answers an iffinder-style UDP probe to a closed port: the

@@ -9,40 +9,9 @@ import (
 // al., IMC '13) elicits *fragmented* responses — by advertising a tiny MTU —
 // and samples the 32-bit Identification of the Fragment extension header,
 // which many routers draw from one shared counter. This file adds that probe
-// primitive to the fabric.
-
-// sample32 is the 32-bit analogue of ipidState.sample used for IPv6 fragment
-// identifiers. It shares the same counter state: devices that use one
-// counter for IPv4 IPID typically use it for fragment IDs too.
-func (s *ipidState) sample32(m IPIDModel, ifIndex int, now time.Time) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch m {
-	case IPIDZero:
-		return 0
-	case IPIDRandom:
-		return uint32(s.rng.Uint64())
-	case IPIDPerInterface:
-		for ifIndex >= len(s.perIf) {
-			s.perIf = append(s.perIf, 0)
-		}
-		s.perIf[ifIndex]++
-		return uint32(s.perIf[ifIndex] + uint64(ifIndex)*104729)
-	case IPIDSharedMonotonic, IPIDHighVelocity:
-		if now.After(s.lastTick) {
-			dt := now.Sub(s.lastTick).Seconds()
-			inc := s.velocity*dt + s.carry
-			whole := uint64(inc)
-			s.carry = inc - float64(whole)
-			s.counter += whole
-			s.lastTick = now
-		}
-		s.counter++
-		return uint32(s.counter)
-	default:
-		return 0
-	}
-}
+// primitive to the fabric. It reads the same counter state as sampleIPID:
+// devices that use one counter for IPv4 IPID typically use it for fragment
+// IDs too.
 
 // sampleFragID answers a Speedtrap probe against an IPv6 interface, or false
 // when the device does not emit fragment identifiers (most hosts answer
@@ -63,7 +32,7 @@ func (d *Device) sampleFragID(vantage string, addr netip.Addr, now time.Time, po
 	if policy != nil {
 		model = *policy
 	}
-	return d.ipid.sample32(model, idx, now), true
+	return uint32(d.ipid.sample(model, idx, 104729, now)), true
 }
 
 // FragIDProbe elicits one IPv6 fragment-identification sample from addr —

@@ -70,6 +70,39 @@ func TestFragIDModels(t *testing.T) {
 	}
 }
 
+// TestFragProbeGating checks which addresses answer a fragment-ID probe: an
+// emitter's IPv6 address does; an address of a device that never fragments,
+// a dual-stack emitter's IPv4 address and an unrouted address do not.
+func TestFragProbeGating(t *testing.T) {
+	clk := NewSimClock(time.Unix(0, 0))
+	f := New(clk)
+	fragDevice(t, f, "dual", IPIDSharedMonotonic, nil, "10.6.0.1", "2a00:6::1")
+	atomic, err := NewDevice(DeviceConfig{
+		ID: "atomic", Addrs: []netip.Addr{netip.MustParseAddr("2a00:4::1")},
+		IPID: IPIDSharedMonotonic, IPIDVelocity: 20, Pingable: true,
+	}, clk.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddDevice(atomic); err != nil {
+		t.Fatal(err)
+	}
+	v := f.Vantage("t")
+	for _, c := range []struct {
+		addr string
+		want bool
+	}{
+		{"2a00:6::1", true},
+		{"2a00:4::1", false},  // never fragments
+		{"10.6.0.1", false},   // the dual-stack emitter's IPv4 address
+		{"2a00:99::1", false}, // unrouted
+	} {
+		if _, ok := v.FragIDProbe(netip.MustParseAddr(c.addr)); ok != c.want {
+			t.Errorf("%s answered = %v, want %v", c.addr, ok, c.want)
+		}
+	}
+}
+
 func TestFragIDVantageFiltering(t *testing.T) {
 	clk := NewSimClock(time.Unix(0, 0))
 	f := New(clk)

@@ -79,22 +79,25 @@ func newIPIDState(seed uint64, velocity float64, origin time.Time) *ipidState {
 	}
 }
 
-// sample returns the IPID a probe hitting interface ifIndex at time now would
-// observe under model m, advancing the counter state.
-func (s *ipidState) sample(m IPIDModel, ifIndex int, now time.Time) uint16 {
+// sample returns the counter value a probe hitting interface ifIndex at time
+// now would observe under model m, advancing the counter state. The value is
+// untruncated: sampleIPID keeps its low 16 bits and sampleFragID its low 32.
+// Under the per-interface model, interface i's counter is offset by
+// i × stride.
+func (s *ipidState) sample(m IPIDModel, ifIndex int, stride uint64, now time.Time) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m {
 	case IPIDZero:
 		return 0
 	case IPIDRandom:
-		return uint16(s.rng.Uint64())
+		return s.rng.Uint64()
 	case IPIDPerInterface:
 		for ifIndex >= len(s.perIf) {
 			s.perIf = append(s.perIf, 0)
 		}
 		s.perIf[ifIndex]++
-		return uint16(s.perIf[ifIndex] + uint64(ifIndex)*7919)
+		return s.perIf[ifIndex] + uint64(ifIndex)*stride
 	case IPIDSharedMonotonic, IPIDHighVelocity:
 		// Apply background traffic accumulated since the last sample.
 		if now.After(s.lastTick) {
@@ -106,7 +109,7 @@ func (s *ipidState) sample(m IPIDModel, ifIndex int, now time.Time) uint16 {
 			s.lastTick = now
 		}
 		s.counter++ // the reply packet itself
-		return uint16(s.counter)
+		return s.counter
 	default:
 		return 0
 	}
