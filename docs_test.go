@@ -74,19 +74,22 @@ var unnamedAllowed = map[string]bool{
 	"aliaslimit/internal/alias.GroupSorted": true,
 }
 
-// TestExportedDeclarationsNamed keeps the exported surface from growing
-// code that only tests reach. It fails when an exported package-level
-// function or type, declared in a non-test file outside perfbench/ and
-// outside main packages, is named by no non-test Go file of the repository.
-// Callers are every non-test file (perfbench/, cmd/ and examples/ included)
-// and every Example function, which documentation runs. The census reads
-// syntax alone: a bare name counts in its own package, a qualified name
-// through the file's import of the declaring package. Methods are out of its
-// reach, because a call through an interface does not name the concrete
-// method; a test-only method has to be found by hand.
-func TestExportedDeclarationsNamed(t *testing.T) {
-	var decls []string         // "importpath.Name" of each exported declaration
-	named := map[string]bool{} // "importpath.Name" of each name a caller uses
+// goFile is one parsed Go file of the repository.
+type goFile struct {
+	// dir is the file's directory, slash-separated, relative to the root.
+	dir string
+	// pkgPath is the import path of the directory's package.
+	pkgPath string
+	// test marks a _test.go file.
+	test bool
+	f    *ast.File
+}
+
+// parseRepo parses every Go file of the repository (perfbench/, cmd/ and
+// examples/ included), skipping hidden and testdata directories.
+func parseRepo(t *testing.T) []goFile {
+	t.Helper()
+	var files []goFile
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -110,6 +113,32 @@ func TestExportedDeclarationsNamed(t *testing.T) {
 		if dir != "." {
 			pkgPath += "/" + dir
 		}
+		files = append(files, goFile{dir: dir, pkgPath: pkgPath, test: strings.HasSuffix(path, "_test.go"), f: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestExportedDeclarationsNamed keeps the exported surface from growing
+// code that only tests reach. It fails when an exported package-level
+// function or type, declared in a non-test file outside perfbench/ and
+// outside main packages, is named by no non-test Go file of the repository.
+// Callers are every non-test file (perfbench/, cmd/ and examples/ included)
+// and every Example function, which documentation runs. The census reads
+// syntax alone: a bare name counts in its own package, a qualified name
+// through the file's import of the declaring package. A method's receiver is
+// not a use of its type: a type only its own methods name is built by no
+// caller. Methods are out of its reach, because a call through an interface
+// does not name the concrete method; TestUnexportedFunctionsUsed covers the
+// unexported ones.
+func TestExportedDeclarationsNamed(t *testing.T) {
+	var decls []string         // "importpath.Name" of each exported declaration
+	named := map[string]bool{} // "importpath.Name" of each name a caller uses
+	for _, gf := range parseRepo(t) {
+		f, dir, pkgPath := gf.f, gf.dir, gf.pkgPath
 		imports := map[string]string{} // local name → import path
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
@@ -120,7 +149,7 @@ func TestExportedDeclarationsNamed(t *testing.T) {
 			imports[local] = p
 		}
 		var callers []ast.Node
-		if strings.HasSuffix(path, "_test.go") {
+		if gf.test {
 			for _, fd := range f.Decls {
 				if fn, ok := fd.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
 					callers = append(callers, fn.Body)
@@ -133,9 +162,6 @@ func TestExportedDeclarationsNamed(t *testing.T) {
 				case *ast.FuncDecl:
 					if fd.Recv == nil && fd.Name.IsExported() && declares {
 						decls = append(decls, pkgPath+"."+fd.Name.Name)
-					}
-					if fd.Recv != nil {
-						callers = append(callers, fd.Recv)
 					}
 					callers = append(callers, fd.Type)
 					if fd.Body != nil {
@@ -188,10 +214,6 @@ func TestExportedDeclarationsNamed(t *testing.T) {
 		for _, n := range callers {
 			ast.Inspect(n, visit)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(decls) < 100 {
 		t.Fatalf("only found %d exported declarations, the walk is broken", len(decls))
@@ -201,4 +223,75 @@ func TestExportedDeclarationsNamed(t *testing.T) {
 			t.Errorf("%s is named by no non-test code: delete it, or move it into the _test.go file that uses it", d)
 		}
 	}
+}
+
+// TestUnexportedFunctionsUsed is the census's sibling for unexported code. It
+// fails when an unexported package-level function or method, declared in a
+// non-test file, is used by no identifier in its package's non-test files
+// other than its declaration. It matches by name alone, so any identifier of
+// the same name counts as a use: it can miss dead code but never flags live
+// code.
+func TestUnexportedFunctionsUsed(t *testing.T) {
+	type decl struct{ pkgPath, dir, name, label string }
+	var decls []decl
+	idents := map[string]map[string]int{} // dir → name → identifiers, declarations included
+	for _, gf := range parseRepo(t) {
+		if gf.test {
+			continue
+		}
+		counts := idents[gf.dir]
+		if counts == nil {
+			counts = map[string]int{}
+			idents[gf.dir] = counts
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				counts[id.Name]++
+			}
+			return true
+		})
+		for _, d := range gf.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.IsExported() {
+				continue
+			}
+			name := fd.Name.Name
+			if name == "init" || name == "_" || (name == "main" && gf.f.Name.Name == "main") {
+				continue
+			}
+			label := name
+			if fd.Recv != nil {
+				label = receiverType(fd.Recv.List[0].Type) + "." + name
+			}
+			decls = append(decls, decl{gf.pkgPath, gf.dir, name, label})
+		}
+	}
+	if len(decls) < 100 {
+		t.Fatalf("only found %d unexported functions and methods, the walk is broken", len(decls))
+	}
+	declared := map[[2]string]int{} // (dir, name) → declarations of that name
+	for _, d := range decls {
+		declared[[2]string{d.dir, d.name}]++
+	}
+	for _, d := range decls {
+		if idents[d.dir][d.name] <= declared[[2]string{d.dir, d.name}] {
+			t.Errorf("%s: %s is used by no non-test code of its package: delete it, or move it into the _test.go file that uses it", d.pkgPath, d.label)
+		}
+	}
+}
+
+// receiverType names a method's receiver type, without pointer or type
+// parameters.
+func receiverType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return receiverType(e.X)
+	case *ast.IndexExpr:
+		return receiverType(e.X)
+	case *ast.IndexListExpr:
+		return receiverType(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
 }

@@ -40,6 +40,3 @@ func (d *dsu) union(a, b int32) int32 {
 	d.size[ra] += d.size[rb]
 	return ra
 }
-
-// sameSet reports whether a and b share a component.
-func (d *dsu) sameSet(a, b int32) bool { return d.find(a) == d.find(b) }

@@ -55,12 +55,6 @@ type Handler interface {
 	Serve(conn net.Conn, sc ServeContext)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(conn net.Conn, sc ServeContext)
-
-// Serve implements Handler.
-func (f HandlerFunc) Serve(conn net.Conn, sc ServeContext) { f(conn, sc) }
-
 // aclSet is a dense address ACL: the allowed addresses, sorted and deduped
 // for binary search. A nil set means unrestricted. Megascale worlds carry one
 // ACL per restricted service on hundreds of thousands of devices, so this is

@@ -15,6 +15,12 @@ import (
 	"time"
 )
 
+// HandlerFunc adapts a function to the Handler interface.
+type HandlerFunc func(conn net.Conn, sc ServeContext)
+
+// Serve implements Handler.
+func (f HandlerFunc) Serve(conn net.Conn, sc ServeContext) { f(conn, sc) }
+
 func mustAddr(t testing.TB, s string) netip.Addr {
 	t.Helper()
 	a, err := netip.ParseAddr(s)

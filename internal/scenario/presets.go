@@ -109,7 +109,6 @@ var presets = []Preset{
 		Tune: func(c *topo.Config) {
 			c.PSharedSSHKey = 0.30
 			c.PCloneSSHKeyOverlap = 0.50
-			c.PCloneEngineID = 0.15
 		},
 	},
 	{

@@ -118,9 +118,6 @@ type Config struct {
 	// same SSH host key and software as a sibling router. These clones are
 	// what the cross-technique validation "disagree" column counts.
 	PCloneSSHKeyOverlap float64
-	// PCloneEngineID is the analogous probability for cloned SNMPv3
-	// engine IDs (a well-documented real-world misconfiguration).
-	PCloneEngineID float64
 
 	// --- ACLs ---
 
@@ -197,7 +194,6 @@ func Default() Config {
 		PSSHPerIfaceVariation: 0.004,
 		PDuplicateBGPID:       0.02,
 		PCloneSSHKeyOverlap:   0.04,
-		PCloneEngineID:        0.02,
 
 		PSSHAcl:  0.10,
 		PSNMPAcl: 0.15,

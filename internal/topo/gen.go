@@ -59,9 +59,6 @@ type generator struct {
 	// overlapSSH registers the SSH personalities of multi-service routers
 	// so later routers can clone them (PCloneSSHKeyOverlap).
 	overlapSSH []*sshPersona
-	// overlapEngines registers SNMPv3 engine IDs of multi-service routers
-	// for the analogous cloning (PCloneEngineID).
-	overlapEngines [][]byte
 	// plans accumulates the device plans in canonical order.
 	plans []*devicePlan
 }
@@ -253,23 +250,6 @@ func (g *generator) planSSHOverlap(id string) *sshPlan {
 	}
 	g.w.Truth.Fleets[persona.label] = append(g.w.Truth.Fleets[persona.label], id)
 	return &sshPlan{persona: persona}
-}
-
-// planAgentOverlap resolves the SNMPv3 agent of a multi-service router, with
-// probability PCloneEngineID reusing a sibling's engine ID (cloned configs
-// ship duplicate engine IDs in the wild).
-func (g *generator) planAgentOverlap(id string) snmpv3.AgentConfig {
-	if len(g.overlapEngines) > 0 && g.prob(id, "clone-eng") < g.cfg.PCloneEngineID {
-		eng := g.overlapEngines[g.intn(len(g.overlapEngines), id, "clone-eng-pick")]
-		return snmpv3.AgentConfig{
-			EngineID:    eng,
-			EngineBoots: int64(1 + g.intn(40, id, "boots")),
-			BootTime:    g.w.Clock.Now().Add(-time.Duration(g.intn(10_000_000, id, "uptime")) * time.Second),
-		}
-	}
-	cfg := g.planAgent(id)
-	g.overlapEngines = append(g.overlapEngines, cfg.EngineID)
-	return cfg
 }
 
 // assignPTRNames populates the world's reverse zone for a device: partial
@@ -659,8 +639,9 @@ func (g *generator) planBGPPopulations() {
 		p.attachBGP(g.planSpeaker(id, as, addrs[0], hasV6, bgp.BehaviorOpenNotify))
 		if g.prob(id, "snmp") < g.cfg.PBGPRouterSNMP {
 			// Plain agent: at this scale the paper's ~5% BGP↔SNMPv3
-			// disagreement rounds to zero expected sets, so the clone
-			// mechanism is reserved for the larger SSH↔SNMPv3 overlap.
+			// disagreement rounds to zero expected sets. No SNMPv3 engine
+			// ID is ever cloned; only SSH personalities are
+			// (planSSHOverlap).
 			p.snmp = &snmpPlan{cfg: g.planAgent(id)}
 		}
 		if g.prob(id, "ssh") < g.cfg.PBGPRouterSSH {

@@ -10,6 +10,13 @@ import (
 	"aliaslimit/internal/netsim"
 )
 
+// openPort binds a port that accepts and serves nothing: a SYN probe only
+// needs the port open.
+type openPort struct{}
+
+// Serve implements netsim.Handler.
+func (openPort) Serve(net.Conn, netsim.ServeContext) {}
+
 func TestPermutationFullCycleProperty(t *testing.T) {
 	f := func(nRaw uint16, seed uint64) bool {
 		n := uint64(nRaw%5000) + 1
@@ -130,7 +137,7 @@ func TestScanClassification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetService(22, netsim.HandlerFunc(func(conn net.Conn, sc netsim.ServeContext) {}))
+			d.SetService(22, openPort{})
 			if err := f.AddDevice(d); err != nil {
 				t.Fatal(err)
 			}
