@@ -8,25 +8,34 @@ import (
 	"testing"
 )
 
+// ciJob returns the text of one job of the CI workflow, from its name line
+// to the next job. It skips the test when the workflow is not readable and
+// fails it when the job is missing.
+func ciJob(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Skipf("ci.yml not readable: %v", err)
+	}
+	text := string(data)
+	idx := strings.Index(text, "\n  "+name+":\n")
+	if idx < 0 {
+		t.Fatalf("ci.yml has no %s job", name)
+	}
+	job := text[idx+1:]
+	if next := regexp.MustCompile(`\n  [a-z-]+:\n`).FindStringIndex(job); next != nil {
+		job = job[:next[0]]
+	}
+	return job
+}
+
 // TestCIPerfbenchJob pins the CI job that builds and tests the benchmark
 // harness: perfbench/ is its own module, so the root go test ./... never
 // compiles it, and only this job notices a change that breaks an internal
 // API the harness imports. The job must vet and test the module and must not
 // be limited to some events.
 func TestCIPerfbenchJob(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Skipf("ci.yml not readable: %v", err)
-	}
-	text := string(data)
-	idx := strings.Index(text, "\n  perfbench:\n")
-	if idx < 0 {
-		t.Fatal("ci.yml has no perfbench job")
-	}
-	job := text[idx+1:]
-	if next := regexp.MustCompile(`\n  [a-z-]+:\n`).FindStringIndex(job); next != nil {
-		job = job[:next[0]]
-	}
+	job := ciJob(t, "perfbench")
 	if !strings.Contains(job, "run: cd perfbench && go vet ./... && go test ./...") {
 		t.Errorf("perfbench job does not vet and test the perfbench module:\n%s", job)
 	}
@@ -45,19 +54,7 @@ func TestCIPerfbenchJob(t *testing.T) {
 // each package's failing input as an artifact. Only the upload steps
 // may carry an if:, so that they run when a fuzz step fails.
 func TestCIFuzzJob(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Skipf("ci.yml not readable: %v", err)
-	}
-	text := string(data)
-	idx := strings.Index(text, "\n  fuzz:\n")
-	if idx < 0 {
-		t.Fatal("ci.yml has no fuzz job")
-	}
-	job := text[idx+1:]
-	if next := regexp.MustCompile(`\n  [a-z-]+:\n`).FindStringIndex(job); next != nil {
-		job = job[:next[0]]
-	}
+	job := ciJob(t, "fuzz")
 	for _, want := range []string{
 		"run: go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 30s ./internal/obsfile",
 		"run: go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 30s -fuzzminimizetime 2s ./internal/sshwire",
@@ -85,5 +82,20 @@ func TestCIFuzzJob(t *testing.T) {
 		if conditional && !strings.Contains(step, "upload-artifact") {
 			t.Errorf("a fuzz step other than the upload is conditional:\n%s", step)
 		}
+	}
+}
+
+// TestCIColdViewsBench pins the bench-smoke step that prices the first read
+// of every scored view of a sealed environment (BenchmarkColdViews), so its
+// time and allocations land in bench-smoke.txt on every event.
+func TestCIColdViewsBench(t *testing.T) {
+	job := ciJob(t, "bench-smoke")
+	step := "      - name: Cold analysis views benchmark (first read of every scored view)\n" +
+		"        run: go test -run=NONE -bench=BenchmarkColdViews -benchtime=20x ./internal/experiments | tee -a bench-smoke.txt\n"
+	if !strings.Contains(job, step) {
+		t.Errorf("bench-smoke job lacks the cold-views step:\n%s", job)
+	}
+	if strings.Contains(job, "\n    if:") {
+		t.Errorf("bench-smoke job runs only on some events:\n%s", job)
 	}
 }
