@@ -14,21 +14,39 @@ import (
 // The only remaining sort is the canonical ordering of the (far fewer) output
 // sets — the invariant the megascale path relies on.
 //
-// A Grouper is an arena: Reset keeps the identifier table's buckets and every
-// per-identifier address bucket at capacity, so a steady-state
-// Reset→Observe×N→AppendSets cycle over a stable identifier population
-// performs no allocations (the alloc gate in BENCH_baseline.json enforces
-// ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not safe for
-// concurrent use; callers that share one must serialise access (a resolver
-// session guards each protocol's grouper with a mutex).
+// A Grouper is an arena. A new identifier's first bucket is carved from a
+// slab that grows geometrically, so filling n identifiers allocates
+// O(log n) slabs instead of one array per identifier (most identifiers sit
+// at one address, and their buckets never grow). Reset keeps the identifier
+// table's buckets and every per-identifier address bucket at capacity, so a
+// steady-state Reset→Observe×N→AppendSets cycle over a stable identifier
+// population performs no allocations (the alloc gate in BENCH_baseline.json
+// enforces ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not
+// safe for concurrent use; callers that share one must serialise access (a
+// resolver session guards each protocol's grouper with a mutex).
 type Grouper struct {
-	ids     map[ident.Identifier]int32
+	ids map[ident.Identifier]int32
+	// buckets holds each identifier's sorted addresses. It grows by
+	// doubling; slots past its length hold empty buckets Reset retired, or
+	// nil.
 	buckets [][]netip.Addr
+	// slab is the uncarved rest of the slab new buckets come from.
+	slab []netip.Addr
 }
 
-// NewGrouper returns an empty grouping arena.
-func NewGrouper() *Grouper {
-	return &Grouper{ids: make(map[ident.Identifier]int32)}
+// minSlab and maxSlab bound the length of a slab: a Grouper's first holds
+// minSlab buckets, and a full slab never strands more than maxSlab unused
+// slots. A Grouper's identifier table and bucket list also start with room
+// for minSlab identifiers.
+const (
+	minSlab = 16
+	maxSlab = 4096
+)
+
+// NewGrouper returns an empty grouping arena whose identifier table has
+// room for at least size identifiers before it grows.
+func NewGrouper(size int) *Grouper {
+	return &Grouper{ids: make(map[ident.Identifier]int32, max(size, minSlab))}
 }
 
 // Reset forgets all observations but keeps every internal buffer at capacity,
@@ -50,15 +68,15 @@ func (g *Grouper) Observe(o Observation) {
 	if !ok {
 		gi = int32(len(g.buckets))
 		if g.ids == nil {
-			g.ids = make(map[ident.Identifier]int32)
+			g.ids = make(map[ident.Identifier]int32, minSlab)
 		}
 		g.ids[o.ID] = gi
-		if cap(g.buckets) > len(g.buckets) {
-			// Reuse a retired bucket's backing array.
-			g.buckets = g.buckets[:gi+1]
-			g.buckets[gi] = g.buckets[gi][:0]
-		} else {
-			g.buckets = append(g.buckets, nil)
+		if len(g.buckets) == cap(g.buckets) {
+			g.buckets = slices.Grow(g.buckets, max(minSlab, len(g.buckets)))
+		}
+		g.buckets = g.buckets[:gi+1]
+		if cap(g.buckets[gi]) == 0 {
+			g.buckets[gi] = g.carve()
 		}
 	}
 	b := g.buckets[gi]
@@ -80,6 +98,19 @@ func (g *Grouper) Observe(o Observation) {
 	copy(b[lo+1:], b[lo:])
 	b[lo] = o.Addr
 	g.buckets[gi] = b
+}
+
+// carve returns an empty bucket with room for one address, cut from the
+// slab. An exhausted slab is replaced by one three times as long as the
+// bucket count, up to maxSlab, so the slabs grow geometrically. A bucket
+// that outgrows its slot moves to an array of its own.
+func (g *Grouper) carve() []netip.Addr {
+	if len(g.slab) == 0 {
+		g.slab = make([]netip.Addr, min(max(minSlab, 3*len(g.buckets)), maxSlab))
+	}
+	b := g.slab[:0:1]
+	g.slab = g.slab[1:]
+	return b
 }
 
 // count returns the number of buckets holding at least minSize addresses and

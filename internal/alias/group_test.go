@@ -98,7 +98,7 @@ func TestGrouperEmpty(t *testing.T) {
 // in CI on the real measured corpus).
 func TestGrouperSteadyStateAllocs(t *testing.T) {
 	obs := groupCorpus(11, 6000)
-	g := NewGrouper()
+	g := NewGrouper(0)
 	var sets []Set
 	var backing []netip.Addr
 	cycle := func() {
@@ -118,11 +118,37 @@ func TestGrouperSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestGrouperFirstFillAllocs bounds the cost of a fresh grouper's first
+// fill: 4,096 distinct identifiers at one address each must take at most 64
+// allocations, so new buckets come from slabs, not one array per
+// identifier.
+func TestGrouperFirstFillAllocs(t *testing.T) {
+	const n = 4096
+	obs := make([]Observation, n)
+	for i := range obs {
+		obs[i] = Observation{
+			Addr: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
+			ID:   ident.Identifier{Proto: ident.SSH, Digest: fmt.Sprintf("id-%04d", i)},
+		}
+	}
+	var g *Grouper
+	allocs := testing.AllocsPerRun(10, func() {
+		g = new(Grouper)
+		for _, o := range obs {
+			g.Observe(o)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("first fill of %d identifiers: %.0f allocs, want <= 64", n, allocs)
+	}
+	sameSets(t, GroupSorted(obs), g.Sets(), "first fill")
+}
+
 // BenchmarkGrouperSteadyState prices the zero-alloc steady-state cycle the
 // resolution service runs per measurement round.
 func BenchmarkGrouperSteadyState(b *testing.B) {
 	obs := groupCorpus(11, 6000)
-	g := NewGrouper()
+	g := NewGrouper(0)
 	var sets []Set
 	var backing []netip.Addr
 	b.ReportAllocs()
