@@ -313,9 +313,9 @@ func BenchmarkGrouping(b *testing.B) {
 // BenchmarkMerge measures the cross-protocol union-find consolidation.
 func BenchmarkMerge(b *testing.B) {
 	env := benchEnv(b)
-	ssh := alias.NonSingleton(alias.FilterFamily(env.Both.Sets(ident.SSH), true))
-	bgpS := alias.NonSingleton(alias.FilterFamily(env.Both.Sets(ident.BGP), true))
-	snmp := alias.NonSingleton(alias.FilterFamily(env.Active.Sets(ident.SNMP), true))
+	ssh := env.Both.NonSingletonFamilySets(ident.SSH, true)
+	bgpS := env.Both.NonSingletonFamilySets(ident.BGP, true)
+	snmp := env.Active.NonSingletonFamilySets(ident.SNMP, true)
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
@@ -347,9 +347,9 @@ func BenchmarkAblationIdentifierSSH(b *testing.B) {
 // device answers several protocols.
 func BenchmarkAblationUnionStrategy(b *testing.B) {
 	env := benchEnv(b)
-	ssh := alias.NonSingleton(alias.FilterFamily(env.Both.Sets(ident.SSH), true))
-	bgpS := alias.NonSingleton(alias.FilterFamily(env.Both.Sets(ident.BGP), true))
-	snmp := alias.NonSingleton(alias.FilterFamily(env.Active.Sets(ident.SNMP), true))
+	ssh := env.Both.NonSingletonFamilySets(ident.SSH, true)
+	bgpS := env.Both.NonSingletonFamilySets(ident.BGP, true)
+	snmp := env.Active.NonSingletonFamilySets(ident.SNMP, true)
 	perProtocol := len(ssh) + len(bgpS) + len(snmp)
 	var merged int
 	b.ResetTimer()
@@ -415,7 +415,7 @@ func BenchmarkAblationScanOrder(b *testing.B) {
 // fraction — the bottleneck is counter behaviour, not sampling.
 func BenchmarkAblationMIDARBudget(b *testing.B) {
 	env := benchEnv(b)
-	sets := alias.NonSingleton(alias.FilterFamily(env.Active.Sets(ident.SSH), true))
+	sets := env.Active.NonSingletonFamilySets(ident.SSH, true)
 	var sample []alias.Set
 	for _, s := range sets {
 		if s.Size() <= 10 && len(sample) < 20 {

@@ -63,7 +63,8 @@ func emptyDataset(name string) *Dataset {
 }
 
 // newDataset builds an in-RAM dataset from each protocol's observations,
-// sorted by address. Its session is fed from Obs on first use.
+// sorted by address. Its session is fed a protocol's observations when
+// that protocol's groups are first read (NonSingletonSets).
 func newDataset(name string, obs [numProto][]alias.Observation) *Dataset {
 	d := emptyDataset(name)
 	for _, p := range ident.Protocols {
@@ -117,20 +118,6 @@ func (d *Dataset) AllAddrs(v4 *bool) []netip.Addr {
 			merged = mergeAddrs(merged, d.addrs[p])
 		}
 		return filterFam(merged, v4)
-	})
-}
-
-// Sets groups a protocol's observations into alias sets (all sizes) through
-// the dataset's resolver session. Cached and shared — treat the result as
-// read-only. An in-RAM dataset's observations stream into the session here,
-// once, on first use; a stream-collected dataset has empty Obs and a
-// session its seal pass already fed.
-func (d *Dataset) Sets(p ident.Protocol) []alias.Set {
-	return d.views.groups[p].get(func() []alias.Set {
-		for _, o := range d.Obs[p] {
-			d.views.session.Observe(o)
-		}
-		return d.views.session.Sets(p)
 	})
 }
 

@@ -100,7 +100,7 @@ func TestInferenceMatchesGroundTruthSSH(t *testing.T) {
 	}
 	churned := func(dev string) bool { return strings.Contains(dev, "-churn") }
 
-	sets := alias.NonSingleton(e.Active.Sets(ident.SSH))
+	sets := e.Active.NonSingletonSets(ident.SSH)
 	if len(sets) == 0 {
 		t.Fatal("no non-singleton SSH sets")
 	}
@@ -138,7 +138,7 @@ func TestInferenceRecallSSH(t *testing.T) {
 	// truly has >=2 SSH IPv4 addresses and the scan captured >=2 of them,
 	// they must land in one set (same key + capabilities).
 	addrToSet := map[string]int{}
-	sets := alias.NonSingleton(alias.FilterFamily(e.Active.Sets(ident.SSH), true))
+	sets := e.Active.NonSingletonFamilySets(ident.SSH, true)
 	for i, s := range sets {
 		for _, a := range s.Addrs {
 			addrToSet[a.String()] = i
@@ -206,8 +206,8 @@ func TestTable3UnionDoublesSNMP(t *testing.T) {
 
 func TestDualStackDominatedBySSH(t *testing.T) {
 	e := testEnv(t)
-	sshDS := alias.DualStack(e.Both.Sets(ident.SSH))
-	snmpDS := alias.DualStack(e.Both.Sets(ident.SNMP))
+	sshDS := alias.DualStack(e.Both.NonSingletonSets(ident.SSH))
+	snmpDS := alias.DualStack(e.Active.NonSingletonSets(ident.SNMP))
 	if len(sshDS) < 10*len(snmpDS) {
 		t.Errorf("SSH dual-stack (%d) should dwarf SNMPv3 dual-stack (%d) — the paper's 30x",
 			len(sshDS), len(snmpDS))

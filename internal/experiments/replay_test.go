@@ -37,7 +37,7 @@ func viewsFingerprint(env *Env) map[string]interface{} {
 			fp[ds.Name+"-addrs-"+sel] = ds.AllAddrs(v4)
 		}
 		for _, p := range ident.Protocols {
-			fp[ds.Name+"-"+p.String()] = ds.Sets(p)
+			fp[ds.Name+"-"+p.String()] = ds.NonSingletonSets(p)
 			for sel, v4 := range sels {
 				fp[ds.Name+"-"+p.String()+"-addrs-"+sel] = ds.Addrs(p, v4)
 			}

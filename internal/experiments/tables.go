@@ -69,8 +69,8 @@ func (e *Env) Table1() *Table {
 // responsive addresses, then count exact-membership matches.
 func (e *Env) ValidatePair(a, b ident.Protocol) (commonIPs int, res alias.ValidationResult) {
 	common := commonAddrSet(e.Active.Addrs(a, nil), e.Active.Addrs(b, nil))
-	aSets := alias.Restrict(e.Active.Sets(a), common)
-	bSets := alias.Restrict(e.Active.Sets(b), common)
+	aSets := alias.Restrict(e.Active.NonSingletonSets(a), common)
+	bSets := alias.Restrict(e.Active.NonSingletonSets(b), common)
 	return len(common), alias.MatchSets(aSets, bSets)
 }
 
@@ -171,13 +171,11 @@ func (e *Env) Table3() *Table {
 		Title:  "Alias Sets Overview (non-singleton sets, covered addrs)",
 		Header: []string{"Family", "Source", "Active", "Censys", "Union"},
 	}
-	cellFor := func(ds *Dataset, p ident.Protocol, v4 bool) string {
-		ns := ds.NonSingletonFamilySets(p, v4)
+	cell := func(ns []alias.Set) string {
 		return setsAndAddrs(len(ns), alias.CoveredAddrs(ns))
 	}
-	unionCell := func(ds *Dataset, v4 bool) string {
-		ns := ds.MergedFamilyNonSingleton(v4)
-		return setsAndAddrs(len(ns), alias.CoveredAddrs(ns))
+	cellFor := func(ds *Dataset, p ident.Protocol, v4 bool) string {
+		return cell(ds.NonSingletonFamilySets(p, v4))
 	}
 	for _, row := range []struct {
 		p    ident.Protocol
@@ -193,14 +191,17 @@ func (e *Env) Table3() *Table {
 		}
 		t.Rows = append(t.Rows, []string{"IPv4", row.name, cellFor(e.Active, row.p, true), censys, union})
 	}
-	t.Rows = append(t.Rows, []string{"IPv4", "Union", unionCell(e.Active, true), unionCell(e.Censys, true), unionCell(e.Both, true)})
+	// The union column's union is the canonical one: SNMPv3 from the
+	// active scan, its single source.
+	t.Rows = append(t.Rows, []string{"IPv4", "Union", cell(e.Active.MergedFamilyNonSingleton(true)),
+		cell(e.Censys.MergedFamilyNonSingleton(true)), cell(e.UnionFamilyNonSingleton(true))})
 	for _, row := range []struct {
 		p    ident.Protocol
 		name string
 	}{{ident.SSH, "SSH"}, {ident.BGP, "BGP"}, {ident.SNMP, "SNMPv3"}} {
 		t.Rows = append(t.Rows, []string{"IPv6", row.name, cellFor(e.Active, row.p, false), "n.a", "n.a"})
 	}
-	t.Rows = append(t.Rows, []string{"IPv6", "Union", unionCell(e.Active, false), "n.a", "n.a"})
+	t.Rows = append(t.Rows, []string{"IPv6", "Union", cell(e.Active.MergedFamilyNonSingleton(false)), "n.a", "n.a"})
 
 	t.Notes = append(t.Notes, e.singleServiceNote(true), e.snmpExclusivityNote(true))
 	return t
@@ -244,8 +245,8 @@ func (e *Env) singleServiceNote(v4 bool) string {
 func (e *Env) snmpExclusivityNote(v4 bool) string {
 	ssh := e.Both.NonSingletonFamilySets(ident.SSH, v4)
 	bgpSets := e.Both.NonSingletonFamilySets(ident.BGP, v4)
-	snmp := e.Both.NonSingletonFamilySets(ident.SNMP, v4)
-	merged := e.Both.MergedFamilyNonSingleton(v4)
+	snmp := e.Active.NonSingletonFamilySets(ident.SNMP, v4)
+	merged := e.UnionFamilyNonSingleton(v4)
 	newProto := alias.AddrSet(append(append([]alias.Set(nil), ssh...), bgpSets...))
 	onlySNMP := 0
 	for _, s := range merged {
@@ -297,9 +298,9 @@ func (e *Env) Table4() *Table {
 		}
 		t.Rows = append(t.Rows, []string{name, count(v4), count(v6), count(len(ds))})
 	}
-	row("SSH", alias.DualStack(e.Both.Sets(ident.SSH)))
-	row("BGP", alias.DualStack(e.Both.Sets(ident.BGP)))
-	row("SNMPv3", alias.DualStack(e.Both.Sets(ident.SNMP)))
+	row("SSH", alias.DualStack(e.Both.NonSingletonSets(ident.SSH)))
+	row("BGP", alias.DualStack(e.Both.NonSingletonSets(ident.BGP)))
+	row("SNMPv3", alias.DualStack(e.Active.NonSingletonSets(ident.SNMP)))
 	row("Union", e.DualStackSets())
 
 	// The paper's set-size remark: 88% of dual-stack sets pair exactly one

@@ -58,7 +58,6 @@ func (m *memo[T]) get(f func() T) T {
 
 // datasetViews caches every per-dataset derivation.
 type datasetViews struct {
-	groups   [numProto]memo[[]alias.Set]     // Group per protocol
 	nsAll    [numProto]memo[[]alias.Set]     // NonSingleton(Group)
 	famNS    [numProto][2]memo[[]alias.Set]  // NonSingleton(FilterFamily(nsAll))
 	mergedNS [2]memo[[]alias.Set]            // per-family merge of the three famNS
@@ -71,10 +70,17 @@ type datasetViews struct {
 	session resolver.Session
 }
 
-// NonSingletonSets returns the protocol's non-singleton identifier groups
-// (both families).
+// NonSingletonSets returns the protocol's identifier groups of two or more
+// addresses (both families), grouped through the dataset's resolver
+// session; a one-address group is neither copied nor sorted. An in-RAM
+// dataset's observations go to the session here, in one batch, on first
+// use; a stream-collected dataset has empty Obs and a session its seal pass
+// already fed.
 func (d *Dataset) NonSingletonSets(p ident.Protocol) []alias.Set {
-	return d.views.nsAll[p].get(func() []alias.Set { return alias.NonSingleton(d.Sets(p)) })
+	return d.views.nsAll[p].get(func() []alias.Set {
+		d.views.session.ObserveAll(d.Obs[p])
+		return d.views.session.NonSingletonSets(p)
+	})
 }
 
 // NonSingletonFamilySets returns the protocol's identifier groups filtered
@@ -170,14 +176,15 @@ func (e *Env) UnionFamilyNonSingleton(v4 bool) []alias.Set {
 	})
 }
 
-// DualStackMerged returns the all-family merge of every protocol's union
-// non-singleton identifier groups — the partition dual-stack analysis reads.
+// DualStackMerged returns the all-family merge of every protocol's
+// non-singleton identifier groups — SSH and BGP from the union dataset,
+// SNMPv3 from the active scan — the partition dual-stack analysis reads.
 // Singletons stay out: one adds no union edge, only a one-address component
 // DualStack would drop, so DualStackSets is the same as merging every group.
 func (e *Env) DualStackMerged() []alias.Set {
 	return e.views.dualMerged.get(func() []alias.Set {
 		return e.session.Merged(e.Both.NonSingletonSets(ident.SSH),
-			e.Both.NonSingletonSets(ident.BGP), e.Both.NonSingletonSets(ident.SNMP))
+			e.Both.NonSingletonSets(ident.BGP), e.Active.NonSingletonSets(ident.SNMP))
 	})
 }
 

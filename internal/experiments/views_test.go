@@ -30,17 +30,24 @@ func refAddrs(obs []alias.Observation, v4 *bool) []netip.Addr {
 
 // TestSealedViewsMatchDirect asserts the memoization contract: every cached
 // view of a built dataset is identical to the direct recomputation from the
-// raw observations, and stays identical on repeated access.
+// raw observations, and stays identical on repeated access. The union
+// dataset's SNMPv3 groups and its own cross-protocol merges are not views:
+// SNMPv3 has one source, the active scan (TestColdViewsSkipUnionSNMP).
 func TestSealedViewsMatchDirect(t *testing.T) {
 	e := testEnv(t)
 	for _, ds := range []*Dataset{e.Active, e.Censys, e.Both} {
 		var all []alias.Observation
 		for _, p := range ident.Protocols {
 			all = append(all, ds.Obs[p]...)
-			direct := alias.Group(ds.Obs[p])
-			if !reflect.DeepEqual(ds.Sets(p), direct) {
-				t.Errorf("%s %s: cached Sets != direct Group", ds.Name, p)
+			for _, sel := range []*bool{nil, V4, V6} {
+				if got, want := ds.Addrs(p, sel), refAddrs(ds.Obs[p], sel); !slices.Equal(got, want) {
+					t.Errorf("%s %s: cached Addrs diverges (%d addresses, want %d)", ds.Name, p, len(got), len(want))
+				}
 			}
+			if ds == e.Both && p == ident.SNMP {
+				continue
+			}
+			direct := alias.Group(ds.Obs[p])
 			if !reflect.DeepEqual(ds.NonSingletonSets(p), alias.NonSingleton(direct)) {
 				t.Errorf("%s %s: cached NonSingletonSets diverges", ds.Name, p)
 			}
@@ -50,32 +57,29 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 					t.Errorf("%s %s v4=%v: cached NonSingletonFamilySets diverges", ds.Name, p, v4)
 				}
 			}
-			for _, sel := range []*bool{nil, V4, V6} {
-				if got, want := ds.Addrs(p, sel), refAddrs(ds.Obs[p], sel); !slices.Equal(got, want) {
-					t.Errorf("%s %s: cached Addrs diverges (%d addresses, want %d)", ds.Name, p, len(got), len(want))
-				}
-			}
 		}
 		for _, sel := range []*bool{nil, V4, V6} {
 			if got, want := ds.AllAddrs(sel), refAddrs(all, sel); !slices.Equal(got, want) {
 				t.Errorf("%s: cached AllAddrs diverges (%d addresses, want %d)", ds.Name, len(got), len(want))
 			}
 		}
-		for _, v4 := range []bool{true, false} {
-			direct := alias.NonSingleton(alias.Merge(
-				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SSH]), v4)),
-				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.BGP]), v4)),
-				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SNMP]), v4)),
-			))
-			if !reflect.DeepEqual(ds.MergedFamilyNonSingleton(v4), direct) {
-				t.Errorf("%s v4=%v: cached MergedFamilyNonSingleton != direct Merge", ds.Name, v4)
+		if ds != e.Both {
+			for _, v4 := range []bool{true, false} {
+				direct := alias.NonSingleton(alias.Merge(
+					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SSH]), v4)),
+					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.BGP]), v4)),
+					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SNMP]), v4)),
+				))
+				if !reflect.DeepEqual(ds.MergedFamilyNonSingleton(v4), direct) {
+					t.Errorf("%s v4=%v: cached MergedFamilyNonSingleton != direct Merge", ds.Name, v4)
+				}
 			}
 		}
 		// Second read returns the same view (memoized, not recomputed).
-		a := ds.Sets(ident.SSH)
-		b := ds.Sets(ident.SSH)
+		a := ds.NonSingletonSets(ident.SSH)
+		b := ds.NonSingletonSets(ident.SSH)
 		if len(a) > 0 && &a[0] != &b[0] {
-			t.Errorf("%s: repeated Sets() returned a different slice", ds.Name)
+			t.Errorf("%s: repeated NonSingletonSets() returned a different slice", ds.Name)
 		}
 	}
 
@@ -92,10 +96,36 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 	directDual := alias.DualStack(alias.Merge(
 		alias.Group(e.Both.Obs[ident.SSH]),
 		alias.Group(e.Both.Obs[ident.BGP]),
-		alias.Group(e.Both.Obs[ident.SNMP]),
+		alias.Group(e.Active.Obs[ident.SNMP]),
 	))
 	if !reflect.DeepEqual(e.DualStackSets(), directDual) {
 		t.Error("cached DualStackSets != direct recomputation")
+	}
+}
+
+// TestColdViewsSkipUnionSNMP renders every table and figure of the test env
+// and makes BenchmarkColdViews' reads, then requires the union dataset's
+// session to hold no SNMPv3 group: every view takes SNMPv3 from the active
+// scan, its single source. Table 3's IPv4 union cell must be the canonical
+// union partition. No test of this package may read the union dataset's
+// SNMPv3 groups.
+func TestColdViewsSkipUnionSNMP(t *testing.T) {
+	e := testEnv(t)
+	e.RenderAll()
+	coldReads(e)
+	if sets := e.Both.views.session.Sets(ident.SNMP); len(sets) != 0 {
+		t.Errorf("union dataset grouped %d SNMPv3 identifiers, want none", len(sets))
+	}
+	union := e.UnionFamilyNonSingleton(true)
+	want := setsAndAddrs(len(union), alias.CoveredAddrs(union))
+	var got string
+	for _, row := range e.Table3().Rows {
+		if row[0] == "IPv4" && row[1] == "Union" {
+			got = row[4]
+		}
+	}
+	if got != want {
+		t.Errorf("Table 3 IPv4 union cell = %q, want %q (UnionFamilyNonSingleton(true))", got, want)
 	}
 }
 
