@@ -1,8 +1,9 @@
 // Command midar runs the IPID-based baseline standalone: it builds a world,
-// scans SSH to obtain candidate alias sets, classifies every candidate
-// address's IPID behaviour, and verifies the sets with the Monotonic Bounds
-// Test pipeline — reproducing the paper's finding that only a small slice of
-// modern devices still expose a usable shared counter.
+// scans SSH to obtain candidate alias sets, verifies the sets with the
+// Monotonic Bounds Test pipeline, and reports the IPID behaviour class its
+// estimation stage gave every candidate address — reproducing the paper's
+// finding that only a small slice of modern devices still expose a usable
+// shared counter.
 //
 // Usage:
 //
@@ -90,11 +91,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "verifying %d candidate SSH alias sets (of %d eligible)\n", len(candidates), len(sets))
 
 	session := midar.NewSession(world.Fabric.Vantage(topo.VantageMIDAR), world.Clock, midar.Config{})
+	results, tally := session.VerifySets(candidates)
 
-	// Estimation-stage census across all candidate addresses.
+	// Census of the estimation stage's classes over all candidate addresses.
 	classCount := map[midar.Class]int{}
-	for _, c := range candidates {
-		for _, cl := range session.ClassifyTargets(c.Addrs) {
+	for _, r := range results {
+		for _, cl := range r.Classes {
 			classCount[cl]++
 		}
 	}
@@ -103,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %-13s %d\n", cl, classCount[cl])
 	}
 
-	results, tally := session.VerifySets(candidates)
 	fmt.Fprintf(stdout, "verification: confirmed=%d split=%d unverifiable=%d (verifiable fraction %.0f%%)\n",
 		tally.Confirmed, tally.Split, tally.Unverifiable,
 		100*float64(tally.Verifiable())/float64(maxInt(len(candidates), 1)))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,7 +99,21 @@ func series32(ids ...uint32) Series {
 func TestClassification(t *testing.T) {
 	eachTechnique(t, func(t *testing.T, fresh func() *Session, ip func(r, i int) netip.Addr) {
 		s := fresh()
-		classes := s.ClassifyTargets([]netip.Addr{ip(1, 1), ip(3, 1), ip(4, 1), ip(5, 1), ip(6, 1), ip(7, 1), ip(99, 1)})
+		res := s.VerifySet(alias.NewSet(ip(1, 1), ip(3, 1), ip(4, 1), ip(5, 1), ip(6, 1), ip(7, 1), ip(99, 1)))
+		if len(res.Classes) != len(res.Candidate.Addrs) {
+			t.Fatalf("%d classes for %d candidate addresses", len(res.Classes), len(res.Candidate.Addrs))
+		}
+		classes := make(map[netip.Addr]Class)
+		var usable []netip.Addr
+		for i, a := range res.Candidate.Addrs {
+			classes[a] = res.Classes[i]
+			if res.Classes[i] == ClassUsable {
+				usable = append(usable, a)
+			}
+		}
+		if !slices.Equal(usable, res.UsableAddrs) {
+			t.Errorf("usable addresses %v, want those classified usable %v", res.UsableAddrs, usable)
+		}
 		want := map[netip.Addr]Class{
 			ip(1, 1):  ClassUsable,
 			ip(3, 1):  ClassUsable, // per-interface looks fine in isolation

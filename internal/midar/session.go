@@ -115,14 +115,3 @@ func (s *Session) SampleSet(addrs []netip.Addr) map[netip.Addr]Series {
 	}
 	return out
 }
-
-// ClassifyTargets runs the estimation stage over addrs: sample each target
-// and classify its counter behaviour.
-func (s *Session) ClassifyTargets(addrs []netip.Addr) map[netip.Addr]Class {
-	series := s.SampleSet(addrs)
-	out := make(map[netip.Addr]Class, len(addrs))
-	for _, a := range addrs {
-		out[a] = Classify(series[a], s.cfg.MaxVelocity)
-	}
-	return out
-}

@@ -43,6 +43,9 @@ type SetResult struct {
 	Candidate alias.Set
 	// Outcome is the verdict.
 	Outcome SetOutcome
+	// Classes is the estimation stage's class of each candidate address,
+	// aligned with Candidate.Addrs.
+	Classes []Class
 	// UsableAddrs lists the addresses that passed estimation.
 	UsableAddrs []netip.Addr
 	// Partition is the technique's own grouping of the usable addresses
@@ -57,13 +60,14 @@ type SetResult struct {
 // and, for MIDAR, corroboration (re-test each resulting group with fresh
 // samples).
 func (s *Session) VerifySet(candidate alias.Set) SetResult {
-	res := SetResult{Candidate: candidate}
+	res := SetResult{Candidate: candidate, Classes: make([]Class, len(candidate.Addrs))}
 
 	series := s.SampleSet(candidate.Addrs)
 	velocities := make(map[netip.Addr]float64)
-	for _, a := range candidate.Addrs {
+	for i, a := range candidate.Addrs {
 		sr := series[a]
-		if Classify(sr, s.cfg.MaxVelocity) != ClassUsable {
+		res.Classes[i] = Classify(sr, s.cfg.MaxVelocity)
+		if res.Classes[i] != ClassUsable {
 			continue
 		}
 		v, _ := sr.Velocity()
