@@ -15,9 +15,10 @@ import (
 // sets — the invariant the megascale path relies on.
 //
 // A Grouper is an arena. A new identifier's first bucket is carved from a
-// slab that grows geometrically, so filling n identifiers allocates
-// O(log n) slabs instead of one array per identifier (most identifiers sit
-// at one address, and their buckets never grow). Reset keeps the identifier
+// slab that grows geometrically up to maxSlab slots, so filling n
+// identifiers allocates O(log n + n/maxSlab) slabs instead of one array per
+// identifier (most identifiers sit at one address, and their buckets never
+// grow). Reset keeps the identifier
 // table's buckets and every per-identifier address bucket at capacity, so a
 // steady-state Reset→Observe×N→AppendSets cycle over a stable identifier
 // population performs no allocations (the alloc gate in BENCH_baseline.json
@@ -35,12 +36,12 @@ type Grouper struct {
 }
 
 // minSlab and maxSlab bound the length of a slab: a Grouper's first holds
-// minSlab buckets, and a full slab never strands more than maxSlab unused
-// slots. A Grouper's identifier table and bucket list also start with room
-// for minSlab identifiers.
+// minSlab buckets, and the cap keeps a slab's unused tail at most 24 KiB. A
+// Grouper's identifier table and bucket list also start with room for
+// minSlab identifiers.
 const (
 	minSlab = 16
-	maxSlab = 4096
+	maxSlab = 1024
 )
 
 // NewGrouper returns an empty grouping arena whose identifier table has
@@ -102,8 +103,8 @@ func (g *Grouper) Observe(o Observation) {
 
 // carve returns an empty bucket with room for one address, cut from the
 // slab. An exhausted slab is replaced by one three times as long as the
-// bucket count, up to maxSlab, so the slabs grow geometrically. A bucket
-// that outgrows its slot moves to an array of its own.
+// bucket count, up to maxSlab. A bucket that outgrows its slot moves to an
+// array of its own.
 func (g *Grouper) carve() []netip.Addr {
 	if len(g.slab) == 0 {
 		g.slab = make([]netip.Addr, min(max(minSlab, 3*len(g.buckets)), maxSlab))
