@@ -118,11 +118,19 @@ func TestGrouperSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: the race detector's instrumentation
+// shifts allocation counts, so the first-fill ceiling holds only without
+// it.
+var raceEnabled bool
+
 // TestGrouperFirstFillAllocs bounds the cost of a fresh grouper's first
 // fill: 4,096 distinct identifiers at one address each must take at most 64
 // allocations, so new buckets come from slabs, not one array per
 // identifier.
 func TestGrouperFirstFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
 	const n = 4096
 	obs := make([]Observation, n)
 	for i := range obs {
