@@ -226,17 +226,14 @@ func normalizeID(id string) string {
 }
 
 // AliasSets returns the non-singleton alias sets a protocol's union dataset
-// yields, one sorted address list per set. v4 selects the address family.
+// yields, one sorted address list per set; SNMPv3's are the active scan's,
+// its single source, as in the paper. v4 selects the address family.
 func (s *Study) AliasSets(p Protocol, v4 bool) ([][]netip.Addr, error) {
 	ip, err := p.toIdent()
 	if err != nil {
 		return nil, err
 	}
-	ds := s.env.Both
-	if ip == ident.SNMP {
-		ds = s.env.Active // SNMPv3 has a single source, as in the paper
-	}
-	return setsToAddrs(ds.NonSingletonFamilySets(ip, v4)), nil
+	return setsToAddrs(s.env.Both.NonSingletonFamilySets(ip, v4)), nil
 }
 
 // UnionAliasSets returns the cross-protocol union alias sets for one family.

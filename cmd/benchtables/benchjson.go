@@ -290,7 +290,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, stdout, stderr io.W
 			alias.Merge(
 				env.Both.NonSingletonFamilySets(ident.SSH, true),
 				env.Both.NonSingletonFamilySets(ident.BGP, true),
-				env.Active.NonSingletonFamilySets(ident.SNMP, true),
+				env.Both.NonSingletonFamilySets(ident.SNMP, true),
 			)
 		}),
 	)
@@ -303,7 +303,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, stdout, stderr io.W
 	mergeGroups := [][]alias.Set{
 		env.Both.NonSingletonFamilySets(ident.SSH, true),
 		env.Both.NonSingletonFamilySets(ident.BGP, true),
-		env.Active.NonSingletonFamilySets(ident.SNMP, true),
+		env.Both.NonSingletonFamilySets(ident.SNMP, true),
 	}
 	rep.Results = append(rep.Results,
 		measure("resolve_batch_group", func() {

@@ -159,17 +159,12 @@ func RunLoadTest(cfg Config, opts LoadOptions) (*LoadReport, error) {
 	}
 	wantDigest, _ := scenario.DigestPartitions(scenario.ScoredPartitions(env))
 
-	// Pre-marshal the corpus once; clients reorder by index. SSH and BGP
-	// come from the union dataset and SNMPv3 from the active scan, exactly
-	// the partitions the scorecard digests (the union dataset carries no
-	// extra SNMPv3 observations, so this is the full corpus).
+	// Pre-marshal the corpus once; clients reorder by index. Every protocol
+	// comes from the union dataset, whose SNMPv3 observations are the
+	// active scan's: exactly the partitions the scorecard digests.
 	var lines [][]byte
 	for _, p := range []ident.Protocol{ident.SSH, ident.BGP, ident.SNMP} {
-		ds := env.Both
-		if p == ident.SNMP {
-			ds = env.Active
-		}
-		for _, o := range ds.Obs[p] {
+		for _, o := range env.Both.Obs[p] {
 			rec := obsfile.Record{Addr: o.Addr.String(), Proto: p.String(), Digest: o.ID.Digest}
 			data, err := json.Marshal(rec)
 			if err != nil {

@@ -52,6 +52,11 @@ type Dataset struct {
 	// in one folded epoch of the observation log, and the seal pass that
 	// built it already fed its session. See stream.go.
 	stream *streamSource
+	// snmp, set on an Env's union, is the active scan the union reads its
+	// SNMPv3 groups from. The active scan is SNMPv3's single source (Censys
+	// carries none), so the union's SNMPv3 observations are its own, and
+	// the union never groups them a second time.
+	snmp *Dataset
 }
 
 // emptyDataset starts a dataset with its own resolver session; the

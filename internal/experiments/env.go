@@ -24,10 +24,7 @@ type Env struct {
 	// Both is Union(Active, Censys), the default analysis input.
 	Both *Dataset
 
-	views envViews
-	// session executes the cross-dataset merges; each dataset holds its own
-	// session for its views.
-	session   resolver.Session
+	views     envViews
 	closeOnce sync.Once
 	// onClose runs once, on Close — BuildEnv hangs the temporary
 	// stream-collection spill's cleanup here so a facade-built Env owns its

@@ -207,7 +207,7 @@ func TestTable3UnionDoublesSNMP(t *testing.T) {
 func TestDualStackDominatedBySSH(t *testing.T) {
 	e := testEnv(t)
 	sshDS := alias.DualStack(e.Both.NonSingletonSets(ident.SSH))
-	snmpDS := alias.DualStack(e.Active.NonSingletonSets(ident.SNMP))
+	snmpDS := alias.DualStack(e.Both.NonSingletonSets(ident.SNMP))
 	if len(sshDS) < 10*len(snmpDS) {
 		t.Errorf("SSH dual-stack (%d) should dwarf SNMPv3 dual-stack (%d) — the paper's 30x",
 			len(sshDS), len(snmpDS))

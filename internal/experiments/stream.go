@@ -88,10 +88,11 @@ func (d *Dataset) EachObs(p ident.Protocol, fn func(alias.Observation)) error {
 
 // streamEnv builds an epoch's three datasets from its folded log segment:
 // one bounded pass per shard streams every record into its campaign's
-// session and the union's, and derives each dataset's address universe on
-// the way — the only per-observation state a streamed dataset keeps
-// resident. A read error aborts the build, so no dataset is ever built from
-// a defective segment.
+// session and, unless the union reads that protocol's groups from the
+// active scan (SNMPv3), the union's; it derives each dataset's address
+// universe on the way — the only per-observation state a streamed dataset
+// keeps resident. A read error aborts the build, so no dataset is ever
+// built from a defective segment.
 func streamEnv(w *topo.World, lg *obslog.Writer, epoch int) (*Env, error) {
 	streamed := func(name string, active, censys bool) *Dataset {
 		d := emptyDataset(name)
@@ -99,6 +100,9 @@ func streamEnv(w *topo.World, lg *obslog.Writer, epoch int) (*Env, error) {
 		return d
 	}
 	active, censys, both := streamed("Active", true, false), streamed("Censys", false, true), streamed("Union", true, true)
+	// newEnv links the union to the active scan; link it before the pass,
+	// which feeds the union only the protocols it groups itself.
+	both.snmp = active
 	for _, p := range ident.Protocols {
 		if err := streamPass(p, active, censys, both); err != nil {
 			return nil, err
@@ -115,6 +119,7 @@ func streamPass(p ident.Protocol, active, censys, both *Dataset) error {
 		return err
 	}
 	defer r.Close()
+	feedUnion := both.groupSource(p) == both
 	for {
 		src, o, err := r.Next()
 		if err == io.EOF {
@@ -129,7 +134,9 @@ func streamPass(p ident.Protocol, active, censys, both *Dataset) error {
 		}
 		ds.addrs[p] = appendAddr(ds.addrs[p], o.Addr)
 		ds.views.session.Observe(o)
-		both.views.session.Observe(o)
+		if feedUnion {
+			both.views.session.Observe(o)
+		}
 	}
 	both.addrs[p] = mergeAddrs(active.addrs[p], censys.addrs[p])
 	return nil

@@ -171,11 +171,13 @@ func (e *Env) Table3() *Table {
 		Title:  "Alias Sets Overview (non-singleton sets, covered addrs)",
 		Header: []string{"Family", "Source", "Active", "Censys", "Union"},
 	}
-	cell := func(ns []alias.Set) string {
+	cellFor := func(ds *Dataset, p ident.Protocol, v4 bool) string {
+		ns := ds.NonSingletonFamilySets(p, v4)
 		return setsAndAddrs(len(ns), alias.CoveredAddrs(ns))
 	}
-	cellFor := func(ds *Dataset, p ident.Protocol, v4 bool) string {
-		return cell(ds.NonSingletonFamilySets(p, v4))
+	unionCell := func(ds *Dataset, v4 bool) string {
+		ns := ds.MergedFamilyNonSingleton(v4)
+		return setsAndAddrs(len(ns), alias.CoveredAddrs(ns))
 	}
 	for _, row := range []struct {
 		p    ident.Protocol
@@ -191,17 +193,14 @@ func (e *Env) Table3() *Table {
 		}
 		t.Rows = append(t.Rows, []string{"IPv4", row.name, cellFor(e.Active, row.p, true), censys, union})
 	}
-	// The union column's union is the canonical one: SNMPv3 from the
-	// active scan, its single source.
-	t.Rows = append(t.Rows, []string{"IPv4", "Union", cell(e.Active.MergedFamilyNonSingleton(true)),
-		cell(e.Censys.MergedFamilyNonSingleton(true)), cell(e.UnionFamilyNonSingleton(true))})
+	t.Rows = append(t.Rows, []string{"IPv4", "Union", unionCell(e.Active, true), unionCell(e.Censys, true), unionCell(e.Both, true)})
 	for _, row := range []struct {
 		p    ident.Protocol
 		name string
 	}{{ident.SSH, "SSH"}, {ident.BGP, "BGP"}, {ident.SNMP, "SNMPv3"}} {
 		t.Rows = append(t.Rows, []string{"IPv6", row.name, cellFor(e.Active, row.p, false), "n.a", "n.a"})
 	}
-	t.Rows = append(t.Rows, []string{"IPv6", "Union", cell(e.Active.MergedFamilyNonSingleton(false)), "n.a", "n.a"})
+	t.Rows = append(t.Rows, []string{"IPv6", "Union", unionCell(e.Active, false), "n.a", "n.a"})
 
 	t.Notes = append(t.Notes, e.singleServiceNote(true), e.snmpExclusivityNote(true))
 	return t
@@ -245,8 +244,8 @@ func (e *Env) singleServiceNote(v4 bool) string {
 func (e *Env) snmpExclusivityNote(v4 bool) string {
 	ssh := e.Both.NonSingletonFamilySets(ident.SSH, v4)
 	bgpSets := e.Both.NonSingletonFamilySets(ident.BGP, v4)
-	snmp := e.Active.NonSingletonFamilySets(ident.SNMP, v4)
-	merged := e.UnionFamilyNonSingleton(v4)
+	snmp := e.Both.NonSingletonFamilySets(ident.SNMP, v4)
+	merged := e.Both.MergedFamilyNonSingleton(v4)
 	newProto := alias.AddrSet(append(append([]alias.Set(nil), ssh...), bgpSets...))
 	onlySNMP := 0
 	for _, s := range merged {
@@ -300,7 +299,7 @@ func (e *Env) Table4() *Table {
 	}
 	row("SSH", alias.DualStack(e.Both.NonSingletonSets(ident.SSH)))
 	row("BGP", alias.DualStack(e.Both.NonSingletonSets(ident.BGP)))
-	row("SNMPv3", alias.DualStack(e.Active.NonSingletonSets(ident.SNMP)))
+	row("SNMPv3", alias.DualStack(e.Both.NonSingletonSets(ident.SNMP)))
 	row("Union", e.DualStackSets())
 
 	// The paper's set-size remark: 88% of dual-stack sets pair exactly one

@@ -70,13 +70,26 @@ type datasetViews struct {
 	session resolver.Session
 }
 
+// groupSource returns the dataset whose identifier groups d reads for
+// protocol p: d itself, or for SNMPv3 the active scan an Env's union is
+// linked to (Dataset.snmp).
+func (d *Dataset) groupSource(p ident.Protocol) *Dataset {
+	if p == ident.SNMP && d.snmp != nil {
+		return d.snmp
+	}
+	return d
+}
+
 // NonSingletonSets returns the protocol's identifier groups of two or more
 // addresses (both families), grouped through the dataset's resolver
 // session; a one-address group is neither copied nor sorted. An in-RAM
 // dataset's observations go to the session here, in one batch, on first
 // use; a stream-collected dataset has empty Obs and a session its seal pass
-// already fed.
+// already fed. An Env's union returns the active scan's SNMPv3 groups.
 func (d *Dataset) NonSingletonSets(p ident.Protocol) []alias.Set {
+	if src := d.groupSource(p); src != d {
+		return src.NonSingletonSets(p)
+	}
 	return d.views.nsAll[p].get(func() []alias.Set {
 		d.views.session.ObserveAll(d.Obs[p])
 		return d.views.session.NonSingletonSets(p)
@@ -89,6 +102,9 @@ func (d *Dataset) NonSingletonSets(p ident.Protocol) []alias.Set {
 // singleton filters to at most a singleton, so the result is the same as
 // filtering every group (alias.TestSingletonIdentities).
 func (d *Dataset) NonSingletonFamilySets(p ident.Protocol, v4 bool) []alias.Set {
+	if src := d.groupSource(p); src != d {
+		return src.NonSingletonFamilySets(p, v4)
+	}
 	return d.views.famNS[p][famIdx(v4)].get(func() []alias.Set {
 		return alias.NonSingleton(alias.FilterFamily(d.NonSingletonSets(p), v4))
 	})
@@ -108,12 +124,10 @@ func (d *Dataset) MergedFamilyNonSingleton(v4 bool) []alias.Set {
 	})
 }
 
-// envViews caches the cross-dataset derivations: the canonical union
-// partitions (SSH and BGP from the union dataset, SNMPv3 from the active
-// scan, as the paper combines them), the all-family dual-stack merge, and
-// the MIDAR verification runs.
+// envViews caches the derivations of the union dataset's partitions that
+// are not per-dataset views — the all-family dual-stack merge — and the
+// MIDAR verification runs.
 type envViews struct {
-	unionFamNS [2]memo[[]alias.Set]
 	dualMerged memo[[]alias.Set]
 	dualStack  memo[[]alias.Set]
 
@@ -137,15 +151,16 @@ type MIDARResult struct {
 	Tally midar.Tally
 }
 
-// newEnv assembles an environment from its finished datasets, with a fresh
-// resolver session for the cross-dataset merges, and sets the Censys
+// newEnv assembles an environment from its finished datasets, links the
+// union to the active scan for its SNMPv3 groups, and sets the Censys
 // non-standard-port exclusion on the Censys dataset and the union. Each
 // dataset holds its own session, so the concurrent render paths keep the
 // merge parallelism the per-dataset tables used to provide.
 func newEnv(w *topo.World, active, censys, both *Dataset) *Env {
+	both.snmp = active
 	censys.NonStandardPortSSH = nonStandardPortSSH(censys)
 	both.NonStandardPortSSH = censys.NonStandardPortSSH
-	return &Env{World: w, Active: active, Censys: censys, Both: both, session: resolver.NewSession()}
+	return &Env{World: w, Active: active, Censys: censys, Both: both}
 }
 
 // Close runs the environment's cleanup hook once — for a facade-built Env,
@@ -163,28 +178,22 @@ func (e *Env) Close() error {
 
 // UnionFamilyNonSingleton returns the canonical cross-protocol union
 // partition for one family — the paper's headline union alias-set count:
-// SSH and BGP from the union dataset, SNMPv3 from the active scan (its
-// single source), merged. A merge of non-singleton sets holds only
-// non-singleton sets.
+// the union dataset's merged partition, whose SNMPv3 groups are the active
+// scan's (its single source).
 func (e *Env) UnionFamilyNonSingleton(v4 bool) []alias.Set {
-	return e.views.unionFamNS[famIdx(v4)].get(func() []alias.Set {
-		return e.session.Merged(
-			e.Both.NonSingletonFamilySets(ident.SSH, v4),
-			e.Both.NonSingletonFamilySets(ident.BGP, v4),
-			e.Active.NonSingletonFamilySets(ident.SNMP, v4),
-		)
-	})
+	return e.Both.MergedFamilyNonSingleton(v4)
 }
 
 // DualStackMerged returns the all-family merge of every protocol's
-// non-singleton identifier groups — SSH and BGP from the union dataset,
-// SNMPv3 from the active scan — the partition dual-stack analysis reads.
-// Singletons stay out: one adds no union edge, only a one-address component
-// DualStack would drop, so DualStackSets is the same as merging every group.
+// non-singleton identifier groups in the union dataset — the partition
+// dual-stack analysis reads. It merges through the union's session, so it
+// reuses the addresses the family unions interned. Singletons stay out: one
+// adds no union edge, only a one-address component DualStack would drop, so
+// DualStackSets is the same as merging every group.
 func (e *Env) DualStackMerged() []alias.Set {
 	return e.views.dualMerged.get(func() []alias.Set {
-		return e.session.Merged(e.Both.NonSingletonSets(ident.SSH),
-			e.Both.NonSingletonSets(ident.BGP), e.Active.NonSingletonSets(ident.SNMP))
+		return e.Both.views.session.Merged(e.Both.NonSingletonSets(ident.SSH),
+			e.Both.NonSingletonSets(ident.BGP), e.Both.NonSingletonSets(ident.SNMP))
 	})
 }
 

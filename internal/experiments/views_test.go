@@ -30,23 +30,13 @@ func refAddrs(obs []alias.Observation, v4 *bool) []netip.Addr {
 
 // TestSealedViewsMatchDirect asserts the memoization contract: every cached
 // view of a built dataset is identical to the direct recomputation from the
-// raw observations, and stays identical on repeated access. The union
-// dataset's SNMPv3 groups and its own cross-protocol merges are not views:
-// SNMPv3 has one source, the active scan (TestColdViewsSkipUnionSNMP).
+// raw observations, and stays identical on repeated access.
 func TestSealedViewsMatchDirect(t *testing.T) {
 	e := testEnv(t)
 	for _, ds := range []*Dataset{e.Active, e.Censys, e.Both} {
 		var all []alias.Observation
 		for _, p := range ident.Protocols {
 			all = append(all, ds.Obs[p]...)
-			for _, sel := range []*bool{nil, V4, V6} {
-				if got, want := ds.Addrs(p, sel), refAddrs(ds.Obs[p], sel); !slices.Equal(got, want) {
-					t.Errorf("%s %s: cached Addrs diverges (%d addresses, want %d)", ds.Name, p, len(got), len(want))
-				}
-			}
-			if ds == e.Both && p == ident.SNMP {
-				continue
-			}
 			direct := alias.Group(ds.Obs[p])
 			if !reflect.DeepEqual(ds.NonSingletonSets(p), alias.NonSingleton(direct)) {
 				t.Errorf("%s %s: cached NonSingletonSets diverges", ds.Name, p)
@@ -57,22 +47,25 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 					t.Errorf("%s %s v4=%v: cached NonSingletonFamilySets diverges", ds.Name, p, v4)
 				}
 			}
+			for _, sel := range []*bool{nil, V4, V6} {
+				if got, want := ds.Addrs(p, sel), refAddrs(ds.Obs[p], sel); !slices.Equal(got, want) {
+					t.Errorf("%s %s: cached Addrs diverges (%d addresses, want %d)", ds.Name, p, len(got), len(want))
+				}
+			}
 		}
 		for _, sel := range []*bool{nil, V4, V6} {
 			if got, want := ds.AllAddrs(sel), refAddrs(all, sel); !slices.Equal(got, want) {
 				t.Errorf("%s: cached AllAddrs diverges (%d addresses, want %d)", ds.Name, len(got), len(want))
 			}
 		}
-		if ds != e.Both {
-			for _, v4 := range []bool{true, false} {
-				direct := alias.NonSingleton(alias.Merge(
-					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SSH]), v4)),
-					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.BGP]), v4)),
-					alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SNMP]), v4)),
-				))
-				if !reflect.DeepEqual(ds.MergedFamilyNonSingleton(v4), direct) {
-					t.Errorf("%s v4=%v: cached MergedFamilyNonSingleton != direct Merge", ds.Name, v4)
-				}
+		for _, v4 := range []bool{true, false} {
+			direct := alias.NonSingleton(alias.Merge(
+				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SSH]), v4)),
+				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.BGP]), v4)),
+				alias.NonSingleton(alias.FilterFamily(alias.Group(ds.Obs[ident.SNMP]), v4)),
+			))
+			if !reflect.DeepEqual(ds.MergedFamilyNonSingleton(v4), direct) {
+				t.Errorf("%s v4=%v: cached MergedFamilyNonSingleton != direct Merge", ds.Name, v4)
 			}
 		}
 		// Second read returns the same view (memoized, not recomputed).
@@ -96,36 +89,48 @@ func TestSealedViewsMatchDirect(t *testing.T) {
 	directDual := alias.DualStack(alias.Merge(
 		alias.Group(e.Both.Obs[ident.SSH]),
 		alias.Group(e.Both.Obs[ident.BGP]),
-		alias.Group(e.Active.Obs[ident.SNMP]),
+		alias.Group(e.Both.Obs[ident.SNMP]),
 	))
 	if !reflect.DeepEqual(e.DualStackSets(), directDual) {
 		t.Error("cached DualStackSets != direct recomputation")
 	}
 }
 
-// TestColdViewsSkipUnionSNMP renders every table and figure of the test env
-// and makes BenchmarkColdViews' reads, then requires the union dataset's
-// session to hold no SNMPv3 group: every view takes SNMPv3 from the active
-// scan, its single source. Table 3's IPv4 union cell must be the canonical
-// union partition. No test of this package may read the union dataset's
-// SNMPv3 groups.
+// TestColdViewsSkipUnionSNMP renders every table and figure and makes
+// BenchmarkColdViews' reads, on the test env and on a stream-collected
+// env, then requires the union dataset's session to hold no SNMPv3 group:
+// the union reads its SNMPv3 groups from the active scan, their single
+// source, so its SNMPv3 groups are the active scan's very slices. Table 3's
+// IPv4 union cell must be the canonical union partition.
 func TestColdViewsSkipUnionSNMP(t *testing.T) {
-	e := testEnv(t)
-	e.RenderAll()
-	coldReads(e)
-	if sets := e.Both.views.session.Sets(ident.SNMP); len(sets) != 0 {
-		t.Errorf("union dataset grouped %d SNMPv3 identifiers, want none", len(sets))
+	cfg := topo.Default()
+	cfg.Scale, cfg.Seed = 0.05, 3
+	streamed, err := BuildEnv(Options{Topo: cfg, StreamCollect: true})
+	if err != nil {
+		t.Fatalf("BuildEnv(StreamCollect): %v", err)
 	}
-	union := e.UnionFamilyNonSingleton(true)
-	want := setsAndAddrs(len(union), alias.CoveredAddrs(union))
-	var got string
-	for _, row := range e.Table3().Rows {
-		if row[0] == "IPv4" && row[1] == "Union" {
-			got = row[4]
+	t.Cleanup(func() { streamed.Close() })
+	for _, e := range []*Env{testEnv(t), streamed} {
+		e.RenderAll()
+		coldReads(e)
+		if sets := e.Both.views.session.Sets(ident.SNMP); len(sets) != 0 {
+			t.Errorf("union dataset grouped %d SNMPv3 identifiers, want none", len(sets))
 		}
-	}
-	if got != want {
-		t.Errorf("Table 3 IPv4 union cell = %q, want %q (UnionFamilyNonSingleton(true))", got, want)
+		both, active := e.Both.NonSingletonSets(ident.SNMP), e.Active.NonSingletonSets(ident.SNMP)
+		if len(active) == 0 || &both[0] != &active[0] {
+			t.Errorf("union SNMPv3 groups (%d sets) are not the active scan's (%d sets)", len(both), len(active))
+		}
+		union := e.UnionFamilyNonSingleton(true)
+		want := setsAndAddrs(len(union), alias.CoveredAddrs(union))
+		var got string
+		for _, row := range e.Table3().Rows {
+			if row[0] == "IPv4" && row[1] == "Union" {
+				got = row[4]
+			}
+		}
+		if got != want {
+			t.Errorf("Table 3 IPv4 union cell = %q, want %q (UnionFamilyNonSingleton(true))", got, want)
+		}
 	}
 }
 

@@ -305,13 +305,10 @@ func score(p Preset, cfg topo.Config, quick bool, env *experiments.Env, truth *t
 		ident.SNMP: truth.SNMPAddrs,
 	}
 	for _, proto := range []ident.Protocol{ident.SSH, ident.BGP, ident.SNMP} {
-		// Score the datasets the analysis actually consumes: the
-		// Active∪Censys union for SSH and BGP, the active scan for SNMPv3
-		// (its single source, as in the paper).
+		// Score the dataset the analysis actually consumes: the
+		// Active∪Censys union, whose SNMPv3 is the active scan's (its
+		// single source, as in the paper).
 		ds := env.Both
-		if proto == ident.SNMP {
-			ds = env.Active
-		}
 		owner := evaluate.OwnerMap(truthFor[proto])
 		sets := ds.NonSingletonSets(proto)
 		m := evaluate.Pairwise(sets, owner)
@@ -378,8 +375,8 @@ type PartitionDigest struct {
 var PartitionNames = []string{"ssh", "bgp", "snmpv3", "union-v4", "union-v6", "dualstack"}
 
 // ScoredPartitions lists every alias-set partition a scorecard reads, in
-// PartitionNames order: the per-protocol non-singleton groups (SSH and BGP
-// from the union dataset, SNMPv3 from the active scan), the per-family union
+// PartitionNames order: the union dataset's per-protocol non-singleton
+// groups (its SNMPv3 groups are the active scan's), the per-family union
 // partitions, and the dual-stack sets.
 func ScoredPartitions(env *experiments.Env) []Partition {
 	parts := make([]Partition, len(PartitionNames))
@@ -387,11 +384,7 @@ func ScoredPartitions(env *experiments.Env) []Partition {
 		var sets []alias.Set
 		switch {
 		case i < len(scoreProtos):
-			ds := env.Both
-			if scoreProtos[i] == ident.SNMP {
-				ds = env.Active
-			}
-			sets = ds.NonSingletonSets(scoreProtos[i])
+			sets = env.Both.NonSingletonSets(scoreProtos[i])
 		case name == "dualstack":
 			sets = env.DualStackSets()
 		default:
