@@ -104,15 +104,8 @@ func TestClassification(t *testing.T) {
 			t.Fatalf("%d classes for %d candidate addresses", len(res.Classes), len(res.Candidate.Addrs))
 		}
 		classes := make(map[netip.Addr]Class)
-		var usable []netip.Addr
 		for i, a := range res.Candidate.Addrs {
 			classes[a] = res.Classes[i]
-			if res.Classes[i] == ClassUsable {
-				usable = append(usable, a)
-			}
-		}
-		if !slices.Equal(usable, res.UsableAddrs) {
-			t.Errorf("usable addresses %v, want those classified usable %v", res.UsableAddrs, usable)
 		}
 		want := map[netip.Addr]Class{
 			ip(1, 1):  ClassUsable,
@@ -156,8 +149,8 @@ func TestVerifyConfirmsTrueAliases(t *testing.T) {
 		if res.Outcome != OutcomeConfirmed {
 			t.Errorf("true alias set: outcome = %v, partition = %v", res.Outcome, res.Partition)
 		}
-		if len(res.UsableAddrs) != 3 {
-			t.Errorf("usable = %d, want 3", len(res.UsableAddrs))
+		if want := []Class{ClassUsable, ClassUsable, ClassUsable}; !slices.Equal(res.Classes, want) {
+			t.Errorf("classes = %v, want %v", res.Classes, want)
 		}
 	})
 }

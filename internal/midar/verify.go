@@ -44,10 +44,9 @@ type SetResult struct {
 	// Outcome is the verdict.
 	Outcome SetOutcome
 	// Classes is the estimation stage's class of each candidate address,
-	// aligned with Candidate.Addrs.
+	// aligned with Candidate.Addrs; ClassUsable marks the addresses that
+	// passed estimation.
 	Classes []Class
-	// UsableAddrs lists the addresses that passed estimation.
-	UsableAddrs []netip.Addr
 	// Partition is the technique's own grouping of the usable addresses
 	// (set for confirmed and split outcomes). Elimination's groups come in
 	// the order of their first usable address; corroboration lists the
@@ -63,6 +62,7 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 	res := SetResult{Candidate: candidate, Classes: make([]Class, len(candidate.Addrs))}
 
 	series := s.SampleSet(candidate.Addrs)
+	var usable []netip.Addr
 	velocities := make(map[netip.Addr]float64)
 	for i, a := range candidate.Addrs {
 		sr := series[a]
@@ -71,16 +71,16 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 			continue
 		}
 		v, _ := sr.Velocity()
-		res.UsableAddrs = append(res.UsableAddrs, a)
+		usable = append(usable, a)
 		velocities[a] = v
 	}
-	if len(res.UsableAddrs) < 2 {
+	if len(usable) < 2 {
 		res.Outcome = OutcomeUnverifiable
 		return res
 	}
 
 	// Elimination: pairwise MBT over the interleaved estimation samples.
-	n := len(res.UsableAddrs)
+	n := len(usable)
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -95,7 +95,7 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ai, aj := res.UsableAddrs[i], res.UsableAddrs[j]
+			ai, aj := usable[i], usable[j]
 			vmax := velocities[ai]
 			if velocities[aj] > vmax {
 				vmax = velocities[aj]
@@ -109,7 +109,7 @@ func (s *Session) VerifySet(candidate alias.Set) SetResult {
 	// and the order of corroboration's probes are the same on every run.
 	var groups [][]netip.Addr
 	slot := make([]int, n) // root → 1 + its group's index in groups
-	for i, a := range res.UsableAddrs {
+	for i, a := range usable {
 		r := find(i)
 		if slot[r] == 0 {
 			groups = append(groups, nil)
