@@ -27,9 +27,8 @@ import (
 // resolver session guards each protocol's grouper with a mutex).
 type Grouper struct {
 	ids map[ident.Identifier]int32
-	// buckets holds each identifier's sorted addresses. It grows by
-	// doubling; slots past its length hold empty buckets Reset retired, or
-	// nil.
+	// buckets holds each identifier's sorted addresses. Slots past its
+	// length hold empty buckets Reset retired, or nil.
 	buckets [][]netip.Addr
 	// slab is the uncarved rest of the slab new buckets come from.
 	slab []netip.Addr
@@ -71,11 +70,11 @@ func (g *Grouper) Observe(o Observation) {
 		if g.ids == nil {
 			g.ids = make(map[ident.Identifier]int32, minSlab)
 		}
-		g.ids[o.ID] = gi
-		if len(g.buckets) == cap(g.buckets) {
-			g.buckets = slices.Grow(g.buckets, max(minSlab, len(g.buckets)))
+		if g.buckets == nil {
+			g.buckets = make([][]netip.Addr, 0, minSlab)
 		}
-		g.buckets = g.buckets[:gi+1]
+		g.ids[o.ID] = gi
+		g.buckets = slices.Grow(g.buckets, 1)[:gi+1]
 		if cap(g.buckets[gi]) == 0 {
 			g.buckets[gi] = g.carve()
 		}

@@ -124,9 +124,12 @@ func TestGrouperSteadyStateAllocs(t *testing.T) {
 var raceEnabled bool
 
 // TestGrouperFirstFillAllocs bounds the cost of a fresh grouper's first
-// fill: 4,096 distinct identifiers at one address each must take at most 64
-// allocations, so new buckets come from slabs, not one array per
-// identifier.
+// fill: 4,096 distinct identifiers at one address each must take at most 96
+// allocations, so new buckets come from slabs, not one array per identifier
+// (which takes over 4,096). On Go 1.24 the fill takes 65: about 44 as the
+// runtime's map grows the identifier table and 11 as append grows the
+// bucket list, then 7 slabs. The first two follow the toolchain's growth
+// policies, so the ceiling leaves room for them to change.
 func TestGrouperFirstFillAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -146,8 +149,8 @@ func TestGrouperFirstFillAllocs(t *testing.T) {
 			g.Observe(o)
 		}
 	})
-	if allocs > 64 {
-		t.Fatalf("first fill of %d identifiers: %.0f allocs, want <= 64", n, allocs)
+	if allocs > 96 {
+		t.Fatalf("first fill of %d identifiers: %.0f allocs, want <= 96", n, allocs)
 	}
 	sameSets(t, GroupSorted(obs), g.Sets(), "first fill")
 }
