@@ -179,7 +179,7 @@ func writeBenchJSON(path string, scale float64, seed uint64, stdout, stderr io.W
 	// Alloc-gated entries: the zero-alloc contracts, priced with heap
 	// accounting so the -compare gate catches allocation regressions the
 	// wall clock hides.
-	grouper := alias.NewGrouper(0)
+	grouper := alias.NewGrouper()
 	var groupSets []alias.Set
 	var groupBacking []netip.Addr
 	rep.Results = append(rep.Results,

@@ -94,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// load feeds one JSONL file to the session in one batch, counting the
-// observations of each protocol (duplicates included).
+// load streams one JSONL file into the session, counting the observations
+// of each protocol (duplicates included).
 func load(s resolver.Session, observed []int, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -106,8 +106,8 @@ func load(s resolver.Session, observed []int, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	s.ObserveAll(obs)
 	for _, o := range obs {
+		s.Observe(o)
 		observed[o.ID.Proto]++
 	}
 	return nil

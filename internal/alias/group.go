@@ -43,11 +43,8 @@ const (
 	maxSlab = 1024
 )
 
-// NewGrouper returns an empty grouping arena whose identifier table has
-// room for at least size identifiers before it grows.
-func NewGrouper(size int) *Grouper {
-	return &Grouper{ids: make(map[ident.Identifier]int32, max(size, minSlab))}
-}
+// NewGrouper returns an empty grouping arena.
+func NewGrouper() *Grouper { return new(Grouper) }
 
 // Reset forgets all observations but keeps every internal buffer at capacity,
 // making the arena reusable without reallocation.

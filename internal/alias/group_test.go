@@ -98,7 +98,7 @@ func TestGrouperEmpty(t *testing.T) {
 // in CI on the real measured corpus).
 func TestGrouperSteadyStateAllocs(t *testing.T) {
 	obs := groupCorpus(11, 6000)
-	g := NewGrouper(0)
+	g := NewGrouper()
 	var sets []Set
 	var backing []netip.Addr
 	cycle := func() {
@@ -159,7 +159,7 @@ func TestGrouperFirstFillAllocs(t *testing.T) {
 // resolution service runs per measurement round.
 func BenchmarkGrouperSteadyState(b *testing.B) {
 	obs := groupCorpus(11, 6000)
-	g := NewGrouper(0)
+	g := NewGrouper()
 	var sets []Set
 	var backing []netip.Addr
 	b.ReportAllocs()

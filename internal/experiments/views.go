@@ -83,15 +83,17 @@ func (d *Dataset) groupSource(p ident.Protocol) *Dataset {
 // NonSingletonSets returns the protocol's identifier groups of two or more
 // addresses (both families), grouped through the dataset's resolver
 // session; a one-address group is neither copied nor sorted. An in-RAM
-// dataset's observations go to the session here, in one batch, on first
-// use; a stream-collected dataset has empty Obs and a session its seal pass
+// dataset's observations go to the session here, on first use; a
+// stream-collected dataset has empty Obs and a session its seal pass
 // already fed. An Env's union returns the active scan's SNMPv3 groups.
 func (d *Dataset) NonSingletonSets(p ident.Protocol) []alias.Set {
 	if src := d.groupSource(p); src != d {
 		return src.NonSingletonSets(p)
 	}
 	return d.views.nsAll[p].get(func() []alias.Set {
-		d.views.session.ObserveAll(d.Obs[p])
+		for _, o := range d.Obs[p] {
+			d.views.session.Observe(o)
+		}
 		return d.views.session.NonSingletonSets(p)
 	})
 }

@@ -73,62 +73,6 @@ func TestGroupBackendsMatchSortReference(t *testing.T) {
 	}
 }
 
-// TestObserveAllMatchesObserve: a batch feed is the same as feeding one
-// observation at a time. A shuffled mixed-protocol corpus fed whole, sorted
-// by protocol (one long run each), and in random chunks from four
-// goroutines must give the same Sets, NonSingletonSets and Merged as
-// Observe, at two seeds.
-func TestObserveAllMatchesObserve(t *testing.T) {
-	for _, seed := range []uint64{7, 63} {
-		rng := xrand.NewSplitMix64(seed)
-		obs := determinismCorpus(seed, 5000)
-		for i, j := range rng.Perm(len(obs)) {
-			obs[i], obs[j] = obs[j], obs[i]
-		}
-		ref := NewSession()
-		for _, o := range obs {
-			ref.Observe(o)
-		}
-		var chunks [][]alias.Observation
-		for rest := obs; len(rest) > 0; {
-			n := min(rng.Intn(300), len(rest))
-			chunks = append(chunks, rest[:n])
-			rest = rest[n:]
-		}
-		byProto := slices.Clone(obs)
-		slices.SortStableFunc(byProto, func(a, b alias.Observation) int { return int(a.ID.Proto) - int(b.ID.Proto) })
-		feeds := map[string]func(Session){
-			"whole":    func(s Session) { s.ObserveAll(obs) },
-			"by-proto": func(s Session) { s.ObserveAll(byProto) },
-			"chunks": func(s Session) {
-				var wg sync.WaitGroup
-				for w := 0; w < 4; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := w; i < len(chunks); i += 4 {
-							s.ObserveAll(chunks[i])
-						}
-					}()
-				}
-				wg.Wait()
-			},
-		}
-		for name, feed := range feeds {
-			s := NewSession()
-			feed(s)
-			label := fmt.Sprintf("seed %d %s", seed, name)
-			for _, p := range ident.Protocols {
-				requireSameSets(t, label+" "+p.String(), ref.Sets(p), s.Sets(p))
-				requireSameSets(t, label+" "+p.String()+" non-singleton", ref.NonSingletonSets(p), s.NonSingletonSets(p))
-			}
-			requireSameSets(t, label+" merged",
-				ref.Merged(ref.Sets(ident.SSH), ref.Sets(ident.BGP), ref.Sets(ident.SNMP)),
-				s.Merged(s.Sets(ident.SSH), s.Sets(ident.BGP), s.Sets(ident.SNMP)))
-		}
-	}
-}
-
 // TestMergeBackendsAgreeOnGroupedCorpus closes the loop: the partitions the
 // group core emits must merge through the session exactly as alias.Merge
 // merges them.

@@ -5,17 +5,11 @@
 // # Architecture
 //
 // NewSession opens a Session, the stateful handle every consumer talks to.
-// The Session contract is five methods:
+// The Session contract is four methods:
 //
 //   - Observe: consume one identifier observation, online, in any order,
 //     from any number of goroutines. Observations route to their protocol by
 //     the identifier's Proto field.
-//   - ObserveAll: consume a batch of observations, with the same result as
-//     Observe on each. It locks each protocol once per run of that
-//     protocol's observations, and a run reaching a protocol that has no
-//     grouper yet opens one with room for the whole run. The sealed
-//     analysis views and cmd/resolve feed their sessions this way; the
-//     daemon's ingest worker calls Observe.
 //   - Sets: snapshot one protocol's observations into canonical alias sets —
 //     one set per distinct identifier, singletons included (alias.Group
 //     semantics), byte-identical regardless of arrival order.
@@ -32,8 +26,8 @@
 // through a Session, the daemon holds a Session per tenant, and cmd/resolve
 // feeds one from a file.
 //
-// Every observation lands in its identifier's sorted bucket immediately, so
-// Sets and NonSingletonSets are snapshots, and Merged is a union-find over an
+// Every Observe lands in its identifier's sorted bucket immediately, so Sets
+// and NonSingletonSets are snapshots, and Merged is a union-find over an
 // address-interning table the session owns. All three emit sets in alias's
 // canonical order, so identical inputs produce byte-identical alias sets
 // whatever the arrival order.
@@ -60,11 +54,6 @@ type Session interface {
 	// Observe consumes one identifier observation; its protocol is
 	// o.ID.Proto. Duplicate (identifier, address) observations collapse.
 	Observe(o alias.Observation)
-	// ObserveAll consumes a batch of observations, of any protocols in any
-	// order, as Observe would one by one: the result is the same. It locks
-	// each protocol once per run of that protocol's observations, so a
-	// batch of one protocol is one lock.
-	ObserveAll(obs []alias.Observation)
 	// Sets snapshots one protocol's observations into canonical alias sets,
 	// one per distinct identifier, singletons included — alias.Group
 	// semantics.
@@ -97,26 +86,14 @@ func NewSession() Session { return &session{table: alias.NewAddrTable()} }
 // session is the in-process resolution state.
 type session struct {
 	// groups is indexed by ident.Protocol (SSH, BGP, SNMP).
-	groups [numProto]protoGroups
+	groups [numProto]struct {
+		mu sync.Mutex
+		g  alias.Grouper
+	}
 
 	// tableMu serialises merges over the shared interning table.
 	tableMu sync.Mutex
 	table   *alias.AddrTable
-}
-
-// protoGroups is one protocol's grouper and the mutex that guards it.
-type protoGroups struct {
-	mu sync.Mutex
-	g  *alias.Grouper // nil until first used
-}
-
-// grouper returns the protocol's grouper, opening one with room for size
-// identifiers on first use. The caller holds mu.
-func (pg *protoGroups) grouper(size int) *alias.Grouper {
-	if pg.g == nil {
-		pg.g = alias.NewGrouper(size)
-	}
-	return pg.g
 }
 
 // Observe implements Session by landing the observation in its identifier's
@@ -124,30 +101,8 @@ func (pg *protoGroups) grouper(size int) *alias.Grouper {
 func (s *session) Observe(o alias.Observation) {
 	pg := &s.groups[o.ID.Proto]
 	pg.mu.Lock()
-	pg.grouper(0).Observe(o)
+	pg.g.Observe(o)
 	pg.mu.Unlock()
-}
-
-// ObserveAll implements Session by cutting obs into runs of one protocol
-// and landing each run under one lock of its protocol's grouper. A run
-// that reaches a protocol with no grouper yet opens one with room for the
-// whole run.
-func (s *session) ObserveAll(obs []alias.Observation) {
-	for len(obs) > 0 {
-		p := obs[0].ID.Proto
-		n := 1
-		for n < len(obs) && obs[n].ID.Proto == p {
-			n++
-		}
-		pg := &s.groups[p]
-		pg.mu.Lock()
-		g := pg.grouper(n)
-		for _, o := range obs[:n] {
-			g.Observe(o)
-		}
-		pg.mu.Unlock()
-		obs = obs[n:]
-	}
 }
 
 // Sets implements Session by snapshotting one protocol's grouper. It may run
@@ -157,7 +112,7 @@ func (s *session) Sets(p ident.Protocol) []alias.Set {
 	pg := &s.groups[p]
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	return pg.grouper(0).Sets()
+	return pg.g.Sets()
 }
 
 // NonSingletonSets implements Session like Sets, keeping only sets of two or
@@ -166,7 +121,7 @@ func (s *session) NonSingletonSets(p ident.Protocol) []alias.Set {
 	pg := &s.groups[p]
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
-	return pg.grouper(0).NonSingletonSets()
+	return pg.g.NonSingletonSets()
 }
 
 // Merged implements Session via alias.MergeWith over the shared table.
