@@ -18,13 +18,13 @@ import (
 // slab that grows geometrically up to maxSlab slots, so filling n
 // identifiers allocates O(log n + n/maxSlab) slabs instead of one array per
 // identifier (most identifiers sit at one address, and their buckets never
-// grow). Reset keeps the identifier
-// table's buckets and every per-identifier address bucket at capacity, so a
-// steady-state Reset→Observe×N→AppendSets cycle over a stable identifier
-// population performs no allocations (the alloc gate in BENCH_baseline.json
-// enforces ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not
-// safe for concurrent use; callers that share one must serialise access (a
-// resolver session guards each protocol's grouper with a mutex).
+// grow). Reset keeps the identifier table's buckets and every
+// per-identifier address bucket at capacity, so a steady-state
+// Reset→Observe×N→AppendSets cycle over a stable identifier population
+// performs no allocations (the alloc gate in BENCH_baseline.json enforces
+// ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not safe for
+// concurrent use; callers that share one must serialise access (a resolver
+// session guards each protocol's grouper with a mutex).
 type Grouper struct {
 	ids map[ident.Identifier]int32
 	// buckets holds each identifier's sorted addresses. Slots past its
@@ -66,8 +66,6 @@ func (g *Grouper) Observe(o Observation) {
 		gi = int32(len(g.buckets))
 		if g.ids == nil {
 			g.ids = make(map[ident.Identifier]int32, minSlab)
-		}
-		if g.buckets == nil {
 			g.buckets = make([][]netip.Addr, 0, minSlab)
 		}
 		g.ids[o.ID] = gi

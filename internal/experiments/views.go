@@ -126,8 +126,7 @@ func (d *Dataset) MergedFamilyNonSingleton(v4 bool) []alias.Set {
 	})
 }
 
-// envViews caches the derivations of the union dataset's partitions that
-// are not per-dataset views — the all-family dual-stack merge — and the
+// envViews caches the union dataset's all-family dual-stack merge and the
 // MIDAR verification runs.
 type envViews struct {
 	dualMerged memo[[]alias.Set]
