@@ -117,7 +117,7 @@ func TestColdViewsSkipUnionSNMP(t *testing.T) {
 			t.Errorf("union dataset grouped %d SNMPv3 identifiers, want none", len(sets))
 		}
 		both, active := e.Both.NonSingletonSets(ident.SNMP), e.Active.NonSingletonSets(ident.SNMP)
-		if len(active) == 0 || &both[0] != &active[0] {
+		if len(active) == 0 || len(both) != len(active) || &both[0] != &active[0] {
 			t.Errorf("union SNMPv3 groups (%d sets) are not the active scan's (%d sets)", len(both), len(active))
 		}
 		union := e.UnionFamilyNonSingleton(true)
