@@ -187,8 +187,9 @@ func BenchmarkCollectActive(b *testing.B) {
 // pipeline shards device construction across GOMAXPROCS workers. Run it
 // with -cpu 1,N to compare the sequential build with the sharded one; both
 // produce byte-identical worlds (topo.TestBuildParallelDeterministic
-// asserts this).
+// asserts this). It reports bytes and allocations per build.
 func BenchmarkTopoBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := topo.Default()
 		cfg.Scale = 0.25

@@ -85,6 +85,21 @@ func TestCIFuzzJob(t *testing.T) {
 	}
 }
 
+// TestCITopoBuildBench pins the bench-smoke step that prices world
+// generation (BenchmarkTopoBuild) at one CPU and at every CPU, so its time,
+// bytes and allocations per build land in bench-smoke.txt on every event.
+func TestCITopoBuildBench(t *testing.T) {
+	job := ciJob(t, "bench-smoke")
+	step := "      - name: World-generation benchmark (time, bytes and allocations per build; GOMAXPROCS 1 vs every CPU)\n" +
+		"        run: go test -run=NONE -bench=BenchmarkTopoBuild -benchtime=1x -cpu 1,$(nproc) . | tee -a bench-smoke.txt\n"
+	if !strings.Contains(job, step) {
+		t.Errorf("bench-smoke job lacks the world-generation step:\n%s", job)
+	}
+	if strings.Contains(job, "\n    if:") {
+		t.Errorf("bench-smoke job runs only on some events:\n%s", job)
+	}
+}
+
 // TestCIColdViewsBench pins the bench-smoke step that prices the first read
 // of every scored view of a sealed environment (BenchmarkColdViews), so its
 // time and allocations land in bench-smoke.txt on every event.

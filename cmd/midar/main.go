@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	sets := alias.NonSingleton(alias.FilterFamily(alias.Group(active.Obs[ident.SSH]), true))
+	sets := active.NonSingletonFamilySets(ident.SSH, true)
 	var candidates []alias.Set
 	for _, s := range sets {
 		if s.Size() <= 10 {

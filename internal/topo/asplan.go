@@ -164,8 +164,11 @@ func buildASes(cfg Config) []*AS {
 	// Synthetic tails. ASNs are chosen in private/unallocated high ranges
 	// to avoid colliding with the named ones.
 	tail := func(kind ASKind, count int, base uint32, meanWeight float64) {
+		k := xrand.NewHasher()
+		k.Key("as-weight")
+		k.Key(kind.String())
 		for i := 0; i < count; i++ {
-			w := meanWeight * float64(xrand.Zipf(1.4, 20, "as-weight", kind.String(), fmt.Sprint(i))) / 4
+			w := meanWeight * float64(nth(k, i).Zipf(1.4, 20)) / 4
 			add(base+uint32(i), fmt.Sprintf("%s-tail-%d", kind.String(), i), kind, w)
 		}
 	}
@@ -180,14 +183,14 @@ func buildASes(cfg Config) []*AS {
 
 // pickAS selects an AS of the given kind, weight-proportionally, keyed by a
 // stable label so device placement is deterministic.
-func pickAS(ases []*AS, kind ASKind, keys ...string) *AS {
+func pickAS(ases []*AS, kind ASKind, key xrand.Hasher) *AS {
 	var total float64
 	for _, a := range ases {
 		if a.Kind == kind {
 			total += a.Weight
 		}
 	}
-	x := xrand.Prob(keys...) * total
+	x := key.Prob() * total
 	for _, a := range ases {
 		if a.Kind != kind {
 			continue

@@ -32,7 +32,7 @@ func newGen(t *testing.T) *generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &generator{w: w, cfg: cfg, fleets: map[string]*sshPersona{}}
+	return newGenerator(w, cfg)
 }
 
 func TestMultiSSHSizeDistribution(t *testing.T) {

@@ -233,6 +233,7 @@ func (w *World) restoreWires(frac float64, ek string) (int, map[netip.Addr]bool)
 // false merge a naive cumulative union of epochs commits.
 func (w *World) renumberInterfaces(frac float64, epoch int, ek string) int {
 	n := 0
+	g := newGenerator(w, w.Cfg)
 	prefix := xrand.NewHasher()
 	prefix.KeyUint(w.Cfg.Seed)
 	prefix.Key("epoch-renum")
@@ -258,7 +259,6 @@ func (w *World) renumberInterfaces(frac float64, epoch int, ek string) int {
 				continue
 			}
 			w.Fabric.Unbind(a)
-			g := &generator{w: w, cfg: w.Cfg, fleets: make(map[string]*sshPersona)}
 			newID := fmt.Sprintf("%s-ren%d-%s", id, epoch, a)
 			if err := g.replacementServer(newID, a); err != nil {
 				continue // address left dark — also realistic
@@ -283,7 +283,7 @@ func (w *World) rebootDevices(frac float64, ek string) int {
 		return 0
 	}
 	n := 0
-	g := &generator{w: w, cfg: w.Cfg}
+	g := newGenerator(w, w.Cfg)
 	prefix := xrand.NewHasher()
 	prefix.KeyUint(w.Cfg.Seed)
 	prefix.Key("reboot")
@@ -316,7 +316,7 @@ func (w *World) rebootDevices(frac float64, ek string) int {
 			if acl := d.UDPServiceAddrs(snmpv3.Port); len(acl) > 0 {
 				enterprise := uint32(2000 + g.intn(8000, tag, "vendor"))
 				d.SetUDPService(snmpv3.Port, snmpv3.NewAgent(snmpv3.AgentConfig{
-					EngineID:    snmpv3.NewEngineID(enterprise, xrand.Hash64(g.sk(tag, "engine")...)),
+					EngineID:    snmpv3.NewEngineID(enterprise, g.key(tag, "engine").Sum64()),
 					EngineBoots: int64(1 + g.intn(40, tag, "boots")),
 					BootTime:    w.Clock.Now(),
 				}).Handle, acl...)
@@ -334,7 +334,7 @@ func (w *World) rebootDevices(frac float64, ek string) int {
 			// is intact but must be re-learned, exactly as for SSH and
 			// SNMPv3.
 			if cfg, ok := w.bgpSpeakers[id]; ok && len(d.ServiceAddrs(179)) > 0 {
-				cfg.RouterID = uint32(xrand.Hash64(g.sk(tag, "router-id")...))
+				cfg.RouterID = uint32(g.key(tag, "router-id").Sum64())
 				cfg.HoldTime = 90
 				if g.prob(tag, "hold") < 0.3 {
 					cfg.HoldTime = 180

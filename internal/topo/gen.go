@@ -43,8 +43,7 @@ func (r seedReader) Read(p []byte) (int, error) {
 
 // newSeedReader builds a reader keyed by labels (and the world seed).
 func (g *generator) newSeedReader(labels ...string) io.Reader {
-	key := append([]string{fmt.Sprint(g.cfg.Seed)}, labels...)
-	return seedReader{s: xrand.NewSplitMix64(xrand.Hash64(key...))}
+	return seedReader{s: xrand.NewSplitMix64(g.key(labels...).Sum64())}
 }
 
 // generator carries the in-progress build. The fleets map and the overlap /
@@ -52,8 +51,11 @@ func (g *generator) newSeedReader(labels ...string) io.Reader {
 // sequentially in canonical device order (see plan.go) because later devices
 // clone earlier personalities.
 type generator struct {
-	w      *World
-	cfg    Config
+	w   *World
+	cfg Config
+	// seed is the world seed fed into a hasher once: every draw forks a copy
+	// of it, so no draw formats the seed or builds a key slice.
+	seed   xrand.Hasher
 	fleets map[string]*sshPersona
 	bgpIDs []uint32
 	// overlapSSH registers the SSH personalities of multi-service routers
@@ -61,16 +63,36 @@ type generator struct {
 	overlapSSH []*sshPersona
 	// plans accumulates the device plans in canonical order.
 	plans []*devicePlan
+	// personas lists every persona planned, each once, for the build phase
+	// to make its host key.
+	personas []*sshPersona
 }
 
-// sk returns a per-entity probability key incorporating the world seed.
-func (g *generator) sk(labels ...string) []string {
-	return append([]string{fmt.Sprint(g.cfg.Seed)}, labels...)
+// newGenerator returns a generator over w drawing from cfg's seed.
+func newGenerator(w *World, cfg Config) *generator {
+	seed := xrand.NewHasher()
+	seed.KeyUint(cfg.Seed)
+	return &generator{w: w, cfg: cfg, seed: seed, fleets: make(map[string]*sshPersona)}
 }
 
-func (g *generator) prob(labels ...string) float64 { return xrand.Prob(g.sk(labels...)...) }
-func (g *generator) intn(n int, labels ...string) int {
-	return xrand.Intn(n, g.sk(labels...)...)
+// key returns the draw key of labels under the world seed: the key
+// xrand.Hash64(fmt.Sprint(seed), labels...) hashes, with no allocation.
+func (g *generator) key(labels ...string) xrand.Hasher {
+	k := g.seed
+	for _, l := range labels {
+		k.Key(l)
+	}
+	return k
+}
+
+func (g *generator) prob(labels ...string) float64    { return g.key(labels...).Prob() }
+func (g *generator) intn(n int, labels ...string) int { return g.key(labels...).Intn(n) }
+
+// nth returns k with the index i fed as one more key, the decimal digits
+// fmt.Sprint(i) would give.
+func nth(k xrand.Hasher, i int) xrand.Hasher {
+	k.KeyInt(int64(i))
+	return k
 }
 
 // hostKey derives an ed25519 host key for a label.
@@ -101,12 +123,12 @@ var routerProfiles = []struct {
 }
 
 // pickProfile draws a weighted profile.
-func (g *generator) pickProfile(router bool, labels ...string) *sshwire.Profile {
+func (g *generator) pickProfile(router bool, label string) *sshwire.Profile {
 	pool := serverProfiles
 	if router {
 		pool = routerProfiles
 	}
-	x := g.prob(append(labels, "profile")...)
+	x := g.prob(label, "profile")
 	for _, p := range pool {
 		x -= p.w
 		if x <= 0 {
@@ -135,7 +157,7 @@ func (g *generator) ipidForServer(id string) ipidChoice {
 		c.model = netsim.IPIDZero
 	case r < 0.998:
 		c.model = netsim.IPIDSharedMonotonic
-		c.velocity = xrand.Exp(40, g.sk(id, "vel")...)
+		c.velocity = g.key(id, "vel").Exp(40)
 	default:
 		c.model = netsim.IPIDPerInterface
 	}
@@ -151,7 +173,7 @@ func (g *generator) ipidForRouter(id string) ipidChoice {
 	switch {
 	case r < 0.30:
 		c.model = netsim.IPIDSharedMonotonic
-		c.velocity = xrand.Exp(60, g.sk(id, "vel")...)
+		c.velocity = g.key(id, "vel").Exp(60)
 	case r < 0.60:
 		c.model = netsim.IPIDPerInterface
 	case r < 0.80:
@@ -160,7 +182,7 @@ func (g *generator) ipidForRouter(id string) ipidChoice {
 		c.model = netsim.IPIDZero
 	default:
 		c.model = netsim.IPIDHighVelocity
-		c.velocity = 30000 + xrand.Exp(100000, g.sk(id, "vel")...)
+		c.velocity = 30000 + g.key(id, "vel").Exp(100000)
 	}
 	return c
 }
@@ -177,8 +199,9 @@ func (g *generator) filteredVantages(id string, pActive, pCensys float64) []stri
 	} else if g.prob(id, "flt-censys") < pCensys {
 		out = append(out, VantageCensys)
 	}
+	vp := g.key(id, "flt-vp")
 	for i := 0; i < AuxVantages; i++ {
-		if g.prob(id, "flt-vp", fmt.Sprint(i)) < pActive {
+		if nth(vp, i).Prob() < pActive {
 			out = append(out, AuxVantage(i))
 		}
 	}
@@ -211,17 +234,13 @@ func (g *generator) planSSH(id string, router bool, addrs []netip.Addr) *sshPlan
 		label := fmt.Sprintf("fleet-%d-%d", asn, slot)
 		fl := g.fleets[label]
 		if fl == nil {
-			fl = &sshPersona{
-				label:    label,
-				keyLabel: label,
-				profile:  g.pickProfile(router, label),
-			}
+			fl = g.newPersona(label, label, router)
 			g.fleets[label] = fl
 		}
 		persona = fl
 		g.w.Truth.Fleets[label] = append(g.w.Truth.Fleets[label], id)
 	} else {
-		persona = &sshPersona{label: id, keyLabel: id, profile: g.pickProfile(router, id)}
+		persona = g.newPersona(id, id, router)
 	}
 	sp := &sshPlan{persona: persona}
 	if len(addrs) >= 2 && g.prob(id, "iface-var") < g.cfg.PSSHPerIfaceVariation {
@@ -241,11 +260,7 @@ func (g *generator) planSSHOverlap(id string) *sshPlan {
 	if len(g.overlapSSH) > 0 && g.prob(id, "clone-ssh") < g.cfg.PCloneSSHKeyOverlap {
 		persona = g.overlapSSH[g.intn(len(g.overlapSSH), id, "clone-pick")]
 	} else {
-		persona = &sshPersona{
-			label:    "overlap-" + id,
-			keyLabel: id,
-			profile:  g.pickProfile(true, id),
-		}
+		persona = g.newPersona("overlap-"+id, id, true)
 		g.overlapSSH = append(g.overlapSSH, persona)
 	}
 	g.w.Truth.Fleets[persona.label] = append(g.w.Truth.Fleets[persona.label], id)
@@ -267,13 +282,16 @@ func (g *generator) assignPTRNames(d *netsim.Device, kind netsim.DeviceKind, as 
 		return
 	}
 	serverHostname := g.prob(id, "ptr-hostname") < 0.45
+	cov := g.key(id, "ptr-cov")
 	v4i, v6i := 0, 0
 	for _, a := range d.Addrs() {
 		coverage := 0.60
 		if a.Is6() {
 			coverage = 0.35
 		}
-		if g.prob(id, "ptr-cov", a.String()) >= coverage {
+		k := cov
+		k.KeyAddr(a)
+		if k.Prob() >= coverage {
 			continue
 		}
 		switch {
@@ -290,7 +308,7 @@ func (g *generator) assignPTRNames(d *netsim.Device, kind netsim.DeviceKind, as 
 			g.w.PTR[a] = fmt.Sprintf("%s.as%d.example.net", id, as.ASN)
 		default:
 			g.w.PTR[a] = fmt.Sprintf("host-%s.dynamic.as%d.example.net",
-				strings.NewReplacer(".", "-", ":", "-").Replace(a.String()), as.ASN)
+				ptrDashes.Replace(a.String()), as.ASN)
 		}
 		if a.Is4() {
 			v4i++
@@ -299,6 +317,11 @@ func (g *generator) assignPTRNames(d *netsim.Device, kind netsim.DeviceKind, as 
 		}
 	}
 }
+
+// ptrDashes turns an address's dots and colons into dashes for a dynamic
+// server's generic reverse name. A Replacer is safe for concurrent use,
+// so concurrent Builds share it.
+var ptrDashes = strings.NewReplacer(".", "-", ":", "-")
 
 // --- populations ---
 
@@ -309,7 +332,7 @@ func (g *generator) planSingleSSHServers() {
 	n := g.cfg.scaled(g.cfg.SingleSSHServers, 10)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("srv-%d", i)
-		as := pickAS(g.w.ASes, KindCloud, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindCloud, g.key(id, "as"))
 		var addrs []netip.Addr
 		v6only := g.prob(id, "v6only") < g.cfg.PServerV6Only
 		if !v6only {
@@ -338,7 +361,7 @@ func (g *generator) replacementServer(id string, addr netip.Addr) error {
 	}
 	d, err := netsim.NewDevice(netsim.DeviceConfig{
 		ID: id, ASN: as.ASN, Kind: netsim.KindServer, Addrs: []netip.Addr{addr},
-		IPID: netsim.IPIDRandom, IPIDSeed: xrand.Hash64(g.sk(id)...),
+		IPID: netsim.IPIDRandom, IPIDSeed: g.key(id).Sum64(),
 		FilteredVantages: g.filteredVantages(id, g.cfg.PCloudFiltersActive, 0),
 	}, g.w.Clock.Now())
 	if err != nil {
@@ -348,7 +371,10 @@ func (g *generator) replacementServer(id string, addr netip.Addr) error {
 		return err
 	}
 	sp := g.planSSH(id, false, []netip.Addr{addr})
-	d.SetService(22, g.buildSSHServer(sp, g.hostKey(sp.persona.keyLabel)))
+	if sp.persona.key == nil { // a persona new to this churn pass
+		sp.persona.key = g.hostKey(sp.persona.keyLabel)
+	}
+	d.SetService(22, g.buildSSHServer(sp))
 	g.w.Truth.SSHAddrs[d.ID()] = d.ServiceAddrs(22)
 	g.w.registerTruthDevice(d.ID())
 	return nil
@@ -364,9 +390,9 @@ func (g *generator) multiSSHSize(id string) int {
 	case r < 0.89:
 		return 3 + g.intn(7, id, "size-mid")
 	case r < 0.99:
-		return 10 + xrand.Zipf(1.5, 89, g.sk(id, "size-hi")...)
+		return 10 + g.key(id, "size-hi").Zipf(1.5, 89)
 	default:
-		return 100 + xrand.Zipf(1.3, 300, g.sk(id, "size-xl")...)
+		return 100 + g.key(id, "size-xl").Zipf(1.3, 300)
 	}
 }
 
@@ -380,7 +406,7 @@ func (g *generator) planMultiSSHHosts() {
 		if g.prob(id, "as-kind") < 0.30 {
 			kind = KindISP
 		}
-		as := pickAS(g.w.ASes, kind, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, kind, g.key(id, "as"))
 		k := g.multiSSHSize(id)
 		// A minority of multi-address hosts span two ASes of the same
 		// organisation (Amazon's 16509/14618 split, fleet anycast): the
@@ -388,7 +414,7 @@ func (g *generator) planMultiSSHHosts() {
 		// the paper's Figure 5.
 		var secondAS *AS
 		if g.prob(id, "second-as") < 0.07 {
-			secondAS = pickAS(g.w.ASes, kind, g.sk(id, "as2")...)
+			secondAS = pickAS(g.w.ASes, kind, g.key(id, "as2"))
 		}
 		var addrs []netip.Addr
 		addrASN := make(map[netip.Addr]uint32)
@@ -425,7 +451,7 @@ func (g *generator) planSNMPSingles() {
 	n := g.cfg.scaled(g.cfg.SNMPSingleDevices, 10)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("cpe-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		addrs := []netip.Addr{as.AllocV4()}
 		p := g.planDevice(id, netsim.KindRouter, addrs, nil, g.ipidForRouter(id), nil, as)
 		p.snmp = &snmpPlan{cfg: g.planAgent(id)}
@@ -433,7 +459,7 @@ func (g *generator) planSNMPSingles() {
 	n6 := g.cfg.scaled(g.cfg.SNMPV6OnlySingles, 2)
 	for i := 0; i < n6; i++ {
 		id := fmt.Sprintf("cpe6-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		addrs := []netip.Addr{as.AllocV6()}
 		p := g.planDevice(id, netsim.KindRouter, addrs, nil, g.ipidForRouter(id), nil, as)
 		p.snmp = &snmpPlan{cfg: g.planAgent(id)}
@@ -445,7 +471,7 @@ func (g *generator) planSNMPSingles() {
 func (g *generator) planAgent(id string) snmpv3.AgentConfig {
 	enterprise := uint32(2000 + g.intn(8000, id, "vendor"))
 	return snmpv3.AgentConfig{
-		EngineID:    snmpv3.NewEngineID(enterprise, xrand.Hash64(g.sk(id, "engine")...)),
+		EngineID:    snmpv3.NewEngineID(enterprise, g.key(id, "engine").Sum64()),
 		EngineBoots: int64(1 + g.intn(40, id, "boots")),
 		BootTime:    g.w.Clock.Now().Add(-time.Duration(g.intn(10_000_000, id, "uptime")) * time.Second),
 	}
@@ -461,9 +487,9 @@ func (g *generator) snmpRouterSize(id string) int {
 	case r < 0.66:
 		return 3 + g.intn(7, id, "size-mid")
 	case r < 0.985:
-		return 10 + xrand.Zipf(1.4, 69, g.sk(id, "size-hi")...)
+		return 10 + g.key(id, "size-hi").Zipf(1.4, 69)
 	default:
-		return 80 + xrand.Zipf(1.3, 220, g.sk(id, "size-xl")...)
+		return 80 + g.key(id, "size-xl").Zipf(1.3, 220)
 	}
 }
 
@@ -478,14 +504,14 @@ func (g *generator) planSNMPRouters() {
 		if g.prob(id, "as-kind") < 0.15 {
 			kind = KindEnterprise
 		}
-		as := pickAS(g.w.ASes, kind, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, kind, g.key(id, "as"))
 		k := g.snmpRouterSize(id)
 		// As with SSH hosts, a few routers carry interfaces numbered from a
 		// sibling AS (sub-allocated customer space), giving SNMPv3 its thin
 		// multi-AS tail in Figure 5.
 		var secondAS *AS
 		if g.prob(id, "second-as") < 0.05 {
-			secondAS = pickAS(g.w.ASes, KindISP, g.sk(id, "as2")...)
+			secondAS = pickAS(g.w.ASes, KindISP, g.key(id, "as2"))
 		}
 		var addrs []netip.Addr
 		addrASN := make(map[netip.Addr]uint32)
@@ -538,9 +564,9 @@ func (g *generator) bgpMultiSize(id string) int {
 	case r < 0.70:
 		return 3 + g.intn(8, id, "size-mid")
 	case r < 0.98:
-		return 11 + xrand.Zipf(1.5, 48, g.sk(id, "size-hi")...)
+		return 11 + g.key(id, "size-hi").Zipf(1.5, 48)
 	default:
-		return 60 + xrand.Zipf(1.3, 190, g.sk(id, "size-xl")...)
+		return 60 + g.key(id, "size-xl").Zipf(1.3, 190)
 	}
 }
 
@@ -589,7 +615,7 @@ func (g *generator) planBGPPopulations() {
 	// Silent speakers: SYN-responsive on 179, zero identifier yield.
 	for i := 0; i < g.cfg.scaled(g.cfg.BGPSilent, 5); i++ {
 		id := fmt.Sprintf("bgps-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		addrs := []netip.Addr{as.AllocV4()}
 		if g.prob(id, "second") < 0.2 {
 			addrs = append(addrs, as.AllocV4())
@@ -601,7 +627,7 @@ func (g *generator) planBGPPopulations() {
 	// Single-address identifiable speakers.
 	for i := 0; i < g.cfg.scaled(g.cfg.BGPSingleSpeakers, 4); i++ {
 		id := fmt.Sprintf("bgp1-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		addrs := []netip.Addr{as.AllocV4()}
 		p := g.planDevice(id, netsim.KindRouter, addrs, nil, g.ipidForRouter(id),
 			g.filteredVantages(id, g.cfg.PBGPFiltersActive, g.cfg.PBGPMissedByCensys), as)
@@ -611,16 +637,17 @@ func (g *generator) planBGPPopulations() {
 	// Multi-interface identifiable border routers.
 	for i := 0; i < g.cfg.scaled(g.cfg.BGPMultiRouters, 8); i++ {
 		id := fmt.Sprintf("bgpm-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		k := g.bgpMultiSize(id)
 		var addrs []netip.Addr
 		addrASN := make(map[netip.Addr]uint32)
 		multiAS := g.prob(id, "multi-as") < 0.38
+		nbKey := g.key(id, "nb")
 		for j := 0; j < k; j++ {
-			if multiAS && j > 0 && g.prob(id, "nb", fmt.Sprint(j)) < 0.45 {
+			if multiAS && j > 0 && nth(nbKey, j).Prob() < 0.45 {
 				// Interface numbered from a neighbour's space: the reason
 				// >35% of BGP sets span multiple ASes.
-				nb := pickAS(g.w.ASes, KindISP, g.sk(id, "nb-as", fmt.Sprint(j))...)
+				nb := pickAS(g.w.ASes, KindISP, nth(g.key(id, "nb-as"), j))
 				a := nb.AllocV4()
 				addrs = append(addrs, a)
 				addrASN[a] = nb.ASN
@@ -652,7 +679,7 @@ func (g *generator) planBGPPopulations() {
 	// IPv6-only speakers.
 	for i := 0; i < g.cfg.scaled(g.cfg.BGPV6OnlyMultiRouters, 2); i++ {
 		id := fmt.Sprintf("bgp6m-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		var addrs []netip.Addr
 		for j := 0; j < 2+g.intn(9, id, "v6n"); j++ {
 			addrs = append(addrs, as.AllocV6())
@@ -662,7 +689,7 @@ func (g *generator) planBGPPopulations() {
 	}
 	for i := 0; i < g.cfg.scaled(g.cfg.BGPV6OnlySingles, 2); i++ {
 		id := fmt.Sprintf("bgp61-%d", i)
-		as := pickAS(g.w.ASes, KindISP, g.sk(id, "as")...)
+		as := pickAS(g.w.ASes, KindISP, g.key(id, "as"))
 		addrs := []netip.Addr{as.AllocV6()}
 		p := g.planDevice(id, netsim.KindRouter, addrs, nil, g.ipidForRouter(id), nil, as)
 		p.attachBGP(g.planSpeaker(id, as, addrs[0], true, bgp.BehaviorOpenNotify))

@@ -10,7 +10,6 @@ import (
 	"aliaslimit/internal/netsim"
 	"aliaslimit/internal/snmpv3"
 	"aliaslimit/internal/sshwire"
-	"aliaslimit/internal/xrand"
 )
 
 // World generation runs in three phases so the expensive per-device work can
@@ -25,8 +24,8 @@ import (
 //  2. Build (parallel): host-key generation and device/service construction
 //     (the ed25519 and wire-protocol material that dominates Build's cost)
 //     shard across GOMAXPROCS workers. Every plan is independent: shared
-//     personalities were already resolved to labels, and keys are pure
-//     functions of (seed, label).
+//     personalities were already resolved, and keys are pure functions of
+//     (seed, label).
 //  3. Commit (sequential): devices bind to the fabric in plan order, and the
 //     ground-truth, PTR, and churn records are written exactly as the
 //     sequential generator did.
@@ -35,13 +34,23 @@ import (
 // collection pipeline keeps for its scan pools.
 
 // sshPersona is a resolved SSH identity: the fleet/overlap label recorded in
-// ground truth, the label the host key derives from, and the software
-// profile. Shared personalities (fleet keys, cloned management configs) are
-// the same *sshPersona on every member.
+// ground truth, the label the host key derives from, the software profile
+// and the host key. Shared personalities (fleet keys, cloned management
+// configs) are the same *sshPersona on every member.
 type sshPersona struct {
 	label    string
 	keyLabel string
 	profile  *sshwire.Profile
+	// key is made by the build phase (or at once by a churn pass).
+	key ed25519.PrivateKey
+}
+
+// newPersona resolves a fresh SSH personality and records it for the build
+// phase, which makes its host key.
+func (g *generator) newPersona(label, keyLabel string, router bool) *sshPersona {
+	p := &sshPersona{label: label, keyLabel: keyLabel, profile: g.pickProfile(router, keyLabel)}
+	g.personas = append(g.personas, p)
+	return p
 }
 
 // sshPlan is a planned SSH service binding.
@@ -114,7 +123,7 @@ func (g *generator) planDevice(id string, kind netsim.DeviceKind, addrs []netip.
 			AddrASN:      addrASN,
 			IPID:         ipid.model,
 			IPIDVelocity: ipid.velocity,
-			IPIDSeed:     xrand.Hash64(g.sk(id, "ipid-seed")...),
+			IPIDSeed:     g.key(id, "ipid-seed").Sum64(),
 			Pingable:     ipid.pingable,
 			// Most devices defeat the common-source-address technique: they
 			// answer ICMP errors from the probed address or not at all — the
@@ -131,39 +140,23 @@ func (g *generator) planDevice(id string, kind netsim.DeviceKind, addrs []netip.
 	return p
 }
 
-// buildDevices runs the parallel phase: host keys for every unique key
-// label, then device and service construction per plan.
+// buildDevices runs the parallel phase: the host key of every persona, then
+// device and service construction per plan.
 func (g *generator) buildDevices() error {
 	workers := runtime.GOMAXPROCS(0)
-
-	// Unique key labels in first-use order; keys are pure functions of
-	// (seed, label), so parallel generation is deterministic.
-	seen := make(map[string]bool)
-	var labels []string
-	for _, p := range g.plans {
-		if p.ssh != nil && !seen[p.ssh.persona.keyLabel] {
-			seen[p.ssh.persona.keyLabel] = true
-			labels = append(labels, p.ssh.persona.keyLabel)
-		}
-	}
-	keys := make([]ed25519.PrivateKey, len(labels))
-	runSharded(workers, len(labels), func(i int) error {
-		keys[i] = g.hostKey(labels[i])
+	runSharded(workers, len(g.personas), func(i int) error {
+		p := g.personas[i]
+		p.key = g.hostKey(p.keyLabel)
 		return nil
 	})
-	keyOf := make(map[string]ed25519.PrivateKey, len(labels))
-	for i, l := range labels {
-		keyOf[l] = keys[i]
-	}
-
 	return runSharded(workers, len(g.plans), func(i int) error {
-		return g.buildDevice(g.plans[i], keyOf)
+		return g.buildDevice(g.plans[i])
 	})
 }
 
 // buildDevice constructs one plan's device and its services. Device-local
 // only: no fabric, registry, or map mutation.
-func (g *generator) buildDevice(p *devicePlan, keys map[string]ed25519.PrivateKey) error {
+func (g *generator) buildDevice(p *devicePlan) error {
 	d, err := netsim.NewDevice(p.dcfg, g.w.Clock.Now())
 	if err != nil {
 		return err
@@ -180,7 +173,7 @@ func (g *generator) buildDevice(p *devicePlan, keys map[string]ed25519.PrivateKe
 		d.SetService(22, brokenSSHHandler{})
 	}
 	if p.ssh != nil {
-		d.SetService(22, g.buildSSHServer(p.ssh, keys[p.ssh.persona.keyLabel]), p.ssh.acl...)
+		d.SetService(22, g.buildSSHServer(p.ssh), p.ssh.acl...)
 	}
 	if p.snmp != nil {
 		d.SetUDPService(snmpv3.Port, snmpv3.NewAgent(p.snmp.cfg).Handle, p.snmp.acl...)
@@ -192,12 +185,12 @@ func (g *generator) buildDevice(p *devicePlan, keys map[string]ed25519.PrivateKe
 	return nil
 }
 
-// buildSSHServer realises a planned SSH service with its generated host key.
-func (g *generator) buildSSHServer(sp *sshPlan, key ed25519.PrivateKey) *sshwire.Server {
+// buildSSHServer realises a planned SSH service with its persona's host key.
+func (g *generator) buildSSHServer(sp *sshPlan) *sshwire.Server {
 	cfg := sshwire.ServerConfig{
 		Banner:           sp.persona.profile.Banner,
 		Algorithms:       sp.persona.profile.Algorithms,
-		HostKey:          key,
+		HostKey:          sp.persona.key,
 		HandshakeTimeout: simHandshakeTimeout,
 	}
 	if sp.varied {

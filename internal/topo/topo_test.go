@@ -1,13 +1,13 @@
 package topo
 
 import (
-	"fmt"
 	"math"
 	"net/netip"
 	"testing"
 
 	"aliaslimit/internal/netsim"
 	"aliaslimit/internal/snmpv3"
+	"aliaslimit/internal/xrand"
 )
 
 func smallWorld(t *testing.T, seed uint64) *World {
@@ -287,7 +287,9 @@ func TestPickASWeighted(t *testing.T) {
 	ases := buildASes(Default())
 	counts := map[uint32]int{}
 	for i := 0; i < 4000; i++ {
-		a := pickAS(ases, KindCloud, "t", fmt.Sprint(i))
+		k := xrand.NewHasher()
+		k.Key("t")
+		a := pickAS(ases, KindCloud, nth(k, i))
 		if a.Kind != KindCloud {
 			t.Fatalf("pickAS returned kind %v", a.Kind)
 		}

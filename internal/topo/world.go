@@ -146,7 +146,7 @@ func Build(cfg Config) (*World, error) {
 		},
 		bgpSpeakers: make(map[string]bgp.SpeakerConfig),
 	}
-	g := &generator{w: w, cfg: cfg, fleets: make(map[string]*sshPersona)}
+	g := newGenerator(w, cfg)
 	if err := g.run(); err != nil {
 		return nil, err
 	}
@@ -179,6 +179,7 @@ func (w *World) bind(d *netsim.Device, deviceAS *AS) error {
 // per (seed, round).
 func (w *World) ApplyChurn(frac float64, round int) int {
 	n := 0
+	g := newGenerator(w, w.Cfg)
 	for _, c := range w.churnable {
 		// Historical key shape: (deviceID, "churn", round) — no seed prefix.
 		// The streaming hasher reproduces it without the per-record
@@ -195,7 +196,6 @@ func (w *World) ApplyChurn(frac float64, round int) int {
 			continue // already churned in an earlier round
 		}
 		w.Fabric.Unbind(c.addr)
-		g := &generator{w: w, cfg: w.Cfg, fleets: make(map[string]*sshPersona)}
 		id := fmt.Sprintf("%s-churn%d", c.deviceID, round)
 		if err := g.replacementServer(id, c.addr); err != nil {
 			// Allocation cannot fail for a replacement (address reused);

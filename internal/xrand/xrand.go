@@ -9,8 +9,9 @@
 // every draw after it. xrand therefore offers both:
 //
 //   - a seedable stream RNG (SplitMix64) for ordered generation, and
-//   - stateless keyed draws (Hash64, Prob, Intn) derived from FNV-1a over the
-//     key strings, for per-entity decisions.
+//   - stateless keyed draws (Hash64, Prob, and the Hasher's Intn, Exp and
+//     Zipf) derived from FNV-1a over the key strings, for per-entity
+//     decisions.
 package xrand
 
 import (
@@ -106,52 +107,12 @@ func Prob(keys ...string) float64 {
 	return float64(Hash64(keys...)>>11) / (1 << 53)
 }
 
-// Intn returns a stable pseudo-random value in [0, n) keyed by keys.
-func Intn(n int, keys ...string) int {
-	if n <= 0 {
-		panic("xrand: Intn with non-positive n")
-	}
-	return int(Hash64(keys...) % uint64(n))
-}
-
-// Exp returns a stable exponentially distributed value with the given mean,
-// keyed by keys. Used for heavy-ish tailed size draws in the topology.
-func Exp(mean float64, keys ...string) float64 {
-	u := Prob(keys...)
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -mean * math.Log(1-u)
-}
-
-// Zipf returns a stable Zipf-like draw in [1, max] with exponent s > 1,
-// keyed by keys, using inverse-CDF sampling of a truncated Pareto. The
-// Internet's per-AS size distributions are famously heavy-tailed; this is the
-// work-horse for AS sizes and alias-set sizes.
-func Zipf(s float64, max int, keys ...string) int {
-	if max < 1 {
-		return 1
-	}
-	u := Prob(keys...)
-	// Inverse CDF of P(X<=x) ∝ 1 - x^(1-s) on [1, max].
-	hi := math.Pow(float64(max), 1-s)
-	x := math.Pow(1-u*(1-hi), 1/(1-s))
-	k := int(x)
-	if k < 1 {
-		k = 1
-	}
-	if k > max {
-		k = max
-	}
-	return k
-}
-
 // Hasher is the allocation-free streaming form of the keyed draws: feed it
 // the same keys you would pass to Hash64/Prob — one Key* call per key — and
 // Sum64/Prob return bit-identical values, without materialising any of the
-// key strings. The megascale churn and fault paths use it to keep their
-// per-entity draws byte-identical to the historical fmt.Sprint-built keys
-// while performing zero allocations (the alloc benchmarks enforce this).
+// key strings. World generation, churn and the fault paths use it to keep
+// their per-entity draws byte-identical to the historical fmt.Sprint-built
+// keys while performing zero allocations (the alloc benchmarks enforce this).
 //
 // The value is plain data: copy it freely to fork a common prefix, e.g. hash
 // the (seed, operation, epoch) prefix once and reuse it per entity.
@@ -250,4 +211,46 @@ func (k Hasher) Sum64() uint64 {
 // far — bit-identical to Prob over the same key strings.
 func (k Hasher) Prob() float64 {
 	return float64(k.Sum64()>>11) / (1 << 53)
+}
+
+// Intn returns the stable pseudo-random value in [0, n) for the keys fed so
+// far. It panics if n <= 0.
+func (k Hasher) Intn(n int) int {
+	if n <= 0 {
+		panic("xrand: Intn with non-positive n")
+	}
+	return int(k.Sum64() % uint64(n))
+}
+
+// Exp returns a stable exponentially distributed value with the given mean
+// for the keys fed so far. Used for heavy-ish tailed size draws in the
+// topology.
+func (k Hasher) Exp(mean float64) float64 {
+	u := k.Prob()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	return -mean * math.Log(1-u)
+}
+
+// Zipf returns a stable Zipf-like draw in [1, max] with exponent s > 1 for
+// the keys fed so far, using inverse-CDF sampling of a truncated Pareto. The
+// Internet's per-AS size distributions are famously heavy-tailed; this is the
+// work-horse for AS sizes and alias-set sizes.
+func (k Hasher) Zipf(s float64, max int) int {
+	if max < 1 {
+		return 1
+	}
+	u := k.Prob()
+	// Inverse CDF of P(X<=x) ∝ 1 - x^(1-s) on [1, max].
+	hi := math.Pow(float64(max), 1-s)
+	x := math.Pow(1-u*(1-hi), 1/(1-s))
+	v := int(x)
+	if v < 1 {
+		v = 1
+	}
+	if v > max {
+		v = max
+	}
+	return v
 }

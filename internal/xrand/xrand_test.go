@@ -46,13 +46,22 @@ func TestSplitMix64IntnPanics(t *testing.T) {
 	NewSplitMix64(1).Intn(0)
 }
 
+// keyed returns a hasher fed keys, one Key call each.
+func keyed(keys ...string) Hasher {
+	k := NewHasher()
+	for _, key := range keys {
+		k.Key(key)
+	}
+	return k
+}
+
 func TestStatelessIntnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Intn(0, key) did not panic")
+			t.Error("Hasher.Intn(0) did not panic")
 		}
 	}()
-	Intn(0, "k")
+	keyed("k").Intn(0)
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -104,8 +113,8 @@ func TestProbRange(t *testing.T) {
 
 func TestIntnRange(t *testing.T) {
 	err := quick.Check(func(k string) bool {
-		v := Intn(17, k)
-		return v >= 0 && v < 17
+		v := keyed(k).Intn(17)
+		return v >= 0 && v < 17 && v == int(Hash64(k)%17)
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -116,7 +125,7 @@ func TestExpMeanApproximate(t *testing.T) {
 	var sum float64
 	const n = 5000
 	for i := 0; i < n; i++ {
-		sum += Exp(10, "exp-test", string(rune(i)), string(rune(i/128)))
+		sum += keyed("exp-test", string(rune(i)), string(rune(i/128))).Exp(10)
 	}
 	mean := sum / n
 	if mean < 8 || mean > 12 {
@@ -130,7 +139,7 @@ func TestZipfBoundsAndSkew(t *testing.T) {
 	small := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		v := Zipf(1.5, max, "zipf", string(rune(i)), string(rune(i/500)))
+		v := keyed("zipf", string(rune(i)), string(rune(i/500))).Zipf(1.5, max)
 		if v < 1 || v > max {
 			t.Fatalf("Zipf out of bounds: %d", v)
 		}
@@ -143,7 +152,7 @@ func TestZipfBoundsAndSkew(t *testing.T) {
 	if float64(small)/n < 0.5 {
 		t.Errorf("Zipf not skewed: only %.1f%% of draws <= 3", 100*float64(small)/n)
 	}
-	if Zipf(1.5, 0, "k") != 1 {
+	if keyed("k").Zipf(1.5, 0) != 1 {
 		t.Error("Zipf with max<1 should clamp to 1")
 	}
 }
